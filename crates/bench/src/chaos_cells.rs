@@ -1,11 +1,9 @@
-//! The chaos-matrix cells shared by the `chaos_matrix` criterion bench
-//! and the `repro perf` regression gate.
-//!
-//! Both consumers must measure *exactly* the same thing — same seeds,
-//! same liveness arming, same intensity grid — or the committed
-//! `BENCH_chaos.json` baseline would drift from what the gate
-//! recomputes. Keeping the cell logic here makes that a compile-time
-//! fact instead of a convention.
+//! The chaos-matrix cells behind the committed `BENCH_chaos.json` and
+//! the `repro chaos` table: one protocol round per `(topology, fault
+//! intensity)` cell with the liveness mechanisms armed (retry/backoff,
+//! FREEZE leases, election timeouts). Intensity scales message loss,
+//! duplication, reordering, and the length of a partition window
+//! islanding one node.
 
 use peercache_core::workload::{paper_grid, paper_random};
 use peercache_core::{ChunkId, Network};
@@ -72,6 +70,8 @@ pub struct Cell {
     pub ticks: u64,
     /// TIGHT/SPAN retransmissions.
     pub retries: u64,
+    /// Clients settled by the election timeout.
+    pub timeouts: u64,
     /// Lease-expiry depositions.
     pub depositions: u64,
     /// Chaos-layer faults injected.
@@ -99,6 +99,7 @@ pub fn run_cell(net: &Network, topology: &'static str, intensity: f64) -> Cell {
         intensity,
         ticks: out.ticks,
         retries: out.retries,
+        timeouts: out.timeouts,
         depositions: out.depositions,
         faults: out.faults.total(),
         lossy_drops: out.stats.dropped,
@@ -107,21 +108,33 @@ pub fn run_cell(net: &Network, topology: &'static str, intensity: f64) -> Cell {
     }
 }
 
-/// Runs the full matrix (both topologies, all intensities) in the
-/// committed baseline's row order.
-pub fn run_matrix() -> Vec<Cell> {
-    let grid = paper_grid(10).expect("grid builds");
-    let geo = paper_random(60, 7).expect("random geometric builds");
+/// The matrix's topologies: the 10x10 grid and the paper's
+/// random-geometric network.
+pub(crate) fn topologies() -> [(&'static str, Network); 2] {
+    [
+        ("grid10", paper_grid(10).expect("grid builds")),
+        (
+            "random60",
+            paper_random(60, 7).expect("random geometric builds"),
+        ),
+    ]
+}
+
+/// Re-measures `BENCH_chaos.json` in its committed format, rows
+/// ordered by intensity, then topology.
+pub fn baseline() -> String {
+    let nets = topologies();
     let mut cells = Vec::new();
     for &intensity in &INTENSITIES {
-        cells.push(run_cell(&grid, "grid10", intensity));
-        cells.push(run_cell(&geo, "random60", intensity));
+        for (name, net) in &nets {
+            cells.push(run_cell(net, name, intensity));
+        }
     }
-    cells
+    render_json(&cells)
 }
 
 /// Renders the cells in the exact committed `BENCH_chaos.json` format.
-pub fn render_json(cells: &[Cell]) -> String {
+fn render_json(cells: &[Cell]) -> String {
     let liv = liveness();
     let mut out = String::from("{\n  \"bench\": \"chaos_matrix\",\n");
     out.push_str(&format!(

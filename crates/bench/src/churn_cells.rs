@@ -1,7 +1,7 @@
-//! The churn-trace measurement shared by the `churn_trace` criterion
-//! bench and the `repro perf` regression gate (same warm-up, same
-//! seeded departure trace, same JSON rendering as the committed
-//! `BENCH_churn.json`).
+//! The churn-trace measurement behind the committed `BENCH_churn.json`
+//! and the `repro churn` table: a seeded departure trace on a warmed
+//! 10x10 grid, each departure handled by [`CacheWorld`]'s incremental
+//! repair and priced against the full-replan oracle.
 
 use peercache_core::approx::ApproxConfig;
 use peercache_core::workload::paper_grid;
@@ -14,8 +14,8 @@ pub const RETENTION: usize = 6;
 /// Departure-trace seed of the committed baseline.
 pub const TRACE_SEED: u64 = 0xBADC0DE;
 
-/// Departures in the full (non-quick) trace.
-pub const FULL_STEPS: usize = 12;
+/// Departures in the committed baseline's trace.
+pub const DEPARTURES: usize = 12;
 
 /// xorshift64 — the trace must be identical on every run.
 struct XorShift(u64);
@@ -46,9 +46,27 @@ pub fn warm_world() -> CacheWorld {
     world
 }
 
+/// One departure of the trace: what the repair did and what the
+/// replan oracle says of it.
+#[derive(Debug)]
+pub struct TraceRow {
+    /// The departed node.
+    pub node: NodeId,
+    /// Clients whose provider the departure took away.
+    pub orphaned_clients: usize,
+    /// Copies the repair placed.
+    pub new_copies: usize,
+    /// Wall time of the repair in microseconds.
+    pub repair_us: u64,
+    /// Wall time of the from-scratch replan in microseconds.
+    pub replan_us: u64,
+    /// Repaired over replanned contention cost.
+    pub cost_ratio: f64,
+}
+
 /// One departure + one arrival per trace step, keeping the live set
-/// full. Returns per-step `(repair_us, replan_us, cost_ratio)`.
-pub fn run_trace(world: &mut CacheWorld, steps: usize, seed: u64) -> Vec<(u64, u64, f64)> {
+/// full. Returns one row per departure.
+pub fn run_trace(world: &mut CacheWorld, steps: usize, seed: u64) -> Vec<TraceRow> {
     let mut rng = XorShift(seed);
     let mut rows = Vec::new();
     while rows.len() < steps {
@@ -66,20 +84,42 @@ pub fn run_trace(world: &mut CacheWorld, steps: usize, seed: u64) -> Vec<(u64, u
             Err(_) => continue, // would disconnect the survivors; redraw
         };
         let gap = world.repair_vs_replan().expect("oracle replan");
-        rows.push((report.wall_us, gap.replan_wall_us, gap.cost_ratio));
+        rows.push(TraceRow {
+            node: report.node,
+            orphaned_clients: report.orphaned_clients,
+            new_copies: report.new_copies.len(),
+            repair_us: report.wall_us,
+            replan_us: gap.replan_wall_us,
+            cost_ratio: gap.cost_ratio,
+        });
         world.apply(WorldEvent::ChunkArrived).expect("arrival");
     }
     rows
 }
 
+/// Re-measures `BENCH_churn.json` in its committed format.
+pub fn baseline() -> String {
+    let mut world = warm_world();
+    let rows = run_trace(&mut world, DEPARTURES, TRACE_SEED);
+    world.validate().expect("trace leaves a valid world");
+    render_json(&rows)
+}
+
+/// Total repair and replan wall time of a trace, in microseconds.
+pub(crate) fn totals_us(rows: &[TraceRow]) -> (u64, u64) {
+    (
+        rows.iter().map(|r| r.repair_us).sum(),
+        rows.iter().map(|r| r.replan_us).sum(),
+    )
+}
+
 /// Renders the trace rows in the exact committed `BENCH_churn.json`
 /// format.
-pub fn render_json(rows: &[(u64, u64, f64)]) -> String {
-    let repair_us: u64 = rows.iter().map(|r| r.0).sum();
-    let replan_us: u64 = rows.iter().map(|r| r.1).sum();
+fn render_json(rows: &[TraceRow]) -> String {
+    let (repair_us, replan_us) = totals_us(rows);
     let speedup = replan_us as f64 / repair_us.max(1) as f64;
-    let max_ratio = rows.iter().map(|r| r.2).fold(0.0, f64::max);
-    let mean_ratio = rows.iter().map(|r| r.2).sum::<f64>() / rows.len().max(1) as f64;
+    let max_ratio = rows.iter().map(|r| r.cost_ratio).fold(0.0, f64::max);
+    let mean_ratio = rows.iter().map(|r| r.cost_ratio).sum::<f64>() / rows.len().max(1) as f64;
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"churn_trace\",\n");
     out.push_str("  \"topology\": \"grid10\",\n  \"nodes\": 100,\n");
@@ -113,7 +153,7 @@ mod tests {
         let ra = run_trace(&mut a, 2, TRACE_SEED);
         let mut b = warm_world();
         let rb = run_trace(&mut b, 2, TRACE_SEED);
-        let ratios = |r: &[(u64, u64, f64)]| r.iter().map(|x| x.2).collect::<Vec<_>>();
+        let ratios = |r: &[TraceRow]| r.iter().map(|x| (x.node, x.cost_ratio)).collect::<Vec<_>>();
         assert_eq!(ratios(&ra), ratios(&rb));
         a.validate().unwrap();
     }

@@ -1,66 +1,17 @@
 //! `chaos` — not a paper figure: the partition-tolerance extension.
 //!
-//! Runs one protocol round per fault intensity on the 10x10 grid and
-//! the random-geometric topology, with the liveness mechanisms armed
-//! (retry/backoff, FREEZE leases, election timeouts). Intensity scales
-//! message loss, duplication, reordering, and the length of a
-//! partition window islanding one node. The paper's protocol assumes a
+//! Runs the [`crate::chaos_cells`] matrix — one protocol round per
+//! fault intensity on the 10x10 grid and the random-geometric topology,
+//! with the liveness mechanisms armed. The paper's protocol assumes a
 //! quiet network; this table shows convergence degrading gracefully —
 //! more ticks and retries, deposed ADMINs re-elected — instead of
 //! stalling.
 
-use peercache_core::workload::{paper_grid, paper_random};
-use peercache_core::{ChunkId, Network};
-use peercache_dist::engine::LossConfig;
-use peercache_dist::sim::{run_chunk_round, SimConfig};
-use peercache_dist::view::build_views;
-use peercache_dist::{FaultPlan, LivenessConfig};
-use peercache_graph::NodeId;
-
+use crate::chaos_cells::{run_cell, topologies, INTENSITIES};
 use crate::harness::Table;
-
-const K_HOPS: u32 = 2;
-const INTENSITIES: [f64; 4] = [0.0, 0.1, 0.2, 0.3];
-
-/// Fault-intensity sweep config: loss, duplication, and reordering at
-/// the given probability, plus a partition window whose length grows
-/// with the intensity — the same cells as the `chaos_matrix` bench.
-fn config_at(net: &Network, intensity: f64) -> SimConfig {
-    let island = if net.producer() == NodeId::new(0) {
-        NodeId::new(1)
-    } else {
-        NodeId::new(0)
-    };
-    let mut chaos = FaultPlan::new(0xFA117)
-        .duplicate(intensity / 2.0)
-        .reorder(intensity / 2.0, 2);
-    let window = (intensity * 200.0) as u64;
-    if window > 0 {
-        chaos = chaos.partition(10, 10 + window, vec![island]);
-    }
-    SimConfig {
-        loss: LossConfig {
-            drop_probability: intensity,
-            seed: 29,
-        },
-        chaos,
-        liveness: LivenessConfig {
-            retry_limit: 3,
-            backoff_base: 4,
-            backoff_jitter: 2,
-            lease_ticks: 20,
-            election_timeout: 300,
-        },
-        ..Default::default()
-    }
-}
 
 /// Runs the intensity sweep and tabulates convergence per cell.
 pub fn run() -> Vec<Table> {
-    let topologies = [
-        ("grid10", paper_grid(10).expect("grid builds")),
-        ("random60", paper_random(60, 7).expect("geometric builds")),
-    ];
     let mut table = Table::new(
         "chaos",
         "protocol convergence vs fault intensity (loss + duplication + \
@@ -78,26 +29,20 @@ pub fn run() -> Vec<Table> {
             "fallbacks",
         ],
     );
-    for (name, net) in &topologies {
-        let (views, _) = build_views(net, K_HOPS).expect("views build");
-        for intensity in INTENSITIES {
-            let cfg = config_at(net, intensity);
-            let out = run_chunk_round(net, &views, ChunkId::new(0), &cfg);
-            assert!(
-                out.ticks < cfg.max_ticks,
-                "{name} @ {intensity}: round must settle"
-            );
+    for (name, net) in &topologies() {
+        for &intensity in &INTENSITIES {
+            let c = run_cell(net, name, intensity);
             table.push_row(vec![
-                (*name).to_string(),
-                format!("{intensity:.2}"),
-                out.ticks.to_string(),
-                out.retries.to_string(),
-                out.timeouts.to_string(),
-                out.depositions.to_string(),
-                out.faults.total().to_string(),
-                out.stats.dropped.to_string(),
-                out.degraded.len().to_string(),
-                out.producer_fallbacks.to_string(),
+                c.topology.to_string(),
+                format!("{:.2}", c.intensity),
+                c.ticks.to_string(),
+                c.retries.to_string(),
+                c.timeouts.to_string(),
+                c.depositions.to_string(),
+                c.faults.to_string(),
+                c.lossy_drops.to_string(),
+                c.degraded.to_string(),
+                c.fallbacks.to_string(),
             ]);
         }
     }

@@ -1,49 +1,23 @@
 //! `churn` — not a paper figure: the dynamic-topology extension.
 //!
-//! Drives a seeded departure/arrival trace on the 10x10 grid through
-//! [`CacheWorld`]'s incremental repair and compares every step against
-//! the full-replan oracle. The paper plans on a static network; this
-//! table shows what the repair path buys once nodes churn: per-event
-//! wall clock well under the replan cost at a contention gap of a few
-//! percent.
+//! Drives the [`crate::churn_cells`] departure trace on the 10x10 grid
+//! through [`peercache_core::world::CacheWorld`]'s incremental repair
+//! and compares every step against the full-replan oracle. The paper
+//! plans on a static network; this table shows what the repair path
+//! buys once nodes churn: per-event wall clock well under the replan
+//! cost at a contention gap of a few percent.
 
-use peercache_core::approx::ApproxConfig;
-use peercache_core::workload::paper_grid;
-use peercache_core::world::{CacheWorld, EventOutcome, WorldEvent};
-use peercache_graph::NodeId;
-
+use crate::churn_cells::{run_trace, totals_us, warm_world, RETENTION, TRACE_SEED};
 use crate::harness::{f3, Table};
 
-const RETENTION: usize = 6;
+/// Departures shown: the first ten of the committed baseline's trace.
 const DEPARTURES: usize = 10;
-const SEED: u64 = 0xBADC0DE;
-
-/// xorshift64 — the same deterministic trace on every run.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n.max(1) as u64) as usize
-    }
-}
 
 /// Runs the churn trace and tabulates repair-vs-replan per departure.
 pub fn run() -> Vec<Table> {
-    let net = paper_grid(10).expect("grid builds");
-    let mut world = CacheWorld::new(net, ApproxConfig::default()).with_retention(RETENTION);
-    for _ in 0..RETENTION {
-        world.apply(WorldEvent::ChunkArrived).expect("arrival");
-    }
-    let mut rng = XorShift(SEED);
+    let mut world = warm_world();
+    let rows = run_trace(&mut world, DEPARTURES, TRACE_SEED);
+    world.validate().expect("trace leaves a valid world");
     let mut table = Table::new(
         "churn",
         &format!(
@@ -60,39 +34,18 @@ pub fn run() -> Vec<Table> {
             "cost ratio",
         ],
     );
-    let mut repair_us = 0u64;
-    let mut replan_us = 0u64;
-    let mut step = 0usize;
-    while step < DEPARTURES {
-        let producer = world.network().producer();
-        let candidates: Vec<NodeId> = world
-            .network()
-            .active_nodes()
-            .into_iter()
-            .filter(|&n| n != producer)
-            .collect();
-        let victim = candidates[rng.below(candidates.len())];
-        let report = match world.apply(WorldEvent::NodeDeparted(victim)) {
-            Ok(EventOutcome::Departed(report)) => report,
-            Ok(_) => unreachable!("departure outcome"),
-            Err(_) => continue, // would disconnect the survivors; redraw
-        };
-        let gap = world.repair_vs_replan().expect("oracle replan");
-        step += 1;
-        repair_us += report.wall_us;
-        replan_us += gap.replan_wall_us;
+    for (step, r) in rows.iter().enumerate() {
         table.push_row(vec![
-            step.to_string(),
-            report.node.index().to_string(),
-            report.orphaned_clients.to_string(),
-            report.new_copies.len().to_string(),
-            format!("{:.2}", report.wall_us as f64 / 1e3),
-            format!("{:.2}", gap.replan_wall_us as f64 / 1e3),
-            f3(gap.cost_ratio),
+            (step + 1).to_string(),
+            r.node.index().to_string(),
+            r.orphaned_clients.to_string(),
+            r.new_copies.to_string(),
+            format!("{:.2}", r.repair_us as f64 / 1e3),
+            format!("{:.2}", r.replan_us as f64 / 1e3),
+            f3(r.cost_ratio),
         ]);
-        world.apply(WorldEvent::ChunkArrived).expect("arrival");
     }
-    world.validate().expect("trace leaves a valid world");
+    let (repair_us, replan_us) = totals_us(&rows);
     table.push_row(vec![
         "total".into(),
         "-".into(),

@@ -20,46 +20,44 @@ pub mod shard;
 
 use crate::harness::Table;
 
-/// Figure ids in paper order, plus the `churn`, `chaos`, `scale`,
-/// `shard`, and `replication` extension tables.
-pub const ALL: [&str; 14] = [
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "churn",
-    "chaos",
-    "scale",
-    "shard",
-    "replication",
+/// One figure: its `repro` id, paired with the function regenerating
+/// its tables.
+pub(crate) type Figure = (&'static str, fn() -> Vec<Table>);
+
+/// Every figure in paper order, then the `churn`, `chaos`, `scale`,
+/// `shard`, and `replication` extension tables. `repro all`,
+/// `repro <id>`, `--help`, and the unknown-id check all read this list.
+pub(crate) static FIGURES: [Figure; 14] = [
+    ("fig1", fig1::run),
+    ("fig2", fig2::run),
+    ("fig3", fig3::run),
+    ("fig4", fig4::run),
+    ("fig5", fig5::run),
+    ("fig6", fig6::run),
+    ("fig7", fig7::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("churn", churn::run),
+    ("chaos", chaos::run),
+    ("scale", scale::run),
+    ("shard", shard::run),
+    ("replication", replication::run),
 ];
 
-/// Dispatches a figure by id.
-///
-/// # Panics
-///
-/// Panics on an unknown id (the binary validates its arguments first).
-pub fn run(id: &str) -> Vec<Table> {
-    match id {
-        "fig1" => fig1::run(),
-        "fig2" => fig2::run(),
-        "fig3" => fig3::run(),
-        "fig4" => fig4::run(),
-        "fig5" => fig5::run(),
-        "fig6" => fig6::run(),
-        "fig7" => fig7::run(),
-        "fig8" => fig8::run(),
-        "fig9" => fig9::run(),
-        "churn" => churn::run(),
-        "chaos" => chaos::run(),
-        "replication" => replication::run(),
-        "scale" => scale::run(),
-        "shard" => shard::run(),
-        other => panic!("unknown figure id: {other}"),
+/// The ids of [`FIGURES`], in order.
+pub(crate) fn ids() -> Vec<&'static str> {
+    FIGURES.iter().map(|f| f.0).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_ids_are_unique() {
+        let ids = ids();
+        for (i, id) in ids.iter().enumerate() {
+            assert!(!ids[..i].contains(id), "{id} listed twice");
+        }
     }
 }

@@ -4,10 +4,10 @@
 //!
 //! Each row replays one seeded chaos trace (two 2-node death batches, a
 //! crash-restart, SWIM-driven departures, versioned replicas) at one
-//! `(R, intensity)` point via [`crate::replication_cells`], shared with
-//! the `replication` criterion bench and the `repro perf` regression
-//! gate. Committed numbers live in `BENCH_replication.json`; wall times
-//! are machine-dependent, everything else is exact.
+//! `(R, intensity)` point via [`crate::replication_cells`], the same
+//! cells the `repro perf` regression gate re-measures. Committed
+//! numbers live in `BENCH_replication.json`; wall times are
+//! machine-dependent, everything else is exact.
 
 use crate::harness::Table;
 use crate::replication_cells::{run_matrix, NODE_CAP, SIDE, TICKS};

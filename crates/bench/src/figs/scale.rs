@@ -6,8 +6,8 @@
 //! evaluates 16–100 nodes; this table shows the scoped contention
 //! store planning 25x beyond the dense `O(N²)` wall while holding the
 //! dense planner's totals. The full sweep — including the 100k-node
-//! random-geometric row — lives in `cargo bench --bench scale` /
-//! `BENCH_scale.json`.
+//! random-geometric row — lives in `BENCH_scale.json` (rewritten by
+//! `cargo bench -p peercache-bench --bench baselines -- scale`).
 
 use crate::harness::{f3, Table};
 use crate::scale_cells::{

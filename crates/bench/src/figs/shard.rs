@@ -6,9 +6,9 @@
 //! thread setting and tabulates the wall times. The sweep *asserts*
 //! bit-identical final digests across settings before rendering — the
 //! table cannot print from a nondeterministic run. Committed numbers
-//! live in `BENCH_shard.json` (written by `cargo bench --bench shard`);
-//! wall times and the speedup are machine-dependent, everything else is
-//! exact.
+//! live in `BENCH_shard.json` (rewritten by `cargo bench -p
+//! peercache-bench --bench baselines -- shard`); wall times and the
+//! speedup are machine-dependent, everything else is exact.
 
 use crate::harness::Table;
 use crate::shard_cells::{run_sweep, speedup_8x, GRID_SIDE, RETENTION, TICKS};

@@ -1,10 +1,11 @@
 //! `repro perf [--check]` — the perf-regression gate.
 //!
-//! Re-measures the six committed baselines (`BENCH_planning.json`,
-//! `BENCH_churn.json`, `BENCH_chaos.json`, `BENCH_scale.json`,
-//! `BENCH_shard.json`, `BENCH_replication.json`) through the same
-//! shared cell modules the criterion benches use, then diffs fresh
-//! against committed field by field:
+//! [`BASELINES`] is the one list of committed baselines and of how each
+//! is measured: a file at the repository root paired with its cell
+//! module's `baseline()`. The gate re-measures every entry and diffs
+//! fresh against committed field by field; the `baselines` bench
+//! target (`cargo bench -p peercache-bench --bench baselines [-- STEM...]`)
+//! rewrites the files from the same functions.
 //!
 //! * **wall-time fields** (`*_ms`, `*_wall*`, `*speedup*`) get a
 //!   generous ratio band — they vary with the machine; the gate only
@@ -17,6 +18,8 @@
 //!
 //! With `--check` the gate exits nonzero when any field falls outside
 //! its band; without it the comparison is printed and always succeeds.
+
+use std::path::{Path, PathBuf};
 
 use peercache_obs::Json;
 
@@ -160,95 +163,68 @@ pub fn wall_band() -> f64 {
         .unwrap_or(DEFAULT_WALL_BAND)
 }
 
-/// One baseline of the gate: its committed file and how to re-measure.
-pub struct Baseline {
-    /// Committed file name at the repository root.
-    pub file: &'static str,
-    /// Re-runs the measurement and renders it in the committed format.
-    pub fresh: fn() -> String,
+/// One gated baseline: its committed file at the repository root, paired
+/// with the cell function that re-measures it in the committed format.
+pub type Baseline = (&'static str, fn() -> String);
+
+/// The six gated baselines. Adding one is a `baseline()` function in
+/// its cell module plus one line here.
+pub static BASELINES: [Baseline; 6] = [
+    ("BENCH_planning.json", planning_cells::baseline),
+    ("BENCH_churn.json", churn_cells::baseline),
+    ("BENCH_chaos.json", chaos_cells::baseline),
+    ("BENCH_scale.json", scale_cells::baseline),
+    ("BENCH_shard.json", shard_cells::baseline),
+    ("BENCH_replication.json", replication_cells::baseline),
+];
+
+/// The writer's name for a baseline file: the file name without the
+/// `BENCH_` prefix and `.json` suffix (`BENCH_chaos.json` → `chaos`).
+fn stem(file: &str) -> &str {
+    file.trim_start_matches("BENCH_").trim_end_matches(".json")
 }
 
-/// The six gated baselines.
-pub const BASELINES: [Baseline; 6] = [
-    Baseline {
-        file: "BENCH_planning.json",
-        fresh: || {
-            let rows: Vec<planning_cells::Row> = planning_cells::FULL_SIDES
-                .iter()
-                .map(|&side| planning_cells::measure_side(side, planning_cells::FULL_RUNS))
-                .collect();
-            planning_cells::render_json(&rows, planning_cells::CHUNKS)
-        },
-    },
-    Baseline {
-        file: "BENCH_churn.json",
-        fresh: || {
-            let mut world = churn_cells::warm_world();
-            let rows = churn_cells::run_trace(
-                &mut world,
-                churn_cells::FULL_STEPS,
-                churn_cells::TRACE_SEED,
-            );
-            world.validate().expect("trace leaves a valid world");
-            churn_cells::render_json(&rows)
-        },
-    },
-    Baseline {
-        file: "BENCH_chaos.json",
-        fresh: || chaos_cells::render_json(&chaos_cells::run_matrix()),
-    },
-    Baseline {
-        file: "BENCH_scale.json",
-        fresh: || {
-            let quality =
-                scale_cells::measure_quality(scale_cells::QUALITY_SIDE, scale_cells::SCALE_CHUNKS);
-            let rows = vec![
-                scale_cells::measure_scale(
-                    &format!("grid{}", scale_cells::GRID_SIDE),
-                    &scale_cells::grid_network(scale_cells::GRID_SIDE),
-                    scale_cells::SCALE_CHUNKS,
-                    scale_cells::GRID_BUDGET_MS,
-                ),
-                scale_cells::measure_scale(
-                    &format!("rgg{}", scale_cells::RGG_NODES),
-                    &scale_cells::rgg_network(scale_cells::RGG_NODES, scale_cells::RGG_SEED),
-                    scale_cells::SCALE_CHUNKS,
-                    scale_cells::RGG_BUDGET_MS,
-                ),
-            ];
-            scale_cells::render_json(&quality, &rows, scale_cells::SCALE_CHUNKS)
-        },
-    },
-    Baseline {
-        file: "BENCH_shard.json",
-        fresh: || {
-            let rows = shard_cells::run_sweep(shard_cells::GRID_SIDE, shard_cells::TICKS);
-            shard_cells::render_json(shard_cells::GRID_SIDE, shard_cells::TICKS, &rows)
-        },
-    },
-    Baseline {
-        file: "BENCH_replication.json",
-        fresh: || replication_cells::render_json(&replication_cells::run_matrix()),
-    },
-];
+/// The baselines named by `stems`, in the order given; every baseline
+/// when `stems` is empty.
+///
+/// # Errors
+///
+/// Names the first stem that matches no baseline.
+pub fn select(stems: &[String]) -> Result<Vec<&'static Baseline>, String> {
+    if stems.is_empty() {
+        return Ok(BASELINES.iter().collect());
+    }
+    stems
+        .iter()
+        .map(|name| {
+            BASELINES.iter().find(|b| stem(b.0) == name).ok_or_else(|| {
+                let known: Vec<&str> = BASELINES.iter().map(|b| stem(b.0)).collect();
+                format!(
+                    "unknown baseline {name:?} (expected one of {})",
+                    known.join(", ")
+                )
+            })
+        })
+        .collect()
+}
+
+/// The repository root, where the committed baselines live.
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
 
 /// Runs the gate against the committed files in `root`. Returns the
 /// discrepancies per baseline, or an error string when a file is
 /// missing or unparsable.
-pub fn run_gate(
-    root: &std::path::Path,
-    band: f64,
-) -> Result<Vec<(String, Vec<Discrepancy>)>, String> {
+pub fn run_gate(root: &Path, band: f64) -> Result<Vec<(String, Vec<Discrepancy>)>, String> {
     let mut results = Vec::new();
-    for b in &BASELINES {
-        let path = root.join(b.file);
+    for (file, fresh) in &BASELINES {
+        let path = root.join(file);
         let committed = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let committed = Json::parse(&committed).map_err(|e| format!("{}: {e}", path.display()))?;
-        let fresh_text = (b.fresh)();
-        let fresh =
-            Json::parse(&fresh_text).map_err(|e| format!("fresh {} output: {e}", b.file))?;
-        results.push((b.file.to_string(), compare(&committed, &fresh, band)));
+        let fresh = Json::parse(&fresh()).map_err(|e| format!("fresh {file} output: {e}"))?;
+        results.push((file.to_string(), compare(&committed, &fresh, band)));
     }
     Ok(results)
 }
@@ -313,6 +289,31 @@ mod tests {
         let diffs = compare(&parsed(base), &parsed(fresh), 4.0);
         assert_eq!(diffs.len(), 1);
         assert!(diffs[0].detail.contains("length"));
+    }
+
+    #[test]
+    fn every_baseline_is_listed_once_and_committed() {
+        for (i, (file, _)) in BASELINES.iter().enumerate() {
+            assert!(
+                BASELINES[..i].iter().all(|o| o.0 != *file),
+                "{file} listed twice"
+            );
+            assert!(repo_root().join(file).is_file(), "{file} not committed");
+        }
+    }
+
+    #[test]
+    fn stems_select_baselines() {
+        let all = select(&[]).unwrap();
+        assert_eq!(all.len(), BASELINES.len());
+        let picked = select(&["shard".into(), "chaos".into()]).unwrap();
+        let files: Vec<&str> = picked.iter().map(|b| b.0).collect();
+        assert_eq!(files, ["BENCH_shard.json", "BENCH_chaos.json"]);
+        let err = select(&["chaos".into(), "bogus".into()]).expect_err("unknown stem rejected");
+        assert!(
+            err.contains("bogus") && err.contains("replication"),
+            "{err}"
+        );
     }
 
     #[test]

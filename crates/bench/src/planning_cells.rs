@@ -1,7 +1,7 @@
-//! The planning-hot-path measurement shared by the `planning_hot_path`
-//! criterion bench and the `repro perf` regression gate (same
-//! workloads, same median-of-N timing, same JSON rendering as the
-//! committed `BENCH_planning.json`).
+//! The planning-hot-path measurement behind the committed
+//! `BENCH_planning.json`: the optimized Appx pipeline raced against the
+//! reference pipeline on paper grids, median-of-N timing, plus a
+//! bitwise check that both price the plan identically.
 
 use std::time::Instant;
 
@@ -13,11 +13,11 @@ use peercache_core::Network;
 /// Chunks planned per measurement.
 pub const CHUNKS: usize = 8;
 
-/// Grid sides of the full (non-quick) measurement.
-pub const FULL_SIDES: [usize; 2] = [10, 20];
+/// Grid sides of the measurement.
+pub const SIDES: [usize; 2] = [10, 20];
 
-/// Timing repetitions of the full measurement (median taken).
-pub const FULL_RUNS: usize = 3;
+/// Timing repetitions per pipeline (median taken).
+pub const RUNS: usize = 3;
 
 /// The optimized pipeline under measurement.
 pub fn optimized_config() -> ApproxConfig {
@@ -76,8 +76,14 @@ pub fn measure_side(side: usize, runs: usize) -> Row {
     )
 }
 
+/// Re-measures `BENCH_planning.json` in its committed format.
+pub fn baseline() -> String {
+    let rows: Vec<Row> = SIDES.iter().map(|&side| measure_side(side, RUNS)).collect();
+    render_json(&rows, CHUNKS)
+}
+
 /// Renders the rows in the exact committed `BENCH_planning.json` format.
-pub fn render_json(rows: &[Row], chunks: usize) -> String {
+fn render_json(rows: &[Row], chunks: usize) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"planning_hot_path\",\n");
     out.push_str(&format!("  \"chunks\": {chunks},\n"));

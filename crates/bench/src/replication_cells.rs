@@ -1,6 +1,5 @@
-//! The replication-matrix cells shared by the `replication` criterion
-//! bench, the `repro replication` table, and the `repro perf`
-//! regression gate.
+//! The replication-matrix cells behind the committed
+//! `BENCH_replication.json` and the `repro replication` table.
 //!
 //! Each cell runs one seeded chaos trace — the same shape as the
 //! `tests/replication_chaos.rs` acceptance suite, shrunk to a 6×6 grid —
@@ -408,9 +407,14 @@ pub fn run_matrix() -> Vec<Cell> {
     cells
 }
 
+/// Re-measures `BENCH_replication.json` in its committed format.
+pub fn baseline() -> String {
+    render_json(&run_matrix())
+}
+
 /// Renders the cells in the exact committed `BENCH_replication.json`
 /// format.
-pub fn render_json(cells: &[Cell]) -> String {
+fn render_json(cells: &[Cell]) -> String {
     let swim = swim_config();
     let mut out = String::from("{\n  \"bench\": \"replication\",\n");
     out.push_str(&format!(

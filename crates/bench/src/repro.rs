@@ -161,9 +161,8 @@ fn perf_mode(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     }
     let band = perf::wall_band();
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let span = obs::span!("repro.perf", check = check, band = band);
-    let results = match perf::run_gate(&root, band) {
+    let results = match perf::run_gate(&perf::repo_root(), band) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("perf gate: {e}");
@@ -200,14 +199,11 @@ fn perf_mode(args: &[String]) -> ExitCode {
 /// process exit code.
 pub fn main_with_args(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "-h" || a == "--help") {
-        eprintln!(
-            "usage: repro [all | fig1 .. fig9 | churn | chaos | scale | shard | replication]..."
-        );
+        eprintln!("usage: repro [all | {}]...", figs::ids().join(" | "));
         eprintln!("       repro            (no args: run summary over every planner)");
         eprintln!("       repro trace <file.jsonl>   (span-forest analysis of a sink capture)");
         eprintln!("       repro perf [--check]       (diff fresh bench numbers vs BENCH_*.json)");
         eprintln!("       repro lint <report.json>   (summary of a peercache-lint --json report)");
-        eprintln!("figures: {}", figs::ALL.join(" "));
         return ExitCode::from(2);
     }
     if args.is_empty() {
@@ -219,24 +215,27 @@ pub fn main_with_args(args: &[String]) -> ExitCode {
         Some("lint") => return lint_mode(args.get(1..).unwrap_or(&[])),
         _ => {}
     }
-    let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
-        figs::ALL.to_vec()
+    let mut figures = Vec::new();
+    if args.iter().any(|a| a == "all") {
+        figures.extend(&figs::FIGURES);
     } else {
-        args.iter().map(String::as_str).collect()
-    };
-    for id in &ids {
-        if !figs::ALL.contains(id) {
-            eprintln!(
-                "unknown figure id: {id} (expected one of {})",
-                figs::ALL.join(", ")
-            );
-            return ExitCode::from(2);
+        for id in args {
+            match figs::FIGURES.iter().find(|f| f.0 == id) {
+                Some(f) => figures.push(f),
+                None => {
+                    eprintln!(
+                        "unknown figure id: {id} (expected one of {})",
+                        figs::ids().join(", ")
+                    );
+                    return ExitCode::from(2);
+                }
+            }
         }
     }
-    for id in ids {
+    for (id, run) in figures {
         let start = Instant::now();
         let span = obs::span!("repro.figure", id = id.to_string());
-        for table in figs::run(id) {
+        for table in run() {
             table.emit();
         }
         drop(span);

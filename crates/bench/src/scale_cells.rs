@@ -1,6 +1,5 @@
-//! The scale measurement shared by the `scale` criterion bench and the
-//! `repro perf` regression gate (same topologies, same single-plan
-//! timing, same JSON rendering as the committed `BENCH_scale.json`).
+//! The scale measurement behind the committed `BENCH_scale.json` and
+//! the `repro scale` tables.
 //!
 //! Where `planning_cells` races the dense pipeline against itself on
 //! paper-sized grids, this module measures the locality stack — the
@@ -152,8 +151,29 @@ pub fn measure_quality(side: usize, chunks: usize) -> QualityCell {
     }
 }
 
+/// Re-measures `BENCH_scale.json` in its committed format: the quality
+/// anchor, then the grid100 and rgg100k rows.
+pub fn baseline() -> String {
+    let quality = measure_quality(QUALITY_SIDE, SCALE_CHUNKS);
+    let rows = vec![
+        measure_scale(
+            &format!("grid{GRID_SIDE}"),
+            &grid_network(GRID_SIDE),
+            SCALE_CHUNKS,
+            GRID_BUDGET_MS,
+        ),
+        measure_scale(
+            &format!("rgg{RGG_NODES}"),
+            &rgg_network(RGG_NODES, RGG_SEED),
+            SCALE_CHUNKS,
+            RGG_BUDGET_MS,
+        ),
+    ];
+    render_json(&quality, &rows, SCALE_CHUNKS)
+}
+
 /// Renders the cells in the exact committed `BENCH_scale.json` format.
-pub fn render_json(quality: &QualityCell, rows: &[ScaleRow], chunks: usize) -> String {
+fn render_json(quality: &QualityCell, rows: &[ScaleRow], chunks: usize) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"scale\",\n");
     out.push_str(&format!("  \"chunks\": {chunks},\n"));
@@ -196,6 +216,36 @@ mod tests {
         assert!(row.contention_bytes > 0);
         assert!(row.dense_bytes > row.contention_bytes / 2);
         assert!(row.plan_ms > 0.0);
+    }
+
+    /// The committed rows meet the acceptance bounds: each plan inside
+    /// its wall budget, the scoped store at least [`MIN_BYTES_RATIO`]
+    /// below the dense one.
+    #[test]
+    fn committed_baseline_meets_its_budgets() {
+        let path = crate::perf::repo_root().join("BENCH_scale.json");
+        let text = std::fs::read_to_string(&path).expect("BENCH_scale.json is committed");
+        let doc = peercache_obs::Json::parse(&text).expect("well-formed");
+        let rows = doc
+            .get("results")
+            .and_then(peercache_obs::Json::as_arr)
+            .expect("results array");
+        assert_eq!(rows.len(), 2);
+        for row in rows {
+            let field = |key: &str| {
+                row.get(key)
+                    .and_then(peercache_obs::Json::as_f64)
+                    .unwrap_or_else(|| panic!("{key} missing"))
+            };
+            assert!(
+                field("plan_ms") < field("budget_ms"),
+                "{row:?}: over budget"
+            );
+            assert!(
+                field("bytes_ratio") >= MIN_BYTES_RATIO,
+                "{row:?}: state too large"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
-//! The shard thread-sweep measurement shared by the `shard` criterion
-//! bench, the `repro shard` table, and the `repro perf` regression gate
-//! (same topology, same event trace, same JSON rendering as the
-//! committed `BENCH_shard.json`).
+//! The shard thread-sweep measurement behind the committed
+//! `BENCH_shard.json` and the `repro shard` table.
 //!
 //! One [`ShardedWorld`] per thread setting consumes the *same* seeded
 //! churn trace — arrivals, departures, and link drops — and the sweep
@@ -161,8 +159,13 @@ pub fn speedup_8x(rows: &[ShardRow]) -> f64 {
     wall_of(1) / wall_of(8)
 }
 
+/// Re-measures `BENCH_shard.json` in its committed format.
+pub fn baseline() -> String {
+    render_json(GRID_SIDE, TICKS, &run_sweep(GRID_SIDE, TICKS))
+}
+
 /// Renders the sweep in the exact committed `BENCH_shard.json` format.
-pub fn render_json(side: usize, ticks: usize, rows: &[ShardRow]) -> String {
+fn render_json(side: usize, ticks: usize, rows: &[ShardRow]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"shard\",\n");
     out.push_str(&format!("  \"topology\": \"grid{side}\",\n"));

@@ -191,6 +191,33 @@ pub fn dual_ascent_scoped<V: ConflCosts>(
     Ok(result)
 }
 
+/// What bounds the ascents over a chunk's audience: the cost of the
+/// producer's connection to its farthest client.
+pub(crate) const PRODUCER_COST: &str = "producer connection cost";
+
+/// Termination bound of a dual ascent: once `α_j` reaches its anchor
+/// cost, `j` freezes, so the round count is bounded by
+/// `max_cost / U_α` (§IV-B's `C = max{c_ij}/U_α`), plus slack for the
+/// same-round checks. Saturates rather than wraps on huge ratios.
+///
+/// # Errors
+///
+/// Returns [`CoreError::NonFiniteCost`] naming `what` when `max_cost`
+/// is not finite: a client the anchor cannot reach never freezes.
+pub(crate) fn round_cap(
+    what: &'static str,
+    max_cost: f64,
+    u_alpha: f64,
+) -> Result<usize, CoreError> {
+    if !max_cost.is_finite() {
+        return Err(CoreError::NonFiniteCost {
+            what,
+            value: max_cost,
+        });
+    }
+    Ok(((max_cost / u_alpha).ceil() as usize).saturating_add(2))
+}
+
 /// The original fixed-increment round loop, kept verbatim as the oracle
 /// the optimized ascent is regression-tested against.
 fn dual_ascent_reference(
@@ -217,14 +244,11 @@ fn dual_ascent_reference(
         .map(|i| inst.connection_cost(producer, NodeId::new(i)))
         .collect();
 
-    // Termination bound: once α_j reaches the producer's connection
-    // cost, j freezes, so the round count is bounded by max c(v, j)/U_α
-    // (§IV-B's C = max{c_ij}/U_α), plus slack for the same-round checks.
     let max_producer_cost = clients
         .iter()
         .map(|&j| inst.connection_cost(producer, j))
         .fold(0.0f64, f64::max);
-    let round_cap = (max_producer_cost / cfg.u_alpha).ceil() as usize + 2;
+    let round_cap = round_cap(PRODUCER_COST, max_producer_cost, cfg.u_alpha)?;
 
     let mut ascent_span = obs::span!(
         "core.dual_ascent",
@@ -432,7 +456,7 @@ fn dual_ascent_fast<V: ConflCosts>(
         .iter()
         .map(|&j| inst.connection_cost(producer, j))
         .fold(0.0f64, f64::max);
-    let round_cap = (max_producer_cost / cfg.u_alpha).ceil() as usize + 2;
+    let round_cap = round_cap(PRODUCER_COST, max_producer_cost, cfg.u_alpha)?;
     let cap = round_cap as u64;
 
     let mut ascent_span = obs::span!(
@@ -803,6 +827,44 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg.validate().is_err());
+    }
+
+    /// A client the producer cannot reach has no round cap: both ascent
+    /// paths refuse it by name instead of wrapping the cap to one round.
+    #[test]
+    fn unreachable_client_is_a_typed_error_on_both_paths() {
+        let mut net = grid_net(3, 5);
+        net.set_partition_policy(crate::model::PartitionPolicy::Allow);
+        net.remove_link(NodeId::new(0), NodeId::new(1)).unwrap();
+        net.remove_link(NodeId::new(0), NodeId::new(3)).unwrap();
+        let inst = build_inst(&net);
+        assert!(inst
+            .connection_cost(net.producer(), NodeId::new(0))
+            .is_infinite());
+        for reference_mode in [true, false] {
+            let cfg = ApproxConfig {
+                reference_mode,
+                ..Default::default()
+            };
+            let err = dual_ascent(&net, &inst, &cfg).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::NonFiniteCost {
+                        what: PRODUCER_COST,
+                        value
+                    } if value.is_infinite()
+                ),
+                "reference_mode={reference_mode}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn round_cap_saturates_instead_of_wrapping() {
+        assert_eq!(round_cap(PRODUCER_COST, 10.0, 1.0), Ok(12));
+        assert_eq!(round_cap(PRODUCER_COST, f64::MAX, 1e-300), Ok(usize::MAX));
+        assert!(round_cap(PRODUCER_COST, f64::NAN, 1.0).is_err());
     }
 
     #[test]

@@ -49,6 +49,14 @@ pub enum CoreError {
     Protocol(String),
     /// An algorithm parameter was invalid (e.g. a zero bid increment).
     InvalidParameter(String),
+    /// A dual ascent's round bound rests on a cost that is not finite
+    /// (a client its anchor cannot reach), so the ascent has no cap.
+    NonFiniteCost {
+        /// Which cost bounds the ascent (e.g. `"producer connection cost"`).
+        what: &'static str,
+        /// Its non-finite value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -77,6 +85,9 @@ impl fmt::Display for CoreError {
             CoreError::Solver(why) => write!(f, "solver failure: {why}"),
             CoreError::Protocol(why) => write!(f, "distributed protocol failure: {why}"),
             CoreError::InvalidParameter(why) => write!(f, "invalid parameter: {why}"),
+            CoreError::NonFiniteCost { what, value } => {
+                write!(f, "dual ascent has no round cap: {what} is {value}")
+            }
         }
     }
 }

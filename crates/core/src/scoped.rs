@@ -17,7 +17,9 @@
 //!    pointers). Because every hop-shortest path between nodes at hop
 //!    distance `h ≤ k` stays inside the `k`-ball, these block values
 //!    are **bit-identical** to the dense matrix for all pairs within
-//!    `k` hops. Everything farther is answered by a seeded
+//!    `k` hops. Everything else — pairs outside both endpoints' balls,
+//!    and pairs a link cut left unreachable inside a ball while the
+//!    network stays connected around it — is answered by a seeded
 //!    [`LandmarkOracle`] — `O(L·N)` state — whose triangle-inequality
 //!    upper bound serves as the documented cross-ball estimate.
 //! 3. **[`HierarchicalPlanner`]** — runs the *same* event-driven dual
@@ -207,9 +209,11 @@ impl ScopedContention {
 
     /// The Path Contention Cost `c_uv` under the scoped store: `0` on
     /// the diagonal, the exact block value when either endpoint's block
-    /// covers the pair (bit-identical to the dense matrix whenever the
-    /// pair is within `k` hops), and the landmark upper-bound estimate
-    /// across balls.
+    /// covers the pair with a finite cost (bit-identical to the dense
+    /// matrix whenever the pair is within `k` hops), and the landmark
+    /// upper-bound estimate otherwise — across balls, and for a pair a
+    /// link cut left unreachable inside its ball while the network
+    /// stays connected around it.
     ///
     /// Symmetric by construction: the lookup tries the lower id's home
     /// block first, then the higher id's, so `(u, v)` and `(v, u)`
@@ -223,13 +227,8 @@ impl ScopedContention {
             return 0.0;
         }
         let (a, b) = if u <= v { (u, v) } else { (v, u) };
-        if let Some((c, _)) = self.blocks[self.partition.region_of(a)].lookup(a, b) {
-            return c;
-        }
-        if let Some((c, _)) = self.blocks[self.partition.region_of(b)].lookup(b, a) {
-            return c;
-        }
-        self.oracle.estimate(a, b)
+        self.block_value(a, b)
+            .map_or_else(|| self.oracle.estimate(a, b), |(c, _)| c)
     }
 
     /// Whether [`ScopedContention::cost`] answers this pair from exact
@@ -244,12 +243,19 @@ impl ScopedContention {
             return true;
         }
         let (a, b) = if u <= v { (u, v) } else { (v, u) };
-        for (row, col) in [(a, b), (b, a)] {
-            if let Some((_, h)) = self.blocks[self.partition.region_of(row)].lookup(row, col) {
-                return h <= self.cfg.halo_hops;
-            }
-        }
-        false
+        self.block_value(a, b)
+            .is_some_and(|(_, h)| h <= self.cfg.halo_hops)
+    }
+
+    /// The first finite block value `(cost, hops)` of the pair `a < b`:
+    /// `a`'s home block first, then `b`'s. `None` sends
+    /// [`ScopedContention::cost`] to the oracle.
+    fn block_value(&self, a: NodeId, b: NodeId) -> Option<(f64, u32)> {
+        [(a, b), (b, a)].into_iter().find_map(|(row, col)| {
+            self.blocks[self.partition.region_of(row)]
+                .lookup(row, col)
+                .filter(|(c, _)| c.is_finite())
+        })
     }
 
     /// Refreshes the store after the caching state changed, rebuilding

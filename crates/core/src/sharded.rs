@@ -1402,6 +1402,37 @@ mod tests {
         world.validate().unwrap();
     }
 
+    /// Cuts next to the producer leave pairs unreachable inside a
+    /// region's ball while the grid stays connected; the scoped store
+    /// must answer them from the oracle, not hand the ascent an `∞`.
+    #[test]
+    fn link_cuts_inside_a_ball_fall_back_to_the_oracle() {
+        let net = Network::new(builders::grid(20, 20), NodeId::new(0), 5).unwrap();
+        let cfg = ShardConfig {
+            approx: ApproxConfig {
+                parallelism: Parallelism::Sequential,
+                ..ApproxConfig::default()
+            },
+            scoped: ScopedConfig {
+                region_max: 16,
+                ..Default::default()
+            },
+        };
+        let mut w = ShardedWorld::new(net, cfg).unwrap().with_retention(3);
+        for _ in 0..3 {
+            w.apply(WorldEvent::ChunkArrived).unwrap();
+        }
+        let n = NodeId::new;
+        w.tick(&[
+            WorldEvent::LinkDown(n(2), n(22)),
+            WorldEvent::LinkDown(n(1), n(21)),
+            WorldEvent::LinkDown(n(0), n(1)),
+            WorldEvent::ChunkArrived,
+        ])
+        .unwrap();
+        w.validate().unwrap();
+    }
+
     #[test]
     fn partition_tolerant_world_refuses_sharding() {
         use crate::world::CacheWorld;

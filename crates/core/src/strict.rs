@@ -84,7 +84,9 @@ pub fn check_dual_solution<V: crate::instance::ConflCosts>(
         .iter()
         .map(|&j| inst.connection_cost(producer, j))
         .fold(0.0f64, f64::max);
-    let round_cap = (max_producer_cost / cfg.u_alpha).ceil() as usize + 2;
+    let round_cap =
+        crate::approx::round_cap(crate::approx::PRODUCER_COST, max_producer_cost, cfg.u_alpha)
+            .unwrap_or_else(|e| panic!("strict-invariants: {e}"));
 
     let mut rounds = 0usize;
     while clients.iter().any(|&j| !frozen[j.index()]) {

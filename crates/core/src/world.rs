@@ -1413,7 +1413,7 @@ fn repair_ascent(
         .iter()
         .map(|&j| open_cost(&[], j))
         .fold(0.0f64, f64::max);
-    let round_cap = (max_anchor / cfg.u_alpha).ceil() as usize + 2;
+    let round_cap = crate::approx::round_cap("orphan anchor cost", max_anchor, cfg.u_alpha)?;
 
     for _ in 0..round_cap {
         if frozen.iter().all(|&f| f) {

@@ -52,25 +52,10 @@ run cargo test --test shard_world --features strict-invariants -q
 run cargo test --test swim_membership --features strict-invariants -q
 run cargo test --test replication_chaos --features strict-invariants -q
 if [[ $fast -eq 0 ]]; then
-    # Release-mode smoke runs of the hot-path benches: quick variants,
-    # do not overwrite the committed BENCH_*.json files.
-    run env PEERCACHE_BENCH_QUICK=1 cargo bench -p peercache-bench --bench planning_hot_path
-    run env PEERCACHE_BENCH_QUICK=1 cargo bench -p peercache-bench --bench churn_trace
-    run env PEERCACHE_BENCH_QUICK=1 cargo bench -p peercache-bench --bench chaos_matrix
-    # Scale smoke: the hierarchical planner on shrunken topologies
-    # (full grid100/rgg100k rows are re-measured by the perf gate).
-    run env PEERCACHE_BENCH_QUICK=1 cargo bench -p peercache-bench --bench scale
-    # Shard smoke: the thread sweep on a shrunken grid asserts digest
-    # equality across thread counts (full grid50 sweep is re-measured
-    # by the perf gate against BENCH_shard.json).
-    run env PEERCACHE_BENCH_QUICK=1 cargo bench -p peercache-bench --bench shard
-    # Replication smoke: one R=1 trace cell with its structural oracles
-    # (full 3x3 matrix is re-measured by the perf gate against
-    # BENCH_replication.json).
-    run env PEERCACHE_BENCH_QUICK=1 cargo bench -p peercache-bench --bench replication
-    # Perf-regression gate: re-runs the benches fresh and diffs the
-    # structural counters (exact) and wall-clock numbers (tolerance
-    # band, see PEERCACHE_PERF_TOL) against the committed BENCH_*.json.
+    # Perf-regression gate: re-measures every baseline in
+    # perf::BASELINES at full size and diffs the structural counters
+    # (exact) and wall-clock numbers (tolerance band, see
+    # PEERCACHE_PERF_TOL) against the committed BENCH_*.json.
     run cargo run --release --bin repro -- perf --check
     # Trace-analyzer smoke on the committed chaos capture: span forest,
     # latency table, and critical path must all render without orphans.
