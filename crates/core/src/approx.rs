@@ -728,9 +728,11 @@ impl CachePlanner for ApproxPlanner {
         self.config.validate()?;
         let mut placement = Placement::default();
         // The contention matrix is carried from chunk to chunk and
-        // refreshed incrementally: committing a chunk only changes the
+        // refreshed incrementally: committing a chunk only raises the
         // contention terms of the nodes that started caching (plus the
-        // producer's load), so most shortest-path rows survive.
+        // producer's load), so each shortest-path row re-solves only the
+        // nodes whose routes pass through one of them. That usually
+        // touches every row, but only about half of each.
         let mut carried: Option<(ContentionMatrix, Vec<NodeId>)> = None;
         for q in 0..chunk_count {
             let chunk = ChunkId::new(q);

@@ -422,10 +422,11 @@ impl ScopedContention {
     }
 
     /// Bytes an equivalent dense [`AllPairsPaths`] snapshot would hold:
-    /// interior `f64` + hops `u32` + parent `Option<NodeId>` per pair
-    /// (20 B), mask words excluded — the conservative side.
+    /// [`AllPairsPaths::BYTES_PER_PAIR`] per pair (interior `f64` + hops
+    /// `u32` + parent `u32`, 16 B). The interior bitset is left out,
+    /// which keeps the figure on the conservative side.
     pub fn dense_equivalent_bytes(n: usize) -> u64 {
-        (n as u64) * (n as u64) * 20
+        (n as u64) * (n as u64) * AllPairsPaths::BYTES_PER_PAIR as u64
     }
 }
 

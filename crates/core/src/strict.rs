@@ -245,11 +245,15 @@ pub fn check_dual_solution<V: crate::instance::ConflCosts>(
 /// The incremental `update`/`update_topology` paths promise bit-identical
 /// results to `compute`; any drift (a stale per-node term, a missed path
 /// invalidation) breaks the byte-identical replan guarantee, so the
-/// comparison is on raw bit patterns, not epsilons.
+/// comparison is on raw bit patterns, not epsilons. Routes are compared
+/// too: `update` rewrites stored parents in place, and a parent tie-break
+/// drift would keep every cost equal while changing `path()` and every
+/// later invalidation.
 ///
 /// # Panics
 ///
-/// Panics on the first divergent term, pairwise cost, or hop count.
+/// Panics on the first divergent term, pairwise cost, hop count, or
+/// route.
 pub fn check_matrix_consistency(
     carried: &ContentionMatrix,
     net: &Network,
@@ -283,6 +287,11 @@ pub fn check_matrix_consistency(
                 carried.hops(ni, nj),
                 fresh.hops(ni, nj),
                 "strict-invariants: carried hop count diverged at ({i}, {j})"
+            );
+            assert_eq!(
+                carried.path(ni, nj),
+                fresh.path(ni, nj),
+                "strict-invariants: carried route diverged at ({i}, {j})"
             );
         }
     }

@@ -1,7 +1,8 @@
 //! Property tests for the incremental contention recompute: after any
 //! sequence of caching operations (S(k) bumps), refreshing a carried
 //! [`ContentionMatrix`] with [`ContentionMatrix::update`] must be
-//! bitwise identical to computing a fresh matrix from the new state.
+//! bitwise identical to computing a fresh matrix from the new state,
+//! and the threaded refresh bitwise identical to the sequential one.
 
 use proptest::prelude::*;
 
@@ -10,18 +11,26 @@ use peercache_core::{ChunkId, Network};
 use peercache_graph::paths::{Parallelism, PathSelection};
 use peercache_graph::{builders, NodeId};
 
-fn connected_net() -> impl Strategy<Value = Network> {
-    (
-        6usize..32,
-        0u64..500,
-        prop_oneof![Just(0.08f64), Just(0.2), Just(0.45)],
-    )
-        .prop_map(|(n, seed, p)| {
-            use rand::SeedableRng;
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let g = builders::erdos_renyi_connected(n, p, &mut rng);
-            Network::new(g, NodeId::new(0), 8).unwrap()
-        })
+/// Connected Erdős–Rényi networks of 6–31 nodes, and grids of up to
+/// 7×7 whose equal-cost ties exercise the parent-id tie rule.
+fn network() -> impl Strategy<Value = Network> {
+    prop_oneof![
+        (
+            6usize..32,
+            0u64..500,
+            prop_oneof![Just(0.08f64), Just(0.2), Just(0.45)],
+        )
+            .prop_map(|(n, seed, p)| {
+                use rand::SeedableRng;
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+                let g = builders::erdos_renyi_connected(n, p, &mut rng);
+                Network::new(g, NodeId::new(0), 8).unwrap()
+            }),
+        (2usize..8, 3usize..8).prop_map(|(rows, cols)| {
+            let producer = NodeId::new(rows * cols / 2);
+            Network::new(builders::grid(rows, cols), producer, 8).unwrap()
+        }),
+    ]
 }
 
 fn assert_matrices_identical(a: &ContentionMatrix, b: &ContentionMatrix, n: usize) {
@@ -48,23 +57,27 @@ proptest! {
 
     #[test]
     fn update_after_cache_ops_matches_fresh_compute(
-        net in connected_net(),
+        net in network(),
         ops in prop::collection::vec(
-            prop::collection::vec((0usize..64, 0usize..16), 1..5),
+            prop::collection::vec((0usize..64, 0usize..16), 1..17),
             1..4,
         ),
     ) {
         let n = net.node_count();
+        // A batch commits to up to a third of the nodes, as one chunk of
+        // a Q = 8 plan does on a 300-node network (about 28 caches).
+        let per_batch = (n / 3).max(1);
         for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
             let mut incremental =
                 ContentionMatrix::compute_with(&net, selection, Parallelism::Sequential).unwrap();
+            let mut threaded = incremental.clone();
             let mut net = net.clone();
             for batch in &ops {
                 // Apply a batch of cache commits, recording which nodes
                 // changed state (plus the producer, whose term follows
                 // the distinct-chunk population).
                 let mut dirty = vec![net.producer()];
-                for &(node, chunk) in batch {
+                for &(node, chunk) in batch.iter().take(per_batch) {
                     let node = NodeId::new(node % n);
                     let chunk = ChunkId::new(chunk);
                     if !net.is_cached(node, chunk) && net.cache(node, chunk).is_ok() {
@@ -75,6 +88,11 @@ proptest! {
                     .update(&net, &dirty, Parallelism::Sequential)
                     .unwrap();
                 prop_assert!(redone <= n, "recomputed more sources than exist");
+                let redone_threaded = threaded
+                    .update(&net, &dirty, Parallelism::Threads(2))
+                    .unwrap();
+                prop_assert_eq!(redone, redone_threaded);
+                assert_matrices_identical(&threaded, &incremental, n);
                 let fresh = ContentionMatrix::compute(&net, selection).unwrap();
                 assert_matrices_identical(&incremental, &fresh, n);
             }
@@ -82,7 +100,7 @@ proptest! {
     }
 
     #[test]
-    fn update_with_no_changes_recomputes_nothing(net in connected_net()) {
+    fn update_with_no_changes_recomputes_nothing(net in network()) {
         for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
             let mut m =
                 ContentionMatrix::compute_with(&net, selection, Parallelism::Sequential).unwrap();

@@ -179,7 +179,10 @@ pub struct AllPairsPaths {
     /// Per-pair interior path cost (`f64::INFINITY` when unreachable).
     interior: Vec<f64>,
     hops: Vec<u32>,
-    parent: Vec<Option<NodeId>>,
+    /// Per-pair parent id in the source's shortest-path tree
+    /// ([`NO_PARENT`] for the source itself and unreachable nodes);
+    /// [`Csr`] already limits ids to `u32`.
+    parent: Vec<u32>,
     /// Per-source bitset of nodes appearing as an *interior* node on
     /// some selected path (i.e. non-source parents in the SP tree);
     /// `words_per_row` words per source.
@@ -187,12 +190,20 @@ pub struct AllPairsPaths {
 }
 
 const UNREACHABLE_HOPS: u32 = u32::MAX;
+const NO_PARENT: u32 = u32::MAX;
 
-/// Per-source scratch buffers reused across Dijkstra runs.
+/// Per-source scratch buffers reused across the rows one thread solves.
 struct Scratch {
     heap: BinaryHeap<Reverse<(Key, usize)>>,
     settled: Vec<bool>,
+    /// The row's nodes in BFS layer order, source first.
     queue: Vec<u32>,
+    /// Refresh only, sized on first use: layer offsets of the counting
+    /// sort by stored hops.
+    layer_start: Vec<usize>,
+    /// Refresh only, sized on first use: whether a node's stored tree
+    /// path runs through a changed node.
+    stale: Vec<bool>,
 }
 
 impl Scratch {
@@ -201,11 +212,37 @@ impl Scratch {
             heap: BinaryHeap::new(),
             settled: vec![false; n],
             queue: Vec::with_capacity(n),
+            layer_start: Vec::new(),
+            stale: Vec::new(),
         }
     }
 }
 
+/// What [`AllPairsPaths::run_rows`] does to each listed row.
+#[derive(Clone, Copy)]
+enum RowJob<'a> {
+    /// Re-run [`single_source`] from scratch.
+    Recompute,
+    /// Re-solve in place only the nodes below a changed node
+    /// ([`refresh_row`]); `changed` is the bitset of nodes whose cost
+    /// rose.
+    Refresh { changed: &'a [u64] },
+}
+
+/// Disjoint mutable views of one source's row.
+struct RowMut<'a> {
+    interior: &'a mut [f64],
+    hops: &'a mut [u32],
+    parent: &'a mut [u32],
+    mask: &'a mut [u64],
+}
+
 impl AllPairsPaths {
+    /// Heap bytes the dense rows hold per `(source, target)` pair:
+    /// interior cost `f64`, hop count `u32` and parent id `u32`. The
+    /// per-source interior bitset (`n / 8` bytes a row) is not counted.
+    pub const BYTES_PER_PAIR: usize = size_of::<f64>() + size_of::<u32>() + size_of::<u32>();
+
     /// Computes all-pairs shortest paths under the node-cost metric,
     /// single-threaded.
     ///
@@ -272,7 +309,7 @@ impl AllPairsPaths {
             node_cost: node_cost[..n].to_vec(),
             interior: vec![f64::INFINITY; n * n],
             hops: vec![UNREACHABLE_HOPS; n * n],
-            parent: vec![None; n * n],
+            parent: vec![NO_PARENT; n * n],
             interior_mask: vec![0u64; n * words],
         };
         if n == 0 {
@@ -281,60 +318,7 @@ impl AllPairsPaths {
         let csr = Csr::from_graph(g);
         let threads = parallelism.threads(n);
         let mut span = obs::span!("apsp.compute", sources = n, threads = threads);
-        if threads <= 1 {
-            let mut scratch = Scratch::new(n);
-            for src in 0..n {
-                let (ic, hc, pc, mc) = ap.row_mut(src, words);
-                single_source(
-                    &csr,
-                    node_cost,
-                    src,
-                    selection,
-                    ic,
-                    hc,
-                    pc,
-                    mc,
-                    &mut scratch,
-                );
-            }
-        } else {
-            let rows_per = n.div_ceil(threads);
-            std::thread::scope(|s| {
-                let chunks = ap
-                    .interior
-                    .chunks_mut(rows_per * n)
-                    .zip(ap.hops.chunks_mut(rows_per * n))
-                    .zip(ap.parent.chunks_mut(rows_per * n))
-                    .zip(ap.interior_mask.chunks_mut(rows_per * words));
-                for (block, (((ints, hops), parents), masks)) in chunks.enumerate() {
-                    let csr = &csr;
-                    s.spawn(move || {
-                        let n = csr.node_count();
-                        let mut scratch = Scratch::new(n);
-                        for (row, (((ic, hc), pc), mc)) in ints
-                            .chunks_mut(n)
-                            .zip(hops.chunks_mut(n))
-                            .zip(parents.chunks_mut(n))
-                            .zip(masks.chunks_mut(words))
-                            .enumerate()
-                        {
-                            let src = block * rows_per + row;
-                            single_source(
-                                csr,
-                                node_cost,
-                                src,
-                                selection,
-                                ic,
-                                hc,
-                                pc,
-                                mc,
-                                &mut scratch,
-                            );
-                        }
-                    });
-                }
-            });
-        }
+        ap.run_rows(&csr, node_cost, 0..n, RowJob::Recompute, parallelism);
         if span.is_recording() {
             span.add_field("recomputed_sources", obs::Value::from(n));
         }
@@ -342,24 +326,32 @@ impl AllPairsPaths {
     }
 
     /// Incrementally refreshes the structure after the node costs
-    /// changed, recomputing only the sources whose selected paths route
+    /// changed, touching only the sources whose selected paths route
     /// *through* a changed node.
     ///
     /// The invalidation rule: a stored row stays valid when every
     /// changed node appears on that source's selected paths only as an
     /// **endpoint** — endpoint terms are added at query time, so the
     /// stored interior costs, hop counts, and parents are untouched.
-    /// When a changed node is interior to some selected path, the row is
-    /// re-run from scratch. If any node cost *decreased*, previously
-    /// unattractive routes may win anywhere, so every row is recomputed
-    /// (the caching planners only ever raise `S(k)`, keeping the fast
-    /// path; the conservative fallback covers eviction workloads).
+    ///
+    /// When a changed node is interior to some selected path and every
+    /// changed cost *rose*, a hop-first row is refreshed in place. The
+    /// graph is unchanged, so the stored hop labels still hold; only the
+    /// nodes whose stored tree path has a changed node between the
+    /// source and themselves re-solve their best predecessor, in stored
+    /// hop order. Every other node keeps its stored parent: that
+    /// candidate's cost is unchanged, while every competing candidate
+    /// can only have grown. Cost-first rows are re-run from scratch. If
+    /// any node cost *decreased*, previously unattractive routes may win
+    /// anywhere, so every row is re-run (the caching planners only ever
+    /// raise `S(k)`, keeping the fast path; the conservative fallback
+    /// covers eviction workloads).
     ///
     /// `g` must be the same graph the structure was computed on.
     ///
-    /// Returns the number of sources recomputed. The result is
-    /// byte-identical to a fresh [`AllPairsPaths::compute_with`] on the
-    /// new costs.
+    /// Returns the number of sources refreshed or recomputed. The result
+    /// is byte-identical to a fresh [`AllPairsPaths::compute_with`] on
+    /// the new costs.
     ///
     /// # Errors
     ///
@@ -397,12 +389,12 @@ impl AllPairsPaths {
         let words = words_per_row(n);
         let mut dirty_words = vec![0u64; words];
         let mut dirty = 0usize;
-        let mut decreased = false;
+        let mut rose_only = true;
         for k in 0..n {
             if node_cost[k] != self.node_cost[k] {
                 dirty_words[k / 64] |= 1u64 << (k % 64);
                 dirty += 1;
-                decreased |= node_cost[k] < self.node_cost[k];
+                rose_only &= node_cost[k] > self.node_cost[k];
             }
         }
         if dirty == 0 {
@@ -410,7 +402,7 @@ impl AllPairsPaths {
         }
         let rows: Vec<usize> = (0..n)
             .filter(|&src| {
-                decreased
+                !rose_only
                     || self.interior_mask[src * words..(src + 1) * words]
                         .iter()
                         .zip(&dirty_words)
@@ -426,9 +418,17 @@ impl AllPairsPaths {
             dirty_nodes = dirty,
             threads = threads,
         );
-        self.recompute_rows(&csr, node_cost, &rows, parallelism);
+        let job = if rose_only && self.selection == PathSelection::FewestHops {
+            RowJob::Refresh {
+                changed: &dirty_words,
+            }
+        } else {
+            RowJob::Recompute
+        };
+        let refreshed = self.run_rows(&csr, node_cost, rows.iter().copied(), job, parallelism);
         if span.is_recording() {
             span.add_field("recomputed_sources", obs::Value::from(rows.len()));
+            span.add_field("refreshed_nodes", obs::Value::from(refreshed));
         }
         Ok(rows.len())
     }
@@ -540,15 +540,18 @@ impl AllPairsPaths {
             let base = src * n;
             let row_parent = &self.parent[base..base + n];
             let row_hops = &self.hops[base..base + n];
-            *flag = removed_edges.iter().any(|&(u, v)| {
-                row_parent[v.index()] == Some(u) || row_parent[u.index()] == Some(v)
-            }) || added_edges.first().is_some_and(|&(u, v)| {
-                let (hu, hv) = (row_hops[u.index()], row_hops[v.index()]);
-                match self.selection {
-                    PathSelection::FewestHops => hu != hv,
-                    PathSelection::MinCost => hu != UNREACHABLE_HOPS || hv != UNREACHABLE_HOPS,
-                }
-            });
+            let tree_edge =
+                |child: NodeId, p: NodeId| row_parent[child.index()] as usize == p.index();
+            *flag = removed_edges
+                .iter()
+                .any(|&(u, v)| tree_edge(v, u) || tree_edge(u, v))
+                || added_edges.first().is_some_and(|&(u, v)| {
+                    let (hu, hv) = (row_hops[u.index()], row_hops[v.index()]);
+                    match self.selection {
+                        PathSelection::FewestHops => hu != hv,
+                        PathSelection::MinCost => hu != UNREACHABLE_HOPS || hv != UNREACHABLE_HOPS,
+                    }
+                });
         }
         let structural: Vec<usize> = (0..n).filter(|&src| dirty[src]).collect();
         let csr = Csr::from_graph(g);
@@ -558,7 +561,8 @@ impl AllPairsPaths {
             removed = removed_edges.len(),
             added = added_edges.len(),
         );
-        self.recompute_rows(&csr, node_cost, &structural, parallelism);
+        let rows = structural.iter().copied();
+        self.run_rows(&csr, node_cost, rows, RowJob::Recompute, parallelism);
 
         // Fold node-cost changes into the rows the edit left untouched
         // (structurally dirty rows were recomputed with the new costs).
@@ -603,7 +607,8 @@ impl AllPairsPaths {
                     cost_rows.push(src);
                 }
             }
-            self.recompute_rows(&csr, node_cost, &cost_rows, parallelism);
+            let rows = cost_rows.iter().copied();
+            self.run_rows(&csr, node_cost, rows, RowJob::Recompute, parallelism);
         }
         let total = structural.len() + cost_rows.len();
         if span.is_recording() {
@@ -612,87 +617,83 @@ impl AllPairsPaths {
         Ok(total)
     }
 
-    /// Re-runs [`single_source`] for the given rows against `csr`,
-    /// sequentially or with a scoped-thread scatter, writing results in
-    /// place. Byte-identical for any thread count.
-    fn recompute_rows(
+    /// Runs `job` on the given rows (ascending) in place against `csr`,
+    /// sequentially or over scoped threads that each take a contiguous
+    /// share of them. Rows are independent, so the result is
+    /// byte-identical for any thread count.
+    ///
+    /// Returns the number of nodes whose predecessor was re-solved.
+    fn run_rows(
         &mut self,
         csr: &Csr,
         node_cost: &[f64],
-        rows: &[usize],
+        rows: impl ExactSizeIterator<Item = usize>,
+        job: RowJob<'_>,
         parallelism: Parallelism,
-    ) {
-        if rows.is_empty() {
-            return;
+    ) -> usize {
+        let (n, selection) = (self.n, self.selection);
+        let solve = |src: usize, row: &mut RowMut<'_>, scratch: &mut Scratch| match job {
+            RowJob::Recompute => single_source(csr, node_cost, src, selection, row, scratch),
+            RowJob::Refresh { changed } => refresh_row(csr, node_cost, src, changed, row, scratch),
+        };
+        if rows.len() == 0 {
+            return 0;
         }
-        let n = self.n;
-        let words = words_per_row(n);
-        let selection = self.selection;
         let threads = parallelism.threads(rows.len());
         if threads <= 1 {
             let mut scratch = Scratch::new(n);
-            for &src in rows {
-                let (ic, hc, pc, mc) = self.row_mut(src, words);
-                single_source(csr, node_cost, src, selection, ic, hc, pc, mc, &mut scratch);
-            }
-        } else {
-            // Dirty rows are scattered, so threads produce owned row
-            // buffers that are scattered back on the main thread.
-            let per = rows.len().div_ceil(threads);
-            let results: Vec<(usize, RowBuf)> = std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for chunk in rows.chunks(per) {
-                    handles.push(s.spawn(move || {
-                        let n = csr.node_count();
-                        let mut scratch = Scratch::new(n);
-                        let mut out = Vec::with_capacity(chunk.len());
-                        for &src in chunk {
-                            let mut buf = RowBuf::new(n, words);
-                            single_source(
-                                csr,
-                                node_cost,
-                                src,
-                                selection,
-                                &mut buf.interior,
-                                &mut buf.hops,
-                                &mut buf.parent,
-                                &mut buf.mask,
-                                &mut scratch,
-                            );
-                            out.push((src, buf));
-                        }
-                        out
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap())
-                    .collect()
-            });
-            for (src, buf) in results {
-                let (ic, hc, pc, mc) = self.row_mut(src, words);
-                ic.copy_from_slice(&buf.interior);
-                hc.copy_from_slice(&buf.hops);
-                pc.copy_from_slice(&buf.parent);
-                mc.copy_from_slice(&buf.mask);
+            return rows
+                .map(|src| solve(src, &mut self.row_mut(src), &mut scratch))
+                .sum();
+        }
+        let words = words_per_row(n);
+        let mut wanted = rows.peekable();
+        let mut views: Vec<(usize, RowMut<'_>)> = Vec::with_capacity(wanted.len());
+        let all = self
+            .interior
+            .chunks_mut(n)
+            .zip(self.hops.chunks_mut(n))
+            .zip(self.parent.chunks_mut(n))
+            .zip(self.interior_mask.chunks_mut(words));
+        for (src, (((interior, hops), parent), mask)) in all.enumerate() {
+            if wanted.next_if_eq(&src).is_some() {
+                let row = RowMut {
+                    interior,
+                    hops,
+                    parent,
+                    mask,
+                };
+                views.push((src, row));
             }
         }
+        let per = views.len().div_ceil(threads);
+        let solve = &solve;
+        std::thread::scope(|s| {
+            let handles: Vec<_> = views
+                .chunks_mut(per)
+                .map(|share| {
+                    s.spawn(move || {
+                        let mut scratch = Scratch::new(n);
+                        share
+                            .iter_mut()
+                            .map(|(src, row)| solve(*src, row, &mut scratch))
+                            .sum::<usize>()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        })
     }
 
     /// Disjoint mutable views of one source's row.
-    #[allow(clippy::type_complexity)]
-    fn row_mut(
-        &mut self,
-        src: usize,
-        words: usize,
-    ) -> (&mut [f64], &mut [u32], &mut [Option<NodeId>], &mut [u64]) {
-        let base = src * self.n;
-        (
-            &mut self.interior[base..base + self.n],
-            &mut self.hops[base..base + self.n],
-            &mut self.parent[base..base + self.n],
-            &mut self.interior_mask[src * words..(src + 1) * words],
-        )
+    fn row_mut(&mut self, src: usize) -> RowMut<'_> {
+        let (n, words) = (self.n, words_per_row(self.n));
+        RowMut {
+            interior: &mut self.interior[src * n..(src + 1) * n],
+            hops: &mut self.hops[src * n..(src + 1) * n],
+            parent: &mut self.parent[src * n..(src + 1) * n],
+            mask: &mut self.interior_mask[src * words..(src + 1) * words],
+        }
     }
 
     /// Number of nodes the structure was computed for.
@@ -740,8 +741,10 @@ impl AllPairsPaths {
         let mut rev = vec![v];
         let mut cur = v;
         while cur != u {
-            cur = self.parent[u.index() * self.n + cur.index()]
-                .expect("reachable nodes have parents");
+            cur = match self.parent[u.index() * self.n + cur.index()] {
+                NO_PARENT => unreachable!("reachable nodes have parents"),
+                p => NodeId::new(p as usize),
+            };
             rev.push(cur);
         }
         rev.reverse();
@@ -753,25 +756,6 @@ fn words_per_row(n: usize) -> usize {
     n.div_ceil(64).max(1)
 }
 
-/// Owned buffers for one recomputed row (threaded update path).
-struct RowBuf {
-    interior: Vec<f64>,
-    hops: Vec<u32>,
-    parent: Vec<Option<NodeId>>,
-    mask: Vec<u64>,
-}
-
-impl RowBuf {
-    fn new(n: usize, words: usize) -> Self {
-        RowBuf {
-            interior: vec![f64::INFINITY; n],
-            hops: vec![UNREACHABLE_HOPS; n],
-            parent: vec![None; n],
-            mask: vec![0u64; words],
-        }
-    }
-}
-
 /// One deterministic Dijkstra over the interior-cost metric, writing
 /// into the caller's row slices.
 ///
@@ -779,33 +763,35 @@ impl RowBuf {
 /// is the source) orders paths exactly as the full endpoint-inclusive
 /// cost does — every candidate between a fixed pair shares its
 /// endpoints — while keeping stored rows independent of endpoint terms.
-#[allow(clippy::too_many_arguments)]
+///
+/// Returns the number of non-source nodes solved (the reachable ones).
 fn single_source(
     csr: &Csr,
     node_cost: &[f64],
     src: usize,
     selection: PathSelection,
-    interior: &mut [f64],
-    hops: &mut [u32],
-    parent: &mut [Option<NodeId>],
-    mask: &mut [u64],
+    row: &mut RowMut<'_>,
     scratch: &mut Scratch,
-) {
+) -> usize {
+    let RowMut {
+        interior,
+        hops,
+        parent,
+        mask,
+    } = row;
     interior.fill(f64::INFINITY);
     hops.fill(UNREACHABLE_HOPS);
-    parent.fill(None);
-    mask.fill(0);
+    parent.fill(NO_PARENT);
 
     interior[src] = 0.0;
     hops[src] = 0;
-    match selection {
+    let solved = match selection {
         PathSelection::FewestHops => {
             // Hop count is the primary key, so every hop-`h-1` node is
             // final before any hop-`h` node is looked at — the heap
             // degenerates into BFS layers. Run a plain BFS for the hop
             // labels, then a layer-order DP picking each node's best
-            // predecessor: the lexicographic minimum over
-            // `(interior cost, parent id)`, exactly the value the
+            // predecessor ([`best_predecessor`]), exactly the value the
             // generic Dijkstra's relaxation rule converges to.
             let queue = &mut scratch.queue;
             queue.clear();
@@ -824,41 +810,18 @@ fn single_source(
             }
             // BFS order visits layers in order, so each node's
             // predecessors (hop exactly one less) are already final.
-            let order: &[u32] = queue;
-            for &qv in order.iter().skip(1) {
-                let vi = qv as usize;
-                let hv = hops[vi];
-                let mut best = f64::INFINITY;
-                let mut best_parent: Option<NodeId> = None;
-                for &u in csr.neighbors(vi) {
-                    let ui = u as usize;
-                    if hops[ui] + 1 != hv {
-                        continue;
-                    }
-                    let step = if ui == src { 0.0 } else { node_cost[ui] };
-                    let cand = interior[ui] + step;
-                    let better = match best_parent {
-                        None => true,
-                        Some(p) => match cand.total_cmp(&best) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Equal => NodeId::new(ui) < p,
-                            std::cmp::Ordering::Greater => false,
-                        },
-                    };
-                    if better {
-                        best = cand;
-                        best_parent = Some(NodeId::new(ui));
-                    }
-                }
-                interior[vi] = best;
-                parent[vi] = best_parent;
+            for &qv in &queue[1..] {
+                let v = qv as usize;
+                (interior[v], parent[v]) = best_predecessor(csr, node_cost, src, hops, interior, v);
             }
+            queue.len() - 1
         }
         PathSelection::MinCost => {
             scratch.heap.clear();
             scratch.settled.fill(false);
             let settled = &mut scratch.settled;
             let heap = &mut scratch.heap;
+            let mut solved = 0;
             heap.push(Reverse((Key::new(selection, 0.0, 0), src)));
             while let Some(Reverse((key, u))) = heap.pop() {
                 if settled[u] {
@@ -869,6 +832,7 @@ fn single_source(
                     continue;
                 }
                 settled[u] = true;
+                solved += usize::from(u != src);
                 // Leaving `u` makes it an interior node of every longer
                 // path.
                 let step = if u == src { 0.0 } else { node_cost[u] };
@@ -882,22 +846,134 @@ fn single_source(
                     let cand = Key::new(selection, cand_interior, cand_hops);
                     let cur = Key::new(selection, interior[vi], hops[vi]);
                     let better = cand < cur
-                        || (cand == cur && parent[vi].is_some_and(|p| NodeId::new(u) < p));
+                        || (cand == cur && parent[vi] != NO_PARENT && (u as u32) < parent[vi]);
                     if better {
                         interior[vi] = cand_interior;
                         hops[vi] = cand_hops;
-                        parent[vi] = Some(NodeId::new(u));
+                        parent[vi] = u as u32;
                         heap.push(Reverse((cand, vi)));
                     }
                 }
             }
+            solved
+        }
+    };
+    fill_interior_mask(src, parent, mask);
+    solved
+}
+
+/// The best predecessor of the reachable non-source node `v` among its
+/// neighbors one BFS layer closer to `src`: the lexicographic minimum
+/// over `(interior cost, parent id)`. Returns `v`'s interior cost and
+/// parent; every predecessor's entry must already be final.
+fn best_predecessor(
+    csr: &Csr,
+    node_cost: &[f64],
+    src: usize,
+    hops: &[u32],
+    interior: &[f64],
+    v: usize,
+) -> (f64, u32) {
+    let hv = hops[v];
+    let mut best = f64::INFINITY;
+    let mut best_parent = NO_PARENT;
+    for &u in csr.neighbors(v) {
+        let ui = u as usize;
+        if hops[ui] + 1 != hv {
+            continue;
+        }
+        let step = if ui == src { 0.0 } else { node_cost[ui] };
+        let cand = interior[ui] + step;
+        let better = best_parent == NO_PARENT
+            || match cand.total_cmp(&best) {
+                std::cmp::Ordering::Less => true,
+                std::cmp::Ordering::Equal => u < best_parent,
+                std::cmp::Ordering::Greater => false,
+            };
+        if better {
+            best = cand;
+            best_parent = u;
         }
     }
-    // The interior-node bitset: every non-source parent routes traffic
-    // through itself, so its term is baked into some stored row entry.
-    for &p in parent.iter().flatten() {
-        if p.index() != src {
-            mask[p.index() / 64] |= 1u64 << (p.index() % 64);
+    (best, best_parent)
+}
+
+/// Refreshes one hop-first row in place after the costs of the nodes in
+/// the `changed` bitset rose, on an unchanged graph.
+///
+/// The stored hop labels still hold, so a counting sort by them
+/// recovers the BFS layer order. Walking it, a node is *stale* when its
+/// stored tree path has a changed node strictly between the source and
+/// itself; only stale nodes re-run [`best_predecessor`]. A node that is
+/// not stale keeps its stored candidate at the same cost, while every
+/// other candidate can only have grown, so its stored entry is still the
+/// minimum. Staleness follows the stored tree: each node reads its
+/// stored parent, one layer earlier, before its own entry is rewritten.
+///
+/// Returns the number of nodes re-solved.
+fn refresh_row(
+    csr: &Csr,
+    node_cost: &[f64],
+    src: usize,
+    changed: &[u64],
+    row: &mut RowMut<'_>,
+    scratch: &mut Scratch,
+) -> usize {
+    let RowMut {
+        interior,
+        hops,
+        parent,
+        mask,
+    } = row;
+    let n = hops.len();
+    let start = &mut scratch.layer_start;
+    start.clear();
+    start.resize(n + 1, 0);
+    for &h in hops.iter() {
+        if h != UNREACHABLE_HOPS {
+            start[h as usize + 1] += 1;
+        }
+    }
+    for h in 1..start.len() {
+        start[h] += start[h - 1];
+    }
+    let order = &mut scratch.queue;
+    order.clear();
+    order.resize(start[start.len() - 1], 0);
+    for (v, &h) in hops.iter().enumerate() {
+        if h != UNREACHABLE_HOPS {
+            order[start[h as usize]] = v as u32;
+            start[h as usize] += 1;
+        }
+    }
+    // Every visited node's flag is written before its children read it.
+    let stale = &mut scratch.stale;
+    stale.resize(n, false);
+    stale[src] = false;
+    let mut resolved = 0;
+    // `order[0]` is the source, the only node at hop 0.
+    for &qv in &order[1..] {
+        let v = qv as usize;
+        let p = parent[v] as usize;
+        let through_change = stale[p] || (p != src && changed[p / 64] & (1u64 << (p % 64)) != 0);
+        stale[v] = through_change;
+        if through_change {
+            (interior[v], parent[v]) = best_predecessor(csr, node_cost, src, hops, interior, v);
+            resolved += 1;
+        }
+    }
+    fill_interior_mask(src, parent, mask);
+    resolved
+}
+
+/// Rebuilds a row's interior-node bitset: every non-source parent
+/// routes traffic through itself, so its term is baked into some stored
+/// row entry.
+fn fill_interior_mask(src: usize, parent: &[u32], mask: &mut [u64]) {
+    mask.fill(0);
+    for &p in parent {
+        if p != NO_PARENT && p as usize != src {
+            mask[p as usize / 64] |= 1u64 << (p % 64);
         }
     }
 }
@@ -1224,6 +1300,39 @@ mod tests {
     }
 
     #[test]
+    fn refresh_resolves_only_the_subtrees_below_changed_nodes() {
+        // On the path 0-1-2-3-4, raising node 2 invalidates {3, 4} from
+        // sources 0 and 1 and {1, 0} from sources 3 and 4; from source 2
+        // the node is an endpoint only.
+        let g = builders::path(5);
+        let mut costs = vec![1.0; 5];
+        let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        costs[2] = 3.0;
+        ap.node_cost.copy_from_slice(&costs);
+        let changed = [1u64 << 2];
+        let resolved = ap.run_rows(
+            &Csr::from_graph(&g),
+            &costs,
+            0..5,
+            RowJob::Refresh { changed: &changed },
+            Parallelism::Sequential,
+        );
+        assert_eq!(resolved, 8);
+        let fresh = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        assert_identical(&ap, &fresh, &g);
+    }
+
+    #[test]
+    fn bytes_per_pair_matches_the_row_layout() {
+        let g = builders::grid(2, 2);
+        let ap = AllPairsPaths::compute(&g, &unit_costs(&g), PathSelection::FewestHops).unwrap();
+        let per_pair =
+            size_of_val(&ap.interior[0]) + size_of_val(&ap.hops[0]) + size_of_val(&ap.parent[0]);
+        assert_eq!(AllPairsPaths::BYTES_PER_PAIR, per_pair);
+        assert_eq!(AllPairsPaths::BYTES_PER_PAIR, 16);
+    }
+
+    #[test]
     fn update_with_unchanged_costs_is_a_noop() {
         let g = builders::grid(3, 3);
         let costs = unit_costs(&g);
@@ -1233,16 +1342,27 @@ mod tests {
 
     #[test]
     fn update_threaded_matches_sequential() {
+        // Unit costs tie every equal-hop route on a grid, so raising a
+        // few nodes moves ties and exercises the parent-id rule.
         let g = builders::grid(6, 6);
-        let mut costs: Vec<f64> = (0..36).map(|i| 1.0 + (i % 3) as f64).collect();
-        let mut seq = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
-        let mut par = seq.clone();
-        costs[7] += 4.0;
-        costs[20] += 1.0;
-        let a = seq.update(&g, &costs, Parallelism::Sequential).unwrap();
-        let b = par.update(&g, &costs, Parallelism::Threads(4)).unwrap();
-        assert_eq!(a, b);
-        assert_identical(&seq, &par, &g);
+        let varied: Vec<f64> = (0..36).map(|i| 1.0 + (i % 3) as f64).collect();
+        for mut costs in [varied, unit_costs(&g)] {
+            let mut seq = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+            let mut par = seq.clone();
+            for bumps in [&[7usize, 20][..], &[14, 15], &[7, 21, 22, 28]] {
+                for &k in bumps {
+                    costs[k] += 1.0;
+                }
+                let a = seq.update(&g, &costs, Parallelism::Sequential).unwrap();
+                let b = par.update(&g, &costs, Parallelism::Threads(4)).unwrap();
+                assert_eq!(a, b);
+                let fresh = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+                for ap in [&seq, &par] {
+                    assert_identical(ap, &fresh, &g);
+                    assert_eq!(ap.interior_mask, fresh.interior_mask);
+                }
+            }
+        }
     }
 
     #[test]

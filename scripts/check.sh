@@ -62,5 +62,10 @@ if [[ $fast -eq 0 ]]; then
     run cargo run -q --release --bin repro -- trace tests/fixtures/chaos_fixture.jsonl
     # Static-analysis summary from the deep pass's JSON report.
     run cargo run -q --release --bin repro -- lint target/lint-report.json
+    # The benchmark package (its own workspace under benchmark/) replays
+    # the library's public layer functions, so its contract tests must
+    # build and pass against the library in this tree.
+    run env CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
+        --manifest-path benchmark/Cargo.toml
 fi
 echo "==> all checks passed"
