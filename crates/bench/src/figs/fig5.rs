@@ -4,8 +4,7 @@
 //! wall-clock per single-chunk plan. Absolute numbers are incomparable
 //! (Rust vs Python 2.7); the claims that survive are the polynomial
 //! growth and the ordering (Appx at or below the greedy baselines,
-//! brute force exploding immediately). Criterion variants live in
-//! `benches/planner_runtime.rs`.
+//! brute force exploding immediately).
 
 use std::time::Instant;
 

@@ -28,17 +28,10 @@ use crate::{CoreError, Network};
 /// matches the `1e-12` payment slack used by the dual-ascent solver.
 pub const COST_EPS: f64 = 1e-9;
 
-/// Are two cost values equal up to [`COST_EPS`]?
-///
-/// This is the sanctioned way to compare f64 costs for *approximate*
-/// equality (lint rule N1 forbids direct `==`/`!=` on cost values).
-#[inline]
-#[must_use]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= COST_EPS
-}
-
 /// Is a cost value zero up to [`COST_EPS`]?
+///
+/// This is the sanctioned way to compare an f64 cost with zero (lint
+/// rule N1 forbids direct `==`/`!=` on cost values).
 #[inline]
 #[must_use]
 pub fn approx_zero(x: f64) -> bool {

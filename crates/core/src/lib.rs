@@ -60,7 +60,6 @@ pub mod costs;
 pub mod exact;
 pub mod instance;
 pub mod metrics;
-pub mod online;
 pub mod placement;
 pub mod planner;
 pub mod replication;

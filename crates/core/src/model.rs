@@ -402,15 +402,6 @@ impl Network {
             .collect()
     }
 
-    /// Number of cached copies of `chunk` (producer excluded): the
-    /// replication degree the chunk currently enjoys.
-    pub fn replica_count(&self, chunk: ChunkId) -> usize {
-        self.graph
-            .nodes()
-            .filter(|&n| self.is_cached(n, chunk))
-            .count()
-    }
-
     /// Caches `chunk` on `node`, consuming one storage slot.
     ///
     /// # Errors
@@ -583,11 +574,6 @@ impl Network {
         Ok(())
     }
 
-    /// Clears any interest restriction on `chunk` (back to "everyone").
-    pub fn clear_interest(&mut self, chunk: ChunkId) {
-        self.interest.remove(&chunk);
-    }
-
     /// The clients that want `chunk`, sorted — all clients unless a
     /// restriction was set with [`Network::set_interest`]. Departed
     /// nodes are never interested (their restriction entries are kept in
@@ -631,11 +617,6 @@ impl Network {
             all.extend(set.iter().copied());
         }
         all.len()
-    }
-
-    /// Total free chunk slots across all non-producer nodes.
-    pub fn total_free_slots(&self) -> usize {
-        self.clients().map(|n| self.remaining(n)).sum()
     }
 
     /// Returns `true` if the *active* nodes are mutually connected.
@@ -927,7 +908,7 @@ mod tests {
         net.cache(NodeId::new(0), ChunkId::new(0)).unwrap();
         net.reset();
         assert_eq!(net.load_vector(), vec![0; 9]);
-        assert_eq!(net.total_free_slots(), 16);
+        assert_eq!(net.clients().map(|n| net.remaining(n)).sum::<usize>(), 16);
     }
 
     #[test]
@@ -940,7 +921,7 @@ mod tests {
     }
 
     #[test]
-    fn interest_restriction_and_clearing() {
+    fn interest_restriction_is_per_chunk() {
         let mut net = net3x3();
         net.set_interest(ChunkId::new(1), [NodeId::new(0), NodeId::new(8)])
             .unwrap();
@@ -951,8 +932,6 @@ mod tests {
         assert!(!net.is_interested(NodeId::new(1), ChunkId::new(1)));
         // Other chunks are untouched.
         assert!(net.is_interested(NodeId::new(1), ChunkId::new(0)));
-        net.clear_interest(ChunkId::new(1));
-        assert_eq!(net.interested_clients(ChunkId::new(1)).len(), 8);
     }
 
     #[test]

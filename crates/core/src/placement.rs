@@ -57,12 +57,6 @@ impl Placement {
         self.chunks.push(chunk);
     }
 
-    /// Cached copies per chunk, in placement order — the achieved
-    /// replication degrees.
-    pub fn copies_per_chunk(&self) -> Vec<usize> {
-        self.chunks.iter().map(|c| c.caches.len()).collect()
-    }
-
     /// The smallest copy count over all chunks (0 for an empty
     /// placement): how many copies the worst-protected chunk has, i.e.
     /// the replication degree the placement actually guarantees.

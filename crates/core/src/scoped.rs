@@ -238,7 +238,8 @@ impl ScopedContention {
     /// # Panics
     ///
     /// Panics if either node is out of bounds.
-    pub fn is_exact(&self, u: NodeId, v: NodeId) -> bool {
+    #[cfg(test)]
+    fn is_exact(&self, u: NodeId, v: NodeId) -> bool {
         if u == v {
             return true;
         }

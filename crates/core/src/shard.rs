@@ -162,11 +162,6 @@ impl PlacementArena {
             .map_or(0, |slot| self.replica_load[slot])
     }
 
-    /// Per-member replica loads, parallel to [`PlacementArena::members`].
-    pub fn replica_loads(&self) -> &[u32] {
-        &self.replica_load
-    }
-
     /// Pins one cached copy on `member`. Returns `false` (and drops the
     /// pin) for a non-member.
     pub fn pin_replica(&mut self, member: NodeId) -> bool {
@@ -208,11 +203,6 @@ impl PlacementArena {
     /// Whether no rows are live.
     pub fn is_empty(&self) -> bool {
         self.live == 0
-    }
-
-    /// Cells ever allocated (pool size; freed cells are reused).
-    pub fn pool_cells(&self) -> usize {
-        self.cells.len()
     }
 
     fn slot_of(&self, client: NodeId) -> Option<usize> {
@@ -596,14 +586,14 @@ mod tests {
         for i in 0..4 {
             a.set(n(0), c(i), n(1), 0);
         }
-        assert_eq!(a.pool_cells(), 4);
+        assert_eq!(a.cells.len(), 4);
         assert_eq!(a.clear_client(n(0)), 4);
         assert!(a.is_empty());
         for i in 0..4 {
             a.set(n(1), c(i), n(0), 0);
         }
         // Churn reuses the freed cells instead of growing the pool.
-        assert_eq!(a.pool_cells(), 4);
+        assert_eq!(a.cells.len(), 4);
         assert_eq!(a.remove_chunk(c(2)), 1);
         assert_eq!(a.len(), 3);
     }

@@ -199,54 +199,6 @@ impl ShardedWorld {
         })
     }
 
-    /// Adopts an already-populated network (a dense
-    /// [`CacheWorld`](crate::CacheWorld)'s end state): existing copies
-    /// stay where they are, every interested client is re-assigned
-    /// under the scoped provider rule, and the trunk trees are rebuilt
-    /// over the scoped edge costs. Reached through
-    /// [`CacheWorld::into_sharded`](crate::CacheWorld::into_sharded).
-    pub(crate) fn adopt(
-        net: Network,
-        cfg: ShardConfig,
-        live: Vec<ChunkId>,
-        next_chunk: usize,
-        retention: Option<usize>,
-    ) -> Result<Self, CoreError> {
-        let mut world = ShardedWorld::new(net, cfg)?;
-        world.next_chunk = next_chunk;
-        world.retention = retention;
-        let producer = world.net.producer();
-        let w = world.weights();
-        for chunk in live {
-            let caches = world.net.holders(chunk);
-            for &holder in &caches {
-                let home = world.shard_of[holder.index()] as usize;
-                world.shards[home].arena_mut().pin_replica(holder);
-            }
-            for j in world.net.interested_clients(chunk) {
-                let r = world.scoped.partition().region_of(j);
-                let options: Vec<NodeId> = caches
-                    .iter()
-                    .copied()
-                    .filter(|i| world.scoped.region_cols(r).binary_search(i).is_ok())
-                    .collect();
-                let (p, c) = best_provider(&world.scoped, w, producer, &options, j, None);
-                let home = world.shard_of[j.index()] as usize;
-                world.shards[home].arena_mut().set(j, chunk, p, c.to_bits());
-            }
-            world.chunks.insert(
-                chunk,
-                ShardChunk {
-                    caches,
-                    tree_edges: Vec::new(),
-                    tree_cost: 0.0,
-                },
-            );
-        }
-        world.rebuild_trees();
-        Ok(world)
-    }
-
     /// Keep at most `chunks` live chunks; the oldest is retired before
     /// a new arrival is placed once the cap is reached.
     #[must_use]
@@ -1371,37 +1323,6 @@ mod tests {
         world.validate().unwrap();
     }
 
-    #[test]
-    fn dense_world_adopts_into_sharded_pipeline() {
-        use crate::world::CacheWorld;
-        let net = Network::new(builders::grid(6, 6), NodeId::new(0), 3).unwrap();
-        let mut dense = CacheWorld::new(net, ApproxConfig::default()).with_retention(4);
-        for _ in 0..3 {
-            dense.apply(WorldEvent::ChunkArrived).unwrap();
-        }
-        dense
-            .apply(WorldEvent::NodeDeparted(NodeId::new(35)))
-            .unwrap();
-        let live = dense.live_chunks().to_vec();
-        let mut world = dense
-            .into_sharded(ScopedConfig {
-                region_max: 10,
-                halo_hops: 2,
-                landmarks: 4,
-                seed: 7,
-            })
-            .unwrap();
-        assert_eq!(world.live_chunks(), live);
-        world.validate().unwrap();
-        // The adopted world keeps evolving: next arrival gets a fresh id
-        // and the retention cap carries over.
-        let r = world.apply(WorldEvent::ChunkArrived).unwrap();
-        assert_eq!(r.placed, vec![ChunkId::new(3)]);
-        world.apply(WorldEvent::ChunkArrived).unwrap();
-        assert_eq!(world.live_chunks().len(), 4);
-        world.validate().unwrap();
-    }
-
     /// Cuts next to the producer leave pairs unreachable inside a
     /// region's ball while the grid stays connected; the scoped store
     /// must answer them from the oracle, not hand the ascent an `∞`.
@@ -1435,12 +1356,10 @@ mod tests {
 
     #[test]
     fn partition_tolerant_world_refuses_sharding() {
-        use crate::world::CacheWorld;
-        let net = Network::new(builders::grid(4, 4), NodeId::new(0), 2).unwrap();
-        let dense = CacheWorld::new(net, ApproxConfig::default()).partition_tolerant();
-        let err = dense
-            .into_sharded(ScopedConfig::default())
-            .expect_err("Allow-policy world must be rejected");
+        let mut net = Network::new(builders::grid(4, 4), NodeId::new(0), 2).unwrap();
+        net.set_partition_policy(PartitionPolicy::Allow);
+        let err = ShardedWorld::new(net, ShardConfig::default())
+            .expect_err("Allow-policy network must be rejected");
         assert!(matches!(err, CoreError::InvalidParameter(_)));
     }
 

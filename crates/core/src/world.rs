@@ -1,13 +1,12 @@
-//! Churn-aware cache world — the dynamic-topology generalization of
-//! the online layer.
+//! Churn-aware cache world — online chunk arrivals over a dynamic
+//! topology.
 //!
-//! The planners and [`crate::online::OnlineCache`] assume the topology
-//! fixed while chunks come and go. Pervasive edge environments are not
-//! that polite: peers walk away mid-session, new ones join, and
-//! wireless links appear and drop. [`CacheWorld`] owns the network and
-//! consumes a typed stream of [`WorldEvent`]s, keeping the placement
-//! records consistent with the mutating topology through **incremental
-//! placement repair**:
+//! The planners assume the topology fixed while chunks come and go.
+//! Pervasive edge environments are not that polite: peers walk away
+//! mid-session, new ones join, and wireless links appear and drop.
+//! [`CacheWorld`] owns the network and consumes a typed stream of
+//! [`WorldEvent`]s, keeping the placement records consistent with the
+//! mutating topology through **incremental placement repair**:
 //!
 //! * a departure only re-plans the chunks it *orphaned* — chunks that
 //!   lost a cached copy, whose clients must be re-served — via a scoped
@@ -38,8 +37,6 @@ use crate::costs::ContentionMatrix;
 use crate::instance::{ConflInstance, SetCosts};
 use crate::placement::{recost_final, ChunkPlacement, Placement};
 use crate::planner::{commit_chunk_replicated, prune_unused_facilities};
-use crate::scoped::ScopedConfig;
-use crate::sharded::{ShardConfig, ShardedWorld};
 use crate::{ChunkId, CoreError, Network, PartitionPolicy};
 
 /// One step of the dynamic environment driving a [`CacheWorld`].
@@ -177,9 +174,8 @@ pub struct RepairVsReplan {
 
 /// Tick-resolution world telemetry: one sample per applied event, on
 /// the deterministic event index (never ambient time). Created only
-/// when the observability sink is enabled (or forced via
-/// [`CacheWorld::with_timeseries`]), so an untraced world does no
-/// sampling work at all.
+/// when the observability sink is enabled (or forced in tests), so an
+/// untraced world does no sampling work at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorldSeries {
     /// Active-component count after each event.
@@ -255,9 +251,6 @@ pub struct CacheWorld {
     matrix: Option<ContentionMatrix>,
     events_applied: usize,
     repair_wall_us: u64,
-    /// Wall-clock source for repair timing; injectable so the
-    /// deterministic layers never read ambient time (lint rule D2).
-    clock: MonotonicClock,
     /// Whether the world degrades gracefully across partitions instead
     /// of rejecting partitioning events (see
     /// [`CacheWorld::partition_tolerant`]).
@@ -266,7 +259,7 @@ pub struct CacheWorld {
     /// [`CacheWorld::take_partition_events`].
     partition_log: Vec<PartitionEvent>,
     /// Event-indexed telemetry; `None` (no sampling cost) unless the
-    /// sink is enabled or [`CacheWorld::with_timeseries`] forced it.
+    /// sink is enabled or the test-only `with_timeseries` forced it.
     series: Option<WorldSeries>,
 }
 
@@ -285,7 +278,6 @@ impl CacheWorld {
             matrix: None,
             events_applied: 0,
             repair_wall_us: 0,
-            clock: MonotonicClock::default(),
             partition_mode: false,
             partition_log: Vec::new(),
             series: obs::enabled().then(WorldSeries::new),
@@ -296,7 +288,8 @@ impl CacheWorld {
     /// sink (the recorder itself is pure; only [`WorldSeries::emit`]
     /// touches the sink). Lets tests assert the sampled trajectory
     /// deterministically.
-    pub fn with_timeseries(mut self) -> Self {
+    #[cfg(test)]
+    fn with_timeseries(mut self) -> Self {
         self.series = Some(WorldSeries::new());
         self
     }
@@ -325,12 +318,6 @@ impl CacheWorld {
         self
     }
 
-    /// Whether this world tolerates partitions (see
-    /// [`CacheWorld::partition_tolerant`]).
-    pub fn is_partition_tolerant(&self) -> bool {
-        self.partition_mode
-    }
-
     /// Drains the partition transitions observed since the last call
     /// (oldest first). Always empty outside partition-tolerant mode.
     pub fn take_partition_events(&mut self) -> Vec<PartitionEvent> {
@@ -344,36 +331,9 @@ impl CacheWorld {
         self
     }
 
-    /// Replace the wall-clock source used for repair timing (a
-    /// [`MonotonicClock::Fixed`] clock makes timing output fully
-    /// deterministic).
-    pub fn with_clock(mut self, clock: MonotonicClock) -> Self {
-        self.clock = clock;
-        self
-    }
-
     /// The live-chunk retention cap, when set.
     pub fn retention(&self) -> Option<usize> {
         self.retention
-    }
-
-    /// Hands the world's end state to the region-sharded pipeline:
-    /// cached copies stay put, clients are re-assigned under the scoped
-    /// provider rule, and trunk trees are rebuilt over the scoped edge
-    /// costs. The retention cap and chunk-id counter carry over.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] when this world is
-    /// partition-tolerant — the sharded pipeline requires the
-    /// connected-active-set ([`PartitionPolicy::Reject`]) model — or
-    /// when the planning parameters are invalid.
-    pub fn into_sharded(self, scoped: ScopedConfig) -> Result<ShardedWorld, CoreError> {
-        let cfg = ShardConfig {
-            approx: self.config,
-            scoped,
-        };
-        ShardedWorld::adopt(self.net, cfg, self.live, self.next_chunk, self.retention)
     }
 
     /// The current network state.
@@ -785,7 +745,7 @@ impl CacheWorld {
         )?;
         let repair_contention = repaired.total_contention_cost();
 
-        let start = self.clock.now_us();
+        let start = MonotonicClock::System.now_us();
         let mut oracle = self.net.clone();
         oracle.reset();
         let mut matrix = ContentionMatrix::compute_with(
@@ -823,7 +783,7 @@ impl CacheWorld {
             self.config.selection,
         )?;
         let replan_contention = replanned.total_contention_cost();
-        let replan_wall_us = self.clock.elapsed_us(start);
+        let replan_wall_us = MonotonicClock::System.elapsed_us(start);
         let cost_ratio = if replan_contention > 0.0 {
             repair_contention / replan_contention
         } else {
@@ -911,7 +871,7 @@ impl CacheWorld {
     }
 
     fn depart(&mut self, node: NodeId) -> Result<RepairReport, CoreError> {
-        let start = self.clock.now_us();
+        let start = MonotonicClock::System.now_us();
         let mut span = obs::span!("world.repair", node = node.index());
         let dep = self.net.deactivate_node(node)?;
         let removed: Vec<(NodeId, NodeId)> =
@@ -960,7 +920,7 @@ impl CacheWorld {
         for &chunk in &client_only {
             self.refresh_chunk_keeping_tree(chunk)?;
         }
-        let wall_us = self.clock.elapsed_us(start);
+        let wall_us = MonotonicClock::System.elapsed_us(start);
         self.repair_wall_us += wall_us;
         if span.is_recording() {
             span.add_field("lost_chunks", obs::Value::from(dep.lost_chunks.len()));
@@ -1558,7 +1518,7 @@ mod tests {
             ..ApproxConfig::default()
         };
         let mut w = CacheWorld::new(net, cfg).partition_tolerant();
-        assert!(w.is_partition_tolerant());
+        assert_eq!(w.network().partition_policy(), PartitionPolicy::Allow);
         w.apply(WorldEvent::ChunkArrived).unwrap();
         let chunk = w.live_chunks()[0];
         assert!(w.network().holders(chunk).is_empty());
@@ -1683,6 +1643,9 @@ mod tests {
         let mut reference = paper_grid(4).unwrap();
         let a = w.insert_chunk().unwrap().clone();
         let b = w.insert_chunk().unwrap().clone();
+        // Arrivals take consecutive chunk ids.
+        assert_eq!((a.chunk, b.chunk), (ChunkId::new(0), ChunkId::new(1)));
+        assert_eq!((w.live_chunks().len(), w.history().len()), (2, 2));
         // Replay the arrival pipeline by hand on a twin network.
         for expected in [&a, &b] {
             let inst = ConflInstance::build_for_chunk(
@@ -1842,6 +1805,28 @@ mod tests {
         );
         assert!(w.network().holders(chunk).is_empty());
         assert!(w.live_chunks().is_empty());
+        // Retiring a chunk that was never placed frees nothing.
+        assert_eq!(w.retire_chunk(ChunkId::new(99)), 0);
+        w.validate().unwrap();
+    }
+
+    #[test]
+    fn retention_window_retires_the_oldest() {
+        let mut w = world().with_retention(2);
+        for _ in 0..4 {
+            w.insert_chunk().unwrap();
+        }
+        assert_eq!(w.live_chunks(), &[ChunkId::new(2), ChunkId::new(3)]);
+        // Retired chunks hold no copies; history keeps every arrival.
+        assert!(w.network().holders(ChunkId::new(0)).is_empty());
+        assert_eq!(w.history().len(), 4);
+        // Without retention a 4x4 grid with capacity 5 fills after ~10
+        // chunks; a window of 3 keeps accepting arrivals.
+        let mut w = world().with_retention(3);
+        for _ in 0..20 {
+            w.insert_chunk().unwrap();
+        }
+        assert_eq!(w.live_chunks().len(), 3);
         w.validate().unwrap();
     }
 

@@ -88,7 +88,7 @@ pub struct GreyNode {
 ///     .flap(NodeId::new(2), NodeId::new(3), 16, 4)
 ///     .grey(NodeId::new(4), 0.5)
 ///     .death(50, NodeId::new(5));
-/// assert!(!plan.is_noop());
+/// assert_eq!(plan.deaths, [(50, NodeId::new(5))]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
@@ -111,7 +111,12 @@ pub struct FaultPlan {
     pub flaps: Vec<FlappingLink>,
     /// Nodes with degraded radios.
     pub grey: Vec<GreyNode>,
-    /// Scheduled node deaths, merged with [`crate::sim::SimConfig::deaths`].
+    /// Mid-round churn: `(tick, node)` pairs at which a peer dies. A
+    /// dead node stops bidding and serving, messages addressed to it
+    /// vanish, and any client frozen on it as provider reverts to
+    /// bidding — re-electing an ADMIN or falling back to the producer.
+    /// Entries naming the producer are ignored (the producer is the
+    /// round's anchor and cannot die).
     pub deaths: Vec<(Tick, NodeId)>,
 }
 
@@ -191,15 +196,6 @@ impl FaultPlan {
     pub fn death(mut self, at: Tick, node: NodeId) -> Self {
         self.deaths.push((at, node));
         self
-    }
-
-    /// `true` when the plan injects nothing at all.
-    pub fn is_noop(&self) -> bool {
-        !(self.drop > 0.0 || self.duplicate > 0.0 || self.reorder > 0.0 || self.corrupt > 0.0)
-            && self.partitions.is_empty()
-            && self.flaps.is_empty()
-            && self.grey.is_empty()
-            && self.deaths.is_empty()
     }
 
     /// `true` when any fault in the plan needs random draws.
@@ -295,7 +291,7 @@ pub struct ChaosState {
     partitions: Vec<PartitionWindow>,
     flaps: Vec<FlappingLink>,
     grey: Vec<GreyNode>,
-    /// All deaths (plan + extra), sorted by `(tick, node)`.
+    /// The plan's deaths, sorted by `(tick, node)`, one per node.
     deaths: Vec<(Tick, NodeId)>,
     death_cursor: usize,
     rng: Option<ChaCha8Rng>,
@@ -309,28 +305,21 @@ pub struct ChaosState {
 }
 
 impl ChaosState {
-    /// Compiles `plan` plus `extra_deaths` (the legacy
-    /// [`crate::sim::SimConfig::deaths`] list) into round-ready state.
-    pub fn compile(plan: &FaultPlan, extra_deaths: &[(Tick, NodeId)]) -> Self {
+    /// Compiles `plan` into round-ready state.
+    pub fn compile(plan: &FaultPlan) -> Self {
         let mut partitions = plan.partitions.clone();
         for w in &mut partitions {
             w.island.sort_unstable();
             w.island.dedup();
         }
-        let mut deaths: Vec<(Tick, NodeId)> = plan
-            .deaths
-            .iter()
-            .chain(extra_deaths.iter())
-            .copied()
-            .collect();
+        let mut deaths = plan.deaths.clone();
         deaths.sort_unstable_by_key(|&(t, n)| (t, n));
-        // A node dies exactly once: when both the plan and the legacy
-        // list schedule it (or one tick lists it twice), only the
-        // earliest entry survives. `deaths_due` batches therefore never
-        // double-report a node, which is what lets simultaneous deaths
-        // at one tick be counted per *node* by the ≤R−1 durability
-        // oracle — and what spares every consumer the re-death guard
-        // the simulator used to need.
+        // A node dies exactly once: when the plan schedules it more
+        // than once, only the earliest entry survives. `deaths_due`
+        // batches therefore never double-report a node, which is what
+        // lets simultaneous deaths at one tick be counted per *node* by
+        // the ≤R−1 durability oracle — and what spares every consumer
+        // the re-death guard the simulator used to need.
         let mut seen = std::collections::BTreeSet::new();
         deaths.retain(|&(_, n)| seen.insert(n));
         let rng = if plan.needs_rng() {
@@ -479,9 +468,7 @@ mod tests {
 
     #[test]
     fn default_plan_is_a_noop_without_randomness() {
-        let plan = FaultPlan::default();
-        assert!(plan.is_noop());
-        let mut state = ChaosState::compile(&plan, &[]);
+        let mut state = ChaosState::compile(&FaultPlan::default());
         for t in 0..100 {
             assert_eq!(
                 state.on_send(t, n(0), n(1), 1),
@@ -498,7 +485,7 @@ mod tests {
     #[test]
     fn partition_window_cuts_cross_island_traffic_only() {
         let plan = FaultPlan::new(1).partition(10, 20, vec![n(0), n(1)]);
-        let mut state = ChaosState::compile(&plan, &[]);
+        let mut state = ChaosState::compile(&plan);
         // Before the window: everything flows.
         assert!(matches!(
             state.on_send(9, n(0), n(5), 2),
@@ -535,7 +522,7 @@ mod tests {
     #[test]
     fn flapping_link_cycles_down_and_up() {
         let plan = FaultPlan::new(1).flap(n(2), n(3), 10, 4);
-        let mut state = ChaosState::compile(&plan, &[]);
+        let mut state = ChaosState::compile(&plan);
         // Ticks 0..4 of each cycle: down (both directions).
         assert_eq!(
             state.on_send(0, n(2), n(3), 1),
@@ -561,7 +548,7 @@ mod tests {
     #[test]
     fn grey_node_loses_a_fraction_of_its_traffic() {
         let plan = FaultPlan::new(7).grey(n(4), 0.5);
-        let mut state = ChaosState::compile(&plan, &[]);
+        let mut state = ChaosState::compile(&plan);
         let mut lost = 0u64;
         for t in 0..200 {
             if matches!(state.on_send(t, n(4), n(5), 1), SendFate::Dropped(_)) {
@@ -587,7 +574,7 @@ mod tests {
             .reorder(0.15, 3)
             .corrupt(0.05);
         let run = || {
-            let mut state = ChaosState::compile(&plan, &[]);
+            let mut state = ChaosState::compile(&plan);
             let fates: Vec<SendFate> = (0..500).map(|t| state.on_send(t, n(0), n(1), 1)).collect();
             (fates, state.stats)
         };
@@ -606,9 +593,13 @@ mod tests {
     }
 
     #[test]
-    fn death_schedule_is_tick_indexed_and_merged() {
-        let plan = FaultPlan::new(0).death(30, n(2)).death(10, n(1));
-        let mut state = ChaosState::compile(&plan, &[(10, n(0)), (50, n(3))]);
+    fn death_schedule_is_tick_indexed_and_sorted() {
+        let plan = FaultPlan::new(0)
+            .death(30, n(2))
+            .death(10, n(1))
+            .death(10, n(0))
+            .death(50, n(3));
+        let mut state = ChaosState::compile(&plan);
         assert!(state.deaths_due(5).is_empty());
         // Tick 10: both tick-10 deaths, in node order.
         assert_eq!(state.deaths_due(10), &[(10, n(0)), (10, n(1))]);
@@ -621,10 +612,15 @@ mod tests {
 
     #[test]
     fn duplicate_death_entries_collapse_to_the_earliest() {
-        // Node 1 is scheduled twice at one tick (plan + legacy list)
-        // and node 2 at two different ticks: one death each survives.
-        let plan = FaultPlan::new(0).death(10, n(1)).death(30, n(2));
-        let mut state = ChaosState::compile(&plan, &[(10, n(1)), (10, n(4)), (45, n(2))]);
+        // Node 1 is scheduled twice at one tick and node 2 at two
+        // different ticks: one death each survives.
+        let plan = FaultPlan::new(0)
+            .death(10, n(1))
+            .death(30, n(2))
+            .death(10, n(1))
+            .death(10, n(4))
+            .death(45, n(2));
+        let mut state = ChaosState::compile(&plan);
         assert_eq!(state.deaths_due(10), &[(10, n(1)), (10, n(4))]);
         assert_eq!(state.deaths_due(50), &[(30, n(2))]);
         assert!(state.deaths_due(1_000).is_empty());
@@ -639,7 +635,7 @@ mod tests {
             .death(20, n(3))
             .death(20, n(1))
             .death(20, n(2));
-        let mut state = ChaosState::compile(&plan, &[]);
+        let mut state = ChaosState::compile(&plan);
         assert!(state.deaths_due(19).is_empty());
         assert_eq!(state.deaths_due(20), &[(20, n(1)), (20, n(2)), (20, n(3))]);
         assert!(state.deaths_due(20).is_empty());
@@ -656,8 +652,8 @@ mod tests {
             .duplicate(0.2)
             .reorder(0.2, 2)
             .partition(10, 90, vec![n(0)]);
-        let run = |plan: &FaultPlan, extra: &[(Tick, NodeId)]| {
-            let mut state = ChaosState::compile(plan, extra);
+        let run = |plan: &FaultPlan| {
+            let mut state = ChaosState::compile(plan);
             let fates: Vec<SendFate> = (0..400).map(|t| state.on_send(t, n(1), n(2), 1)).collect();
             let mut deaths = Vec::new();
             for t in 0..400 {
@@ -665,9 +661,14 @@ mod tests {
             }
             (fates, state.stats, deaths)
         };
-        let clean = run(&base, &[]);
-        let dup_plan = base.clone().death(25, n(5)).death(25, n(5));
-        let (fates, stats, deaths) = run(&dup_plan, &[(25, n(5)), (120, n(5))]);
+        let clean = run(&base);
+        let dup_plan = base
+            .clone()
+            .death(25, n(5))
+            .death(25, n(5))
+            .death(25, n(5))
+            .death(120, n(5));
+        let (fates, stats, deaths) = run(&dup_plan);
         assert_eq!(fates, clean.0);
         assert_eq!(stats, clean.1);
         assert_eq!(deaths, vec![(25, n(5))]);
@@ -677,7 +678,7 @@ mod tests {
     #[test]
     fn reorder_delay_is_bounded() {
         let plan = FaultPlan::new(3).reorder(1.0, 4);
-        let mut state = ChaosState::compile(&plan, &[]);
+        let mut state = ChaosState::compile(&plan);
         for t in 0..100 {
             match state.on_send(t, n(0), n(1), 1) {
                 SendFate::Deliver { extra_delay, .. } => {

@@ -86,9 +86,6 @@ pub struct Engine {
     loss: Option<(f64, ChaCha8Rng)>,
     jitter: Option<(u32, ChaCha8Rng)>,
     payload_misses: u64,
-    /// Optional node → shard homes (see `peercache_core::sharded`);
-    /// empty means cross-shard accounting is off.
-    shard_of: Vec<u32>,
 }
 
 impl Engine {
@@ -103,7 +100,6 @@ impl Engine {
             loss: None,
             jitter: None,
             payload_misses: 0,
-            shard_of: Vec::new(),
         }
     }
 
@@ -262,30 +258,6 @@ impl Engine {
         }
     }
 
-    /// Installs a node → shard map (region homes of the sharded world).
-    /// With a map installed, [`Engine::crosses_shards`] lets callers
-    /// account control messages that leave their sender's shard; an
-    /// empty map (the default) keeps the accounting inert.
-    pub fn set_shard_map(&mut self, shard_of: Vec<u32>) {
-        self.shard_of = shard_of;
-    }
-
-    /// Whether `a` and `b` are homed in different shards of the
-    /// installed map. Always `false` without a map or for out-of-range
-    /// nodes.
-    #[must_use]
-    pub fn crosses_shards(&self, a: NodeId, b: NodeId) -> bool {
-        match (self.shard_of.get(a.index()), self.shard_of.get(b.index())) {
-            (Some(x), Some(y)) => x != y,
-            _ => false,
-        }
-    }
-
-    /// Returns `true` if no deliveries are pending.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Number of pending deliveries (time-series sampling).
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -382,7 +354,7 @@ mod tests {
         let second = e.next_delivery().unwrap();
         assert_eq!(second.to, NodeId::new(1));
         assert_eq!(e.now(), 3);
-        assert!(e.is_idle());
+        assert_eq!(e.pending(), 0);
     }
 
     #[test]
@@ -418,19 +390,7 @@ mod tests {
             assert_eq!(drained, inline, "tick {tick} diverged");
             assert_eq!(a.now(), b.now());
         }
-        assert!(a.is_idle() && b.is_idle());
-    }
-
-    #[test]
-    fn shard_map_detects_boundary_crossings() {
-        let mut e = Engine::new();
-        // No map: accounting inert.
-        assert!(!e.crosses_shards(NodeId::new(0), NodeId::new(1)));
-        e.set_shard_map(vec![0, 0, 1]);
-        assert!(!e.crosses_shards(NodeId::new(0), NodeId::new(1)));
-        assert!(e.crosses_shards(NodeId::new(1), NodeId::new(2)));
-        // Out-of-range nodes never count as crossings.
-        assert!(!e.crosses_shards(NodeId::new(2), NodeId::new(9)));
+        assert_eq!((a.pending(), b.pending()), (0, 0));
     }
 
     #[test]
@@ -464,7 +424,7 @@ mod tests {
             seed: 1,
         });
         e.send(NodeId::new(0), 1, msg());
-        assert!(e.is_idle());
+        assert_eq!(e.pending(), 0);
         assert_eq!(e.stats().dropped, 1);
     }
 
@@ -525,7 +485,7 @@ mod tests {
         let left = e.drain_pending();
         assert_eq!(left.len(), 1);
         assert_eq!(left[0].to, NodeId::new(2));
-        assert!(e.is_idle());
+        assert_eq!(e.pending(), 0);
         assert_eq!(e.stats(), &stats_before);
         assert_eq!(e.now(), 1, "drain must not advance the clock");
     }

@@ -38,8 +38,6 @@ use peercache_core::ChunkId;
 use peercache_graph::NodeId;
 use peercache_obs as obs;
 
-use crate::engine::Tick;
-
 /// A logical version: Lamport-style timestamp plus writer id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Version {
@@ -449,18 +447,11 @@ impl ReplicaSim {
         h
     }
 
-    /// The logical clock — handy for callers aligning [`Tick`]-based
-    /// schedules with version timestamps.
+    /// The logical clock — handy for callers aligning
+    /// [`Tick`](crate::engine::Tick)-based schedules with version
+    /// timestamps.
     pub fn clock(&self) -> u64 {
         self.clock
-    }
-
-    /// Advances the logical clock to at least `tick` (used when writes
-    /// are scheduled by simulator ticks rather than arrival order).
-    pub fn witness_tick(&mut self, tick: Tick) {
-        if tick > self.clock {
-            self.clock = tick;
-        }
     }
 
     fn store(&mut self, node: NodeId, chunk: ChunkId, version: Version) {
@@ -633,14 +624,5 @@ mod tests {
         let mut other = ReplicaSim::new(5);
         other.write(c(0), n(0), &[n(1), n(2)], all_reach);
         assert_ne!(run(), other.digest());
-    }
-
-    #[test]
-    fn witness_tick_keeps_versions_ahead_of_the_schedule() {
-        let mut sim = ReplicaSim::new(3);
-        sim.witness_tick(100);
-        let out = sim.write(c(0), n(0), &[n(1), n(2)], all_reach);
-        assert!(out.version.ts > 100);
-        assert_eq!(sim.clock(), out.version.ts);
     }
 }

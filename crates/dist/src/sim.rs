@@ -69,26 +69,12 @@ pub struct SimConfig {
     pub loss: LossConfig,
     /// Random extra delivery delay.
     pub jitter: JitterConfig,
-    /// Mid-round churn: `(tick, node)` pairs at which a peer dies.
-    /// A dead node stops bidding and serving, messages addressed to it
-    /// vanish, and any client frozen on it as provider reverts to
-    /// bidding — re-electing an ADMIN or falling back to the producer.
-    /// Entries naming the producer are ignored (the producer is the
-    /// round's anchor and cannot die). Merged with [`FaultPlan::deaths`]
-    /// into one tick-indexed schedule.
-    pub deaths: Vec<(Tick, NodeId)>,
     /// Seeded chaos plan: partitions, flapping links, grey nodes,
-    /// duplication, reordering, corruption, extra deaths.
+    /// duplication, reordering, corruption, and mid-round node deaths
+    /// ([`FaultPlan::death`]).
     pub chaos: FaultPlan,
     /// Retry / lease / election-timeout parameters.
     pub liveness: LivenessConfig,
-    /// Optional node → shard homes (region homes of a
-    /// `peercache_core::sharded::ShardedWorld`). When non-empty, every
-    /// scheduled control message whose sender and receiver live in
-    /// different shards is counted on `dist.cross_shard_msgs` — the
-    /// wire-level view of the sharded world's router traffic. Empty
-    /// (the default) keeps the accounting inert.
-    pub shard_map: Vec<u32>,
 }
 
 impl Default for SimConfig {
@@ -102,10 +88,8 @@ impl Default for SimConfig {
             max_ticks: 100_000,
             loss: LossConfig::default(),
             jitter: JitterConfig::default(),
-            deaths: Vec::new(),
             chaos: FaultPlan::default(),
             liveness: LivenessConfig::default(),
-            shard_map: Vec::new(),
         }
     }
 }
@@ -377,9 +361,6 @@ impl Wire {
                         copy > 0,
                         ctx,
                     );
-                    if scheduled && obs::enabled() && self.engine.crosses_shards(from, to) {
-                        obs::counter("dist.cross_shard_msgs").incr();
-                    }
                     if !scheduled && self.trace.is_some() {
                         obs::emit_span(
                             message_span_name(msg.kind()),
@@ -532,13 +513,9 @@ pub fn run_chunk_round(
     // but the JSONL sink, so outcomes are identical with tracing on or
     // off.
     let tracing = obs::enabled();
-    let mut engine = Engine::with_faults(cfg.loss, cfg.jitter);
-    if !cfg.shard_map.is_empty() {
-        engine.set_shard_map(cfg.shard_map.clone());
-    }
     let mut wire = Wire {
-        engine,
-        chaos: ChaosState::compile(&cfg.chaos, &cfg.deaths),
+        engine: Engine::with_faults(cfg.loss, cfg.jitter),
+        chaos: ChaosState::compile(&cfg.chaos),
         trace: tracing.then(|| RoundTrace {
             trace: round_trace_id(net, cfg, chunk),
             next_span: ROOT_SPAN + 1,
@@ -1600,7 +1577,7 @@ mod tests {
         for &victim in &baseline.admins {
             for t in 1..=baseline.ticks {
                 let cfg = SimConfig {
-                    deaths: vec![(t, victim)],
+                    chaos: FaultPlan::default().death(t, victim),
                     ..Default::default()
                 };
                 let out = run_chunk_round(&net, &views, ChunkId::new(0), &cfg);
@@ -1622,7 +1599,9 @@ mod tests {
         let (views, _) = build_views(&net, 2).unwrap();
         let victims = [NodeId::new(0), NodeId::new(24)];
         let cfg = SimConfig {
-            deaths: vec![(1, victims[0]), (2, victims[1])],
+            chaos: FaultPlan::default()
+                .death(1, victims[0])
+                .death(2, victims[1]),
             ..Default::default()
         };
         let out = run_chunk_round(&net, &views, ChunkId::new(0), &cfg);
@@ -1638,7 +1617,7 @@ mod tests {
         let net = paper_grid(4).unwrap();
         let (views, _) = build_views(&net, 2).unwrap();
         let cfg = SimConfig {
-            deaths: vec![(1, net.producer())],
+            chaos: FaultPlan::default().death(1, net.producer()),
             ..Default::default()
         };
         let out = run_chunk_round(&net, &views, ChunkId::new(0), &cfg);
@@ -1660,7 +1639,9 @@ mod tests {
                 max_extra_ticks: 2,
                 seed: 4,
             },
-            deaths: vec![(5, NodeId::new(3)), (40, NodeId::new(12))],
+            chaos: FaultPlan::default()
+                .death(5, NodeId::new(3))
+                .death(40, NodeId::new(12)),
             ..Default::default()
         };
         let a = round(5, 2, &cfg);

@@ -21,11 +21,9 @@
 //!   triangle-inequality bounds and a k-hop-ball exact fallback (the
 //!   O(L·N) substitute for all-pairs state at scale).
 //! * [`regions`] — deterministic bounded-size region partitioning with
-//!   border sets and k-hop halos (the hierarchical planner's
-//!   decomposition).
+//!   k-hop halos (the hierarchical planner's decomposition).
 //! * [`steiner`] — a metric-closure 2-approximation of the Steiner tree
 //!   (the dissemination-tree phase of the approximation algorithm).
-//! * [`export`] — DOT / CSV serialization for debugging and plotting.
 //!
 //! # Example
 //!
@@ -50,7 +48,6 @@ mod graph;
 pub mod analysis;
 pub mod builders;
 pub mod components;
-pub mod export;
 pub mod mst;
 pub mod oracle;
 pub mod paths;

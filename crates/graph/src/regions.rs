@@ -9,11 +9,10 @@
 //! node and edge once, is fully deterministic for a given `(graph,
 //! max_size, seed)`, and never leaves a node unassigned.
 //!
-//! The partition also exposes the **border set** — nodes with at least
-//! one neighbor in a different region — and k-hop *halos* around each
-//! region, which is exactly the locality the paper's distributed
-//! Algorithm 2 exchanges messages over: planning a region only needs
-//! exact cost state for its own nodes plus a k-hop fringe.
+//! The partition also exposes k-hop *halos* around each region, which
+//! is exactly the locality the paper's distributed Algorithm 2
+//! exchanges messages over: planning a region only needs exact cost
+//! state for its own nodes plus a k-hop fringe.
 
 use crate::graph::{Graph, NodeId};
 
@@ -36,8 +35,6 @@ pub struct RegionPartition {
     region_of: Vec<u32>,
     /// Node lists per region, each sorted ascending.
     regions: Vec<Vec<NodeId>>,
-    /// `true` for nodes with a neighbor in another region.
-    border: Vec<bool>,
 }
 
 impl RegionPartition {
@@ -92,19 +89,7 @@ impl RegionPartition {
             members.sort_unstable();
             regions.push(members);
         }
-
-        let mut border = vec![false; n];
-        for (u, v) in g.edges() {
-            if region_of[u.index()] != region_of[v.index()] {
-                border[u.index()] = true;
-                border[v.index()] = true;
-            }
-        }
-        RegionPartition {
-            region_of,
-            regions,
-            border,
-        }
+        RegionPartition { region_of, regions }
     }
 
     /// Number of regions.
@@ -131,25 +116,6 @@ impl RegionPartition {
     #[must_use]
     pub fn region_of(&self, node: NodeId) -> usize {
         self.region_of[node.index()] as usize
-    }
-
-    /// Whether `node` has a neighbor in a different region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of bounds.
-    #[must_use]
-    pub fn is_border(&self, node: NodeId) -> bool {
-        self.border[node.index()]
-    }
-
-    /// All border nodes, sorted ascending.
-    #[must_use]
-    pub fn border_nodes(&self) -> Vec<NodeId> {
-        (0..self.border.len())
-            .filter(|&u| self.border[u])
-            .map(NodeId::new)
-            .collect()
     }
 
     /// The k-hop halo of region `r`: nodes *outside* the region within
@@ -202,37 +168,6 @@ impl RegionPartition {
         ball.sort_unstable();
         ball
     }
-
-    /// Per-node flags: `true` when the node lies within `k` hops of any
-    /// border node (including the border nodes themselves). This is the
-    /// stitch scope of the hierarchical planner.
-    #[must_use]
-    pub fn near_border(&self, g: &Graph, k: u32) -> Vec<bool> {
-        let n = g.node_count();
-        let mut depth = vec![u32::MAX; n];
-        let mut queue: Vec<NodeId> = Vec::new();
-        for (u, d) in depth.iter_mut().enumerate() {
-            if self.border[u] {
-                *d = 0;
-                queue.push(NodeId::new(u));
-            }
-        }
-        let mut head = 0usize;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            if depth[u.index()] == k {
-                continue;
-            }
-            for v in g.neighbors(u) {
-                if depth[v.index()] == u32::MAX {
-                    depth[v.index()] = depth[u.index()] + 1;
-                    queue.push(v);
-                }
-            }
-        }
-        depth.into_iter().map(|d| d != u32::MAX).collect()
-    }
 }
 
 #[cfg(test)]
@@ -282,13 +217,9 @@ mod tests {
     }
 
     #[test]
-    fn borders_and_halos_are_consistent() {
+    fn halos_are_consistent() {
         let g = builders::grid(6, 6);
         let p = RegionPartition::grow(&g, 9, 11);
-        for u in g.nodes() {
-            let crosses = g.neighbors(u).any(|v| p.region_of(v) != p.region_of(u));
-            assert_eq!(p.is_border(u), crosses);
-        }
         for r in 0..p.region_count() {
             let halo = p.halo_of(&g, r, 1);
             for &h in &halo {
@@ -296,10 +227,6 @@ mod tests {
                 assert!(g.neighbors(h).any(|v| p.region_of(v) == r));
             }
             assert!(p.halo_of(&g, r, 0).is_empty());
-        }
-        let near = p.near_border(&g, 0);
-        for u in g.nodes() {
-            assert_eq!(near[u.index()], p.is_border(u));
         }
     }
 
@@ -328,6 +255,6 @@ mod tests {
         let g = builders::grid(4, 4);
         let p = RegionPartition::grow(&g, 100, 5);
         assert_eq!(p.region_count(), 1);
-        assert!(p.border_nodes().is_empty());
+        assert!(p.halo_of(&g, 0, 1).is_empty());
     }
 }

@@ -16,6 +16,7 @@
 //! | O1 | `obs::span!`/`event!`/counter/gauge/histogram/`TimeSeries` names must be string literals registered in `obs::names`; registered names must also be emitted somewhere | everywhere except `obs`, `lint` |
 //! | S1 | no `AllPairsPaths::compute`/`compute_with` call sites | everywhere except `graph::paths`, `graph::oracle`, `core::costs`, `core::scoped` |
 //! | R1 | no `arena_mut(...)`/`apply_cross(...)` call sites (shard state mutates only via `CrossShardEvent`s through the router) | everywhere except `core::shard`, `core::sharded` |
+//! | U1 | a non-test `pub fn` must be named somewhere besides its own definition and its own file's tests; never waivable ([`unreferenced_pub_fns`]) | `crates/*/src` |
 //!
 //! Semantic rules (`--deep` pass: item parser + call graph + dataflow,
 //! see [`parser`], [`dataflow`], [`semantic`]):
@@ -81,6 +82,108 @@ pub fn dead_registered_names(
             _ => None,
         })
         .collect()
+}
+
+/// Rule U1: a non-test `pub fn` under `crates/*/src` whose name appears
+/// as an identifier token in no other file, and in its own file only
+/// inside test regions, is public surface nothing uses.
+///
+/// `files` holds `(workspace-relative path, source)` for every file that
+/// may name a function: each member's `src/`, `tests/` and `benches/`,
+/// the root package's `src/`, `tests/` and `examples/`, and the benchmark
+/// package's `src/` and `tests/`. Definitions are taken only from
+/// `crates/<member>/src/` paths. A reference is any identifier token with
+/// the function's name, not a resolved call edge, so a name shared with
+/// any live item keeps the function; rustc's `dead_code` already covers
+/// private and `pub(crate)` items, which this rule leaves alone.
+pub fn unreferenced_pub_fns(files: &[(String, String)]) -> Vec<Violation> {
+    struct Scanned<'a> {
+        rel: &'a str,
+        src: &'a str,
+        toks: Vec<lexer::Tok>,
+        in_test: Vec<bool>,
+    }
+    let scanned: Vec<Scanned> = files
+        .iter()
+        .map(|(rel, src)| {
+            let toks = lexer::tokenize(src);
+            let in_test = lexer::mark_test_regions(&toks);
+            Scanned {
+                rel,
+                src,
+                toks,
+                in_test,
+            }
+        })
+        .collect();
+    fn ident(t: &lexer::Tok) -> Option<&str> {
+        match &t.kind {
+            lexer::TokKind::Ident(s) => Some(s),
+            _ => None,
+        }
+    }
+    // How many files name each identifier anywhere, tests included.
+    let mut files_naming: std::collections::BTreeMap<&str, usize> = Default::default();
+    for f in &scanned {
+        let names: std::collections::BTreeSet<&str> = f.toks.iter().filter_map(ident).collect();
+        for name in names {
+            *files_naming.entry(name).or_default() += 1;
+        }
+    }
+
+    let mut out = Vec::new();
+    for f in &scanned {
+        let mut parts = f.rel.split('/');
+        if parts.next() != Some("crates") || parts.nth(1) != Some("src") {
+            continue;
+        }
+        let live = |i: usize| {
+            if f.in_test[i] {
+                None
+            } else {
+                ident(&f.toks[i])
+            }
+        };
+        for i in 0..f.toks.len() {
+            if live(i) != Some("pub") {
+                continue;
+            }
+            // `pub [const|async|unsafe]* fn name`; `pub(crate) fn` stops
+            // at the `(`.
+            let mut j = i + 1;
+            while j < f.toks.len() && matches!(live(j), Some("const" | "async" | "unsafe")) {
+                j += 1;
+            }
+            if j + 1 >= f.toks.len() || live(j) != Some("fn") {
+                continue;
+            }
+            let Some(name) = live(j + 1) else { continue };
+            if files_naming.get(name) != Some(&1)
+                || (0..f.toks.len()).any(|k| k != j + 1 && live(k) == Some(name))
+            {
+                continue;
+            }
+            let line = f.toks[j + 1].line;
+            out.push(Violation {
+                rule: "U1",
+                file: f.rel.to_string(),
+                line,
+                snippet: f
+                    .src
+                    .lines()
+                    .nth(line as usize - 1)
+                    .map(|l| l.trim().to_string())
+                    .unwrap_or_default(),
+                message: format!(
+                    "`pub fn {name}` is named nowhere but its own definition and its own \
+                     file's tests; delete it, or move it under `#[cfg(test)]` if a test is \
+                     its only caller (U1 cannot be waived)"
+                ),
+                trace: Vec::new(),
+            });
+        }
+    }
+    out
 }
 
 /// Lint a single source file given as a string, without an O1 registry

@@ -3,7 +3,9 @@
 //! Walks every workspace member's `src/` tree (plus the root package's
 //! `src/`), lints each `.rs` file, applies `lint-waivers.toml`, and exits
 //! nonzero on any unwaived violation, stale waiver, or stale waiver
-//! metadata.
+//! metadata. Rule U1 also reads the members' `tests/` and `benches/`,
+//! the root `tests/` and `examples/`, and the benchmark package's `src/`
+//! and `tests/`, for references only.
 //!
 //! Flags:
 //! - `--deep` — additionally run the semantic pass (item parser, call
@@ -24,11 +26,13 @@ use std::time::Instant;
 use peercache_lint::waivers::{current_pr_from_changes, stale_waivers};
 use peercache_lint::{
     apply_waivers, dataflow, dead_registered_names, lint_source_with_registry, parse_waivers,
-    parser, registry_from_names_source, semantic, Violation, Waiver,
+    parser, registry_from_names_source, semantic, unreferenced_pub_fns, Violation, Waiver,
 };
 
 /// All rule identifiers, for stable JSON report ordering.
-const ALL_RULES: &[&str] = &["D1", "D2", "P1", "N1", "O1", "S1", "R1", "T1", "C1", "A1"];
+const ALL_RULES: &[&str] = &[
+    "D1", "D2", "P1", "N1", "O1", "S1", "R1", "U1", "T1", "C1", "A1",
+];
 
 struct Args {
     deep: bool,
@@ -110,6 +114,9 @@ fn run(args: &Args) -> Result<bool, String> {
     }
 
     let mut files: Vec<(String, PathBuf)> = Vec::new();
+    // Files rule U1 reads only for references: tests, benches, examples
+    // and the benchmark package.
+    let mut reference_only: Vec<(String, PathBuf)> = Vec::new();
     let crates_dir = root.join("crates");
     let mut members: Vec<PathBuf> = std::fs::read_dir(&crates_dir)
         .map_err(|e| format!("reading {}: {e}", crates_dir.display()))?
@@ -124,9 +131,20 @@ fn run(args: &Args) -> Result<bool, String> {
             .ok_or_else(|| format!("non-utf8 crate dir under {}", crates_dir.display()))?
             .to_string();
         collect_rs(&member.join("src"), &name, &mut files)?;
+        for dir in ["tests", "benches"] {
+            collect_rs(&member.join(dir), &name, &mut reference_only)?;
+        }
     }
     // The root `peercache` package (library + repro binary).
     collect_rs(&root.join("src"), "peercache", &mut files)?;
+    // The benchmark package calls library layer functions directly, so
+    // its sources count as references too.
+    for dir in ["tests", "examples", "benchmark/src", "benchmark/tests"] {
+        collect_rs(&root.join(dir), "peercache", &mut reference_only)?;
+    }
+    // Lint fixtures are lexed, never compiled: they name nothing.
+    let fixtures = root.join("crates/lint/tests/fixtures");
+    reference_only.retain(|(_, p)| !p.starts_with(&fixtures));
 
     let mut violations = Vec::new();
     // Every non-test string literal outside names.rs, for reverse-O1.
@@ -159,6 +177,16 @@ fn run(args: &Args) -> Result<bool, String> {
         names_rel,
         &literal_usages,
     ));
+    let mut u1_files: Vec<(String, String)> = sources
+        .iter()
+        .map(|(_, rel, source)| (rel.clone(), source.clone()))
+        .collect();
+    for (_, path) in &reference_only {
+        let source = std::fs::read_to_string(path)
+            .map_err(|e| format!("reading {}: {e}", path.display()))?;
+        u1_files.push((rel_path(&root, path), source));
+    }
+    violations.extend(unreferenced_pub_fns(&u1_files));
     let scanned = files.len();
 
     // Deep pass: parse every file into items, build the call graph, run

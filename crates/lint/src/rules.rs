@@ -275,9 +275,9 @@ pub fn check_tokens(
                 push(
                     "N1",
                     tok.line,
-                    "direct `==`/`!=` on a cost-valued f64; use the epsilon helpers \
-                     (`approx_eq`/`approx_zero`) or the documented exact-tie helper \
-                     (`cost_tie_eq`) in `core::costs`"
+                    "direct `==`/`!=` on a cost-valued f64; use the epsilon helper \
+                     `approx_zero` (on the difference, for two costs) or the documented \
+                     exact-tie helper `cost_tie_eq` in `core::costs`"
                         .to_string(),
                 );
             }

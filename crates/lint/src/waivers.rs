@@ -8,7 +8,8 @@
 //! unrelated edits.
 //!
 //! Hygiene is enforced here, not in the driver: a hard total budget
-//! ([`MAX_WAIVERS`]), a per-rule budget ([`MAX_WAIVERS_PER_RULE`]), and
+//! ([`MAX_WAIVERS`]), a per-rule budget ([`MAX_WAIVERS_PER_RULE`]), a
+//! zero budget for rule U1 (the parser rejects any U1 entry), and
 //! staleness — `added_in` / `re_audit_after` carry `"PR <n>"` stamps,
 //! and once the workspace moves past a waiver's `re_audit_after` PR the
 //! run fails until the site is either fixed or consciously re-waived
@@ -66,6 +67,13 @@ pub fn parse_waivers(text: &str) -> Result<Vec<Waiver>, String> {
             "re_audit_after",
             &re_audit_after.ok_or_else(|| missing("re_audit_after"))?,
         )?;
+        let rule = rule.ok_or_else(|| missing("rule"))?;
+        if rule == "U1" {
+            return Err(format!(
+                "waiver #{idx}: rule U1 cannot be waived — delete the unused \
+                 function instead"
+            ));
+        }
         if re_audit_after < added_in {
             return Err(format!(
                 "waiver #{idx}: re_audit_after (PR {re_audit_after}) precedes added_in \
@@ -73,7 +81,7 @@ pub fn parse_waivers(text: &str) -> Result<Vec<Waiver>, String> {
             ));
         }
         Ok(Waiver {
-            rule: rule.ok_or_else(|| missing("rule"))?,
+            rule,
             file: file.ok_or_else(|| missing("file"))?,
             contains: contains.ok_or_else(|| missing("contains"))?,
             justification: justification.ok_or_else(|| missing("justification"))?,

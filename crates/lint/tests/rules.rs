@@ -6,7 +6,7 @@
 //! rule's implementation makes at least one of these tests fail.
 
 use peercache_lint::waivers::{current_pr_from_changes, stale_waivers};
-use peercache_lint::{apply_waivers, lint_source, parse_waivers, Violation};
+use peercache_lint::{apply_waivers, lint_source, parse_waivers, unreferenced_pub_fns, Violation};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -283,6 +283,83 @@ re_audit_after = "PR 14"
     let report = apply_waivers(violations, &waivers);
     assert_eq!(report.waived, 0);
     assert_eq!(report.unused, vec![0]);
+}
+
+/// Runs U1 over `(path, source)` pairs and returns one message per flagged
+/// function.
+fn u1(files: &[(&str, &str)]) -> Vec<String> {
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|(p, s)| (p.to_string(), s.to_string()))
+        .collect();
+    unreferenced_pub_fns(&files)
+        .into_iter()
+        .map(|v| {
+            assert_eq!(v.rule, "U1");
+            v.message
+        })
+        .collect()
+}
+
+const U1_LIB: &str = "crates/core/src/lib_fixture.rs";
+
+#[test]
+fn u1_fires_on_an_unreferenced_pub_fn() {
+    let v = u1(&[(
+        U1_LIB,
+        "pub fn orphan() -> u32 { 7 }\npub(crate) fn internal() {}\n",
+    )]);
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert!(v[0].contains("`pub fn orphan`"), "{}", v[0]);
+}
+
+#[test]
+fn u1_fires_on_a_pub_fn_named_only_in_its_own_tests() {
+    let src = "pub fn only_tested() -> u32 { 7 }\n\
+               #[cfg(test)]\nmod tests {\n    #[test]\n    \
+               fn t() { assert_eq!(super::only_tested(), 7); }\n}\n";
+    let v = u1(&[(U1_LIB, src)]);
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert!(v[0].contains("only_tested"), "{}", v[0]);
+    // Test-only `pub fn`s are not candidates themselves.
+    let v = u1(&[(U1_LIB, "#[cfg(test)]\nmod tests { pub fn helper() {} }\n")]);
+    assert!(v.is_empty(), "{v:?}");
+}
+
+#[test]
+fn u1_is_quiet_when_anything_else_names_the_function() {
+    let def = "pub fn used() -> u32 { 7 }\n";
+    // Another workspace file: a sibling source, an integration test.
+    for user in [
+        "crates/dist/src/x.rs",
+        "crates/core/tests/x.rs",
+        "tests/x.rs",
+    ] {
+        let v = u1(&[(U1_LIB, def), (user, "fn f() { core::used(); }")]);
+        assert!(v.is_empty(), "{user}: {v:?}");
+    }
+    // The benchmark package, which calls layer functions directly.
+    let v = u1(&[
+        (U1_LIB, def),
+        ("benchmark/src/plan.rs", "fn f() { used(); }"),
+    ]);
+    assert!(v.is_empty(), "{v:?}");
+    // Its own file's non-test code.
+    let v = u1(&[(
+        U1_LIB,
+        "pub fn used() -> u32 { 7 }\npub fn caller() { used(); }\n",
+    )]);
+    assert_eq!(v.len(), 1, "only `caller` is unreferenced: {v:?}");
+    assert!(v[0].contains("`pub fn caller`"), "{}", v[0]);
+    // Files outside `crates/*/src` are references, never candidates.
+    let v = u1(&[("benchmark/src/plan.rs", def), ("tests/x.rs", def)]);
+    assert!(v.is_empty(), "{v:?}");
+}
+
+#[test]
+fn u1_cannot_be_waived() {
+    let err = parse_waivers(&entry("U1", 0)).unwrap_err();
+    assert!(err.contains("cannot be waived"), "{err}");
 }
 
 /// A complete, valid waiver entry with the given rule, for budget tests.

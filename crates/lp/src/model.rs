@@ -161,11 +161,6 @@ impl Model {
         (0..self.var_count()).map(VarId)
     }
 
-    /// Number of constraint rows in the model.
-    pub fn constraint_count(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Name of a variable.
     ///
     /// # Panics
@@ -303,7 +298,7 @@ mod tests {
         let y = m.add_binary_var("y", 3.0);
         m.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Ge, 1.0);
         assert_eq!(m.var_count(), 2);
-        assert_eq!(m.constraint_count(), 1);
+        assert_eq!(m.constraints.len(), 1);
         assert!(!m.is_integer(x));
         assert!(m.is_integer(y));
         assert_eq!(m.bounds(y), (0.0, 1.0));

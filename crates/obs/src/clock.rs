@@ -2,7 +2,7 @@
 //!
 //! Lint rule D2 keeps ambient time sources (`Instant::now`, `SystemTime`)
 //! out of the deterministic crates; code there that wants wall-clock
-//! measurements (e.g. churn-repair timing in `core::world`) takes a
+//! measurements (e.g. churn-repair timing in `core::world`) reads a
 //! [`MonotonicClock`] instead. The default reads real elapsed time from the
 //! process-wide telemetry epoch; tests freeze it for reproducible output.
 

@@ -33,7 +33,7 @@
 //! ```json
 //! {"ts_us":120,"kind":"span","name":"dual_ascent","dur_us":431,"chunk":0,"rounds":17}
 //! {"ts_us":552,"kind":"event","name":"plan_chunk","planner":"Appx","cost_total":96.5}
-//! {"ts_us":901,"kind":"counter","name":"dist.cross_shard_msgs","value":1204}
+//! {"ts_us":901,"kind":"counter","name":"dist.msg.tight","value":1204}
 //! {"ts_us":902,"kind":"histogram","name":"plan.chunk_us","count":5,"sum":2125,"min":311,"max":612}
 //! ```
 //!

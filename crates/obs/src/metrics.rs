@@ -198,12 +198,13 @@ fn intern<T: Default>(
     wrap: impl Fn(&'static T) -> Metric,
 ) -> &'static T {
     let mut reg = registry().lock().expect("metric registry poisoned");
-    for (n, metric) in reg.iter() {
-        if *n == name {
-            return pick(metric).unwrap_or_else(|| {
-                panic!("metric {name:?} already registered with a different type")
-            });
-        }
+    if let Some((_, metric)) = reg.iter().find(|(n, _)| *n == name) {
+        let found = pick(metric);
+        // Release the lock before a type clash panics: a panic under
+        // the guard would poison the registry for the whole process.
+        drop(reg);
+        return found
+            .unwrap_or_else(|| panic!("metric {name:?} already registered with a different type"));
     }
     let handle: &'static T = Box::leak(Box::default());
     reg.push((name, wrap(handle)));
@@ -406,6 +407,19 @@ mod tests {
     fn type_confusion_panics() {
         counter("test.confused");
         gauge("test.confused");
+    }
+
+    #[test]
+    fn type_clash_leaves_the_registry_usable() {
+        counter("test.clash");
+        let clash = std::panic::catch_unwind(|| gauge("test.clash"));
+        assert!(clash.is_err(), "a type clash must still panic");
+        // The registry is not poisoned: later metrics register and
+        // snapshot as usual.
+        counter("test.clash.after").incr();
+        assert!(snapshot_metrics()
+            .iter()
+            .any(|s| s.name == "test.clash.after"));
     }
 
     #[test]

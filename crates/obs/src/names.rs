@@ -18,7 +18,6 @@ pub const REGISTERED_NAMES: &[&str] = &[
     "bench.run",
     "bench.walltime_by_size",
     "core.dual_ascent",
-    "dist.cross_shard_msgs",
     "dist.degraded_clients",
     "dist.deposition",
     "dist.election",

@@ -5,7 +5,8 @@
 //! metric registry — so cloning a world clones its telemetry and two
 //! identical runs record identical series. Timestamps are supplied by
 //! the caller (simulation ticks, event indices, or an injected
-//! [`MonotonicClock`]); the recorder never reads ambient time.
+//! [`MonotonicClock`](crate::MonotonicClock)); the recorder never reads
+//! ambient time.
 //!
 //! Capacity is bounded by **decimation**: the recorder keeps every
 //! `stride`-th offered sample, and whenever the buffer fills it drops
@@ -13,7 +14,6 @@
 //! is a pure function of the offered sample sequence, so replays emit
 //! byte-identical series.
 
-use crate::clock::MonotonicClock;
 use crate::sink::{enabled, write_record};
 
 /// Default point capacity of a [`TimeSeries`].
@@ -90,11 +90,6 @@ impl TimeSeries {
         self.offered += 1;
     }
 
-    /// Offers one sample stamped by `clock`.
-    pub fn record_now(&mut self, clock: &MonotonicClock, v: i64) {
-        self.record(clock.now_us(), v);
-    }
-
     /// Writes the series as one `timeseries` JSONL record (no-op when
     /// tracing is off):
     ///
@@ -169,13 +164,5 @@ mod tests {
             assert!(ts.points().len() <= 16);
         }
         assert_eq!(ts.offered(), 10_000);
-    }
-
-    #[test]
-    fn fixed_clock_recording_is_deterministic() {
-        let clock = MonotonicClock::Fixed(77);
-        let mut ts = TimeSeries::new("world.components");
-        ts.record_now(&clock, 3);
-        assert_eq!(ts.points(), &[(77, 3)]);
     }
 }

@@ -8,7 +8,6 @@
 //!
 //! Run with: `cargo run --example online_sharing`
 
-use peercache::online::OnlineCache;
 use peercache::prelude::*;
 
 fn main() -> Result<(), CoreError> {
@@ -16,7 +15,7 @@ fn main() -> Result<(), CoreError> {
     const RETENTION: usize = 6;
 
     let network = paper_grid(5)?;
-    let mut cache = OnlineCache::new(network, ApproxConfig::default()).with_retention(RETENTION);
+    let mut cache = CacheWorld::new(network, ApproxConfig::default()).with_retention(RETENTION);
 
     println!("online session: {ARRIVALS} arrivals, retention window {RETENTION} chunks\n");
     println!(

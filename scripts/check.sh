@@ -17,8 +17,9 @@ run() {
 }
 
 run cargo fmt --all --check
-# Domain rules first (D1/D2/P1/N1/O1, see DESIGN.md §11): fails on any
-# unwaived violation or stale entry in lint-waivers.toml.
+# Domain rules first (D1/D2/P1/N1/O1/S1/R1/U1, see DESIGN.md §11): fails
+# on any unwaived violation or stale entry in lint-waivers.toml; U1
+# (unreferenced `pub fn`) admits no waiver.
 run cargo run -p peercache-lint --quiet
 if [[ $fast -eq 0 ]]; then
     # Deep semantic pass (T1/C1/A1, see DESIGN.md §16): item parser +

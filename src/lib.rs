@@ -41,8 +41,8 @@
 #![warn(missing_docs)]
 
 pub use peercache_core::{
-    approx, baselines, costs, exact, instance, metrics, online, placement, planner, replication,
-    report, scoped, shard, sharded, workload, world, ChunkId, CoreError, Network, PartitionPolicy,
+    approx, baselines, costs, exact, instance, metrics, placement, planner, replication, report,
+    scoped, shard, sharded, workload, world, ChunkId, CoreError, Network, PartitionPolicy,
 };
 pub use peercache_dist as dist;
 pub use peercache_graph as graph;

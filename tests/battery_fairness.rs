@@ -99,7 +99,6 @@ fn exact_solver_honors_battery_costs_too() {
 
 #[test]
 fn draining_battery_over_time_rotates_load_online() {
-    use peercache::online::OnlineCache;
     let net = paper_grid(5).unwrap();
     let config = ApproxConfig {
         weights: CostWeights {
@@ -108,7 +107,7 @@ fn draining_battery_over_time_rotates_load_online() {
         },
         ..Default::default()
     };
-    let mut cache = OnlineCache::new(net, config).with_retention(3);
+    let mut cache = CacheWorld::new(net, config).with_retention(3);
     // Caching costs energy: every selected host loses 20% battery per
     // hosted chunk. The planner must keep rotating to charged peers.
     let mut hosts_over_time: Vec<Vec<NodeId>> = Vec::new();

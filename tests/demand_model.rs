@@ -85,10 +85,9 @@ fn distributed_reporting_respects_interest() {
 
 #[test]
 fn online_cache_honors_interest_of_future_chunks() {
-    use peercache::online::OnlineCache;
     let mut net = paper_grid(4).unwrap();
     net.set_interest(ChunkId::new(1), [NodeId::new(0)]).unwrap();
-    let mut cache = OnlineCache::new(net, ApproxConfig::default());
+    let mut cache = CacheWorld::new(net, ApproxConfig::default());
     let first = cache.insert_chunk().unwrap();
     assert_eq!(first.assignment.len(), 15);
     let second = cache.insert_chunk().unwrap();
