@@ -12,9 +12,10 @@
 //!    each extended by a `k`-hop halo.
 //! 2. **[`ScopedContention`]** — per region, the exact pairwise costs
 //!    from the region's nodes to everything in its `k`-hop demand ball
-//!    (region ∪ halo), computed on the induced block subgraph and kept
-//!    as lean `cost f64 + hops u32` rows (12 B/pair, no parent
-//!    pointers). Because every hop-shortest path between nodes at hop
+//!    (region ∪ halo), solved for the region's rows only over the
+//!    subgraph the ball induces ([`induced_rows`]) and kept as lean
+//!    `cost f64 + hops u32` rows (12 B/pair, no parent pointers).
+//!    Because every hop-shortest path between nodes at hop
 //!    distance `h ≤ k` stays inside the `k`-ball, these block values
 //!    are **bit-identical** to the dense matrix for all pairs within
 //!    `k` hops. Everything else — pairs outside both endpoints' balls,
@@ -38,7 +39,9 @@
 //! landmark vectors.
 
 use peercache_graph::oracle::LandmarkOracle;
-use peercache_graph::paths::{dijkstra_edge_weighted, AllPairsPaths, Parallelism, PathSelection};
+use peercache_graph::paths::{
+    dijkstra_edge_weighted, induced_rows, AllPairsPaths, Parallelism, PathSelection,
+};
 use peercache_graph::regions::RegionPartition;
 use peercache_graph::NodeId;
 use peercache_obs as obs;
@@ -49,9 +52,6 @@ use crate::instance::{ConflCosts, ConflInstance, SetCosts};
 use crate::placement::{ChunkPlacement, Placement};
 use crate::planner::{chunk_span, finish_chunk_span, CachePlanner};
 use crate::{ChunkId, CoreError, Network};
-
-/// Hop sentinel for pairs unreachable inside a block.
-const FAR: u32 = u32::MAX;
 
 /// Tuning parameters of the scoped contention store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,8 +89,8 @@ struct Block {
     cols: Vec<NodeId>,
     /// Closed pair costs, `rows.len() × cols.len()`, row-major.
     cost: Vec<f64>,
-    /// Routed hop counts, same shape; [`FAR`] when unreachable inside
-    /// the block.
+    /// Routed hop counts, same shape; `u32::MAX` when unreachable
+    /// inside the block.
     hops: Vec<u32>,
 }
 
@@ -127,8 +127,9 @@ pub struct ScopedContention {
 
 impl ScopedContention {
     /// Builds the scoped store for the network's current caching state:
-    /// grows the region partition, computes every region block on its
-    /// induced subgraph (fanned out over `parallelism`), and builds the
+    /// grows the region partition, solves every block's region rows over
+    /// the subgraph its region ∪ halo induces ([`induced_rows`], one
+    /// block per task, fanned out over `parallelism`), and builds the
     /// landmark oracle.
     ///
     /// # Errors
@@ -473,8 +474,8 @@ fn build_blocks(
     Ok(out)
 }
 
-/// Computes one region's block: all-pairs paths on the induced
-/// region-∪-halo subgraph, then only the region rows are kept as lean
+/// Computes one region's block: the region's rows of shortest paths
+/// over the subgraph region ∪ halo induces ([`induced_rows`]), as lean
 /// `cost + hops` arrays.
 fn build_block(
     net: &Network,
@@ -486,26 +487,8 @@ fn build_block(
 ) -> Result<Block, CoreError> {
     let g = net.graph();
     let rows: Vec<NodeId> = partition.region(r).to_vec();
-    let halo = partition.halo_of(g, r, halo_hops);
-    let mut cols = Vec::with_capacity(rows.len() + halo.len());
-    cols.extend_from_slice(&rows);
-    cols.extend_from_slice(&halo);
-    cols.sort_unstable();
-    let (sub, originals) = g.induced_subgraph(&cols)?;
-    let local_terms: Vec<f64> = originals.iter().map(|&x| terms[x.index()]).collect();
-    let ap = AllPairsPaths::compute_with(&sub, &local_terms, selection, Parallelism::Sequential)?;
-    let c = cols.len();
-    let mut cost = Vec::with_capacity(rows.len() * c);
-    let mut hops = Vec::with_capacity(rows.len() * c);
-    for &u in &rows {
-        let lu = cols
-            .binary_search(&u)
-            .expect("region rows are block columns");
-        for lv in 0..c {
-            cost.push(ap.cost(NodeId::new(lu), NodeId::new(lv)));
-            hops.push(ap.hops(NodeId::new(lu), NodeId::new(lv)).unwrap_or(FAR));
-        }
-    }
+    let cols = partition.ball_of(g, r, halo_hops);
+    let (cost, hops) = induced_rows(g, &cols, &rows, terms, selection)?;
     Ok(Block {
         rows,
         cols,
@@ -1181,6 +1164,74 @@ mod tests {
                     "updated store diverged at ({u},{v})"
                 );
             }
+        }
+    }
+
+    /// Reference construction: `AllPairsPaths` over the whole induced
+    /// region-∪-halo subgraph, the region rows read off by position.
+    fn reference_block(
+        net: &Network,
+        partition: &RegionPartition,
+        terms: &[f64],
+        selection: PathSelection,
+        r: usize,
+    ) -> Block {
+        let g = net.graph();
+        let rows = partition.region(r).to_vec();
+        let cols = partition.ball_of(g, r, small_cfg().halo_hops);
+        let (sub, originals) = g.induced_subgraph(&cols).unwrap();
+        let local_terms: Vec<f64> = originals.iter().map(|&x| terms[x.index()]).collect();
+        let ap = AllPairsPaths::compute(&sub, &local_terms, selection).unwrap();
+        let (mut cost, mut hops) = (Vec::new(), Vec::new());
+        for u in &rows {
+            let lu = NodeId::new(cols.binary_search(u).unwrap());
+            for lv in (0..cols.len()).map(NodeId::new) {
+                cost.push(ap.cost(lu, lv));
+                hops.push(ap.hops(lu, lv).unwrap_or(u32::MAX));
+            }
+        }
+        Block {
+            rows,
+            cols,
+            cost,
+            hops,
+        }
+    }
+
+    #[test]
+    fn blocks_equal_the_induced_all_pairs_reference() {
+        let mut net = grid_net(8, 4);
+        let cfg = small_cfg();
+        let partition = RegionPartition::grow(net.graph(), cfg.region_max, cfg.seed);
+        for (v, c) in [(3, 0), (20, 0), (20, 1), (42, 2), (57, 0)] {
+            net.cache(NodeId::new(v), ChunkId::new(c)).unwrap();
+        }
+        // Cut links inside balls over the retained partition: node 27
+        // keeps two links and the departed node 44 none, so some pairs
+        // are unreachable inside their block.
+        for (u, v) in [(26, 27), (27, 28)] {
+            assert!(net.remove_link(NodeId::new(u), NodeId::new(v)).unwrap());
+        }
+        net.deactivate_node(NodeId::new(44)).unwrap();
+        let terms = node_contention_terms(&net);
+        let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
+            let mut unreachable = 0;
+            for r in 0..partition.region_count() {
+                let block =
+                    build_block(&net, &partition, &terms, cfg.halo_hops, selection, r).unwrap();
+                let reference = reference_block(&net, &partition, &terms, selection, r);
+                assert_eq!(block.rows, reference.rows);
+                assert_eq!(block.cols, reference.cols);
+                assert_eq!(block.hops, reference.hops, "block {r}, {selection:?}");
+                assert_eq!(
+                    bits(&block.cost),
+                    bits(&reference.cost),
+                    "block {r}, {selection:?}"
+                );
+                unreachable += block.cost.iter().filter(|c| c.is_infinite()).count();
+            }
+            assert!(unreachable > 0, "no cut left a pair unreachable in a block");
         }
     }
 

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use peercache_graph::{GraphError, NodeId};
+use peercache_graph::GraphError;
 
 /// An error raised by the distributed protocol layers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,14 +16,6 @@ pub enum ProtocolError {
     /// A graph operation on a local view failed (invalid node, short term
     /// vector).
     Graph(GraphError),
-    /// A k-hop view member vanished between neighborhood discovery and
-    /// subgraph construction.
-    ViewMemberMissing {
-        /// The node whose view was being built.
-        center: NodeId,
-        /// The member that could not be located in the induced subgraph.
-        member: NodeId,
-    },
     /// The event queue referenced a payload slot that holds no delivery —
     /// the engine's queue/payload bookkeeping diverged.
     MissingPayload {
@@ -38,7 +30,6 @@ impl ProtocolError {
     pub fn kind(&self) -> &'static str {
         match self {
             ProtocolError::Graph(_) => "Graph",
-            ProtocolError::ViewMemberMissing { .. } => "ViewMemberMissing",
             ProtocolError::MissingPayload { .. } => "MissingPayload",
         }
     }
@@ -48,10 +39,6 @@ impl fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ProtocolError::Graph(e) => write!(f, "local view graph operation failed: {e}"),
-            ProtocolError::ViewMemberMissing { center, member } => write!(
-                f,
-                "k-hop member {member} of node {center} missing from the induced subgraph"
-            ),
             ProtocolError::MissingPayload { slot } => {
                 write!(f, "event queue referenced empty payload slot {slot}")
             }

@@ -7,9 +7,13 @@
 //! Estimates are conservative: paths leaving the k-hop ball are
 //! invisible, so a local estimate is never lower than the true global
 //! cost restricted to local routes.
+//!
+//! A node prices only its own paths, so a view is one shortest-path row
+//! from the center over the subgraph its ball induces
+//! ([`induced_rows`]), not an all-pairs table of the ball.
 
 use peercache_core::Network;
-use peercache_graph::paths::{k_hop_neighborhood, AllPairsPaths, PathSelection};
+use peercache_graph::paths::{induced_rows, k_hop_neighborhood, PathSelection};
 use peercache_graph::NodeId;
 
 use crate::error::ProtocolError;
@@ -71,15 +75,25 @@ impl LocalView {
 /// Builds every client's local view for the network's current state and
 /// accounts the CC message traffic (one request + one reply per member).
 ///
+/// Each node reports its own degree and load, so a view prices node `v`
+/// at `degree(v) · (1 + used(v))` — the producer included, which the
+/// centralized [`ContentionMatrix`](peercache_core::costs::ContentionMatrix)
+/// prices at its distinct-chunk count instead.
+///
 /// # Errors
 ///
-/// Returns [`ProtocolError`] if a k-hop member cannot be mapped into its
-/// induced subgraph — only possible if the graph mutates mid-build.
+/// Returns [`ProtocolError::Graph`] if the path solver rejects a ball —
+/// not possible for a ball [`k_hop_neighborhood`] returned on the same
+/// graph.
 pub fn build_views(
     net: &Network,
     k_hops: u32,
 ) -> Result<(Vec<LocalView>, MessageStats), ProtocolError> {
     let graph = net.graph();
+    let terms: Vec<f64> = graph
+        .nodes()
+        .map(|v| graph.degree(v) as f64 * (1.0 + net.used(v) as f64))
+        .collect();
     let mut stats = MessageStats::default();
     let mut views = Vec::with_capacity(graph.node_count());
     for center in graph.nodes() {
@@ -87,36 +101,15 @@ pub fn build_views(
         if center != net.producer() {
             stats.add(MessageKind::Cc, 2 * members.len() as u64);
         }
-        // Induced subgraph over {center} ∪ members with *global* node
-        // terms (each node reports its own degree and load).
-        let mut keep = Vec::with_capacity(members.len() + 1);
-        keep.push(center);
-        keep.extend_from_slice(&members);
-        keep.sort_unstable();
-        let (sub, originals) = graph.induced_subgraph(&keep)?;
-        let terms: Vec<f64> = originals
-            .iter()
-            .map(|&o| graph.degree(o) as f64 * (1.0 + net.used(o) as f64))
-            .collect();
-        let paths = AllPairsPaths::compute(&sub, &terms, PathSelection::FewestHops)?;
-        let local_index = |node: NodeId| -> Result<NodeId, ProtocolError> {
-            originals
-                .iter()
-                .position(|&o| o == node)
-                .map(NodeId::new)
-                .ok_or(ProtocolError::ViewMemberMissing {
-                    center,
-                    member: node,
-                })
-        };
-        let center_local = local_index(center)?;
-        let mut cost = Vec::with_capacity(members.len());
-        let mut hops = Vec::with_capacity(members.len());
-        for &m in &members {
-            let m_local = local_index(m)?;
-            cost.push(paths.cost(center_local, m_local));
-            hops.push(paths.hops(center_local, m_local).unwrap_or(u32::MAX));
-        }
+        // The ball {center} ∪ members, ascending: the center goes where
+        // its id sorts, and its own column is dropped from the row.
+        let at = members.partition_point(|&m| m < center);
+        let mut ball = members.clone();
+        ball.insert(at, center);
+        let (mut cost, mut hops) =
+            induced_rows(graph, &ball, &[center], &terms, PathSelection::FewestHops)?;
+        cost.remove(at);
+        hops.remove(at);
         views.push(LocalView {
             center,
             members,
@@ -130,8 +123,77 @@ pub fn build_views(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peercache_core::workload::paper_grid;
+    use peercache_core::workload::{paper_grid, paper_random};
     use peercache_core::ChunkId;
+    use peercache_graph::paths::AllPairsPaths;
+
+    /// Reference construction: the ball's induced subgraph,
+    /// `AllPairsPaths` over all of it, and the center's row read off by
+    /// position.
+    fn reference_views(net: &Network, k_hops: u32) -> Vec<LocalView> {
+        let graph = net.graph();
+        graph
+            .nodes()
+            .map(|center| {
+                let members = k_hop_neighborhood(graph, center, k_hops);
+                let mut keep = members.clone();
+                keep.push(center);
+                keep.sort_unstable();
+                let (sub, originals) = graph.induced_subgraph(&keep).unwrap();
+                let terms: Vec<f64> = originals
+                    .iter()
+                    .map(|&o| graph.degree(o) as f64 * (1.0 + net.used(o) as f64))
+                    .collect();
+                let paths =
+                    AllPairsPaths::compute(&sub, &terms, PathSelection::FewestHops).unwrap();
+                let local =
+                    |node: NodeId| NodeId::new(originals.iter().position(|&o| o == node).unwrap());
+                let c = local(center);
+                LocalView {
+                    center,
+                    cost: members.iter().map(|&m| paths.cost(c, local(m))).collect(),
+                    hops: members
+                        .iter()
+                        .map(|&m| paths.hops(c, local(m)).unwrap_or(u32::MAX))
+                        .collect(),
+                    members,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn views_equal_the_induced_ball_reference() {
+        let nets = [
+            paper_grid(7).unwrap(),
+            paper_random(60, 3).unwrap(),
+            paper_random(90, 11).unwrap(),
+        ];
+        for mut net in nets {
+            // Load every third client with one to three chunks, so node
+            // terms differ and equal-hop ties break on cost.
+            let n = net.node_count();
+            for (i, v) in (0..n).step_by(3).map(NodeId::new).enumerate() {
+                if v != net.producer() {
+                    for c in 0..=(i % 3) {
+                        net.cache(v, ChunkId::new(c)).unwrap();
+                    }
+                }
+            }
+            for k in 1..=3 {
+                let (views, _) = build_views(&net, k).unwrap();
+                let reference = reference_views(&net, k);
+                assert_eq!(views.len(), reference.len());
+                for (v, r) in views.iter().zip(&reference) {
+                    assert_eq!(v.center(), r.center());
+                    assert_eq!(v.members(), r.members(), "k={k} center {}", v.center());
+                    assert_eq!(v.hops, r.hops, "k={k} center {}", v.center());
+                    let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&v.cost), bits(&r.cost), "k={k} center {}", v.center());
+                }
+            }
+        }
+    }
 
     #[test]
     fn two_hop_view_of_a_grid_center() {
@@ -167,11 +229,18 @@ mod tests {
 
     #[test]
     fn producer_sends_no_cc_traffic() {
-        let net = paper_grid(3).unwrap(); // producer clamped to node 8? no: min(9, 8) = 8
-        let (_, stats) = build_views(&net, 2).unwrap();
-        // Every client pays 2 messages per member; just sanity-check the
-        // total is consistent with 8 clients.
-        assert!(stats[MessageKind::Cc] >= 16);
+        // 3x3 grid, producer min(9, 8) = 8 (a corner). Two-hop balls:
+        // 5 members at a corner, 6 at an edge middle, 8 at the center.
+        let net = paper_grid(3).unwrap();
+        assert_eq!(net.producer(), NodeId::new(8));
+        let (views, stats) = build_views(&net, 2).unwrap();
+        let clients: u64 = views
+            .iter()
+            .filter(|v| v.center() != net.producer())
+            .map(|v| 2 * v.members().len() as u64)
+            .sum();
+        assert_eq!(stats[MessageKind::Cc], clients);
+        assert_eq!(clients, 2 * (4 * 5 + 4 * 6 + 8 - 5));
     }
 
     #[test]

@@ -29,6 +29,17 @@ pub enum GraphError {
         /// The terminal missing from the solver's candidate set.
         node: NodeId,
     },
+    /// A node list that must be strictly ascending (sorted, no
+    /// duplicates) was not.
+    UnsortedNodes {
+        /// The first entry not greater than the one before it.
+        node: NodeId,
+    },
+    /// A node that must be one of a list's members was not.
+    NotInNodeList {
+        /// The node missing from the list.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -50,6 +61,12 @@ impl fmt::Display for GraphError {
                 f,
                 "terminal {node} is not among the solver's precomputed candidates"
             ),
+            GraphError::UnsortedNodes { node } => {
+                write!(f, "node list is not strictly ascending at node {node}")
+            }
+            GraphError::NotInNodeList { node } => {
+                write!(f, "node {node} is not a member of the node list")
+            }
         }
     }
 }

@@ -378,6 +378,26 @@ impl Csr {
         Csr { offsets, targets }
     }
 
+    /// The CSR snapshot of the subgraph of `g` induced by `nodes`, read
+    /// from the members' own adjacency lists only: local id `i` is
+    /// `nodes[i]`. `nodes` must be strictly ascending and in bounds;
+    /// positions in such a list are monotone in global id, so each local
+    /// list stays ascending and the snapshot equals
+    /// `Csr::from_graph(&g.induced_subgraph(nodes)?.0)`.
+    pub(crate) fn induced(g: &Graph, nodes: &[NodeId]) -> Self {
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        let mut targets = Vec::new();
+        offsets.push(0);
+        for &u in nodes {
+            let local = g.adjacency[u.index()]
+                .iter()
+                .filter_map(|v| nodes.binary_search(v).ok());
+            targets.extend(local.map(|i| i as u32));
+            offsets.push(targets.len() as u32);
+        }
+        Csr { offsets, targets }
+    }
+
     /// Number of nodes in the snapshot.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -570,6 +590,21 @@ mod tests {
         let rebuilt = Graph::from_edges(5, &[(1, 2), (3, 4), (2, 4)]).unwrap();
         assert_eq!(g, rebuilt);
         assert_eq!(Csr::from_graph(&g), Csr::from_graph(&rebuilt));
+    }
+
+    #[test]
+    fn induced_csr_matches_the_induced_subgraph() {
+        let g = crate::builders::grid(4, 4);
+        for keep in [
+            vec![0, 1, 2, 5, 6, 9, 15],
+            vec![3, 12],
+            vec![],
+            (0..16).collect(),
+        ] {
+            let keep: Vec<NodeId> = keep.into_iter().map(NodeId::new).collect();
+            let (sub, _) = g.induced_subgraph(&keep).unwrap();
+            assert_eq!(Csr::induced(&g, &keep), Csr::from_graph(&sub), "{keep:?}");
+        }
     }
 
     #[test]

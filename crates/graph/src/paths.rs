@@ -12,7 +12,10 @@
 //!   reconstruction, under either hop-first or cost-first selection,
 //!   computable sequentially or with a scoped-thread fan-out
 //!   ([`Parallelism`]) and incrementally updatable when node costs
-//!   change ([`AllPairsPaths::update`]).
+//!   change ([`AllPairsPaths::update`]),
+//! * [`induced_rows`] — the same per-source kernel for a few sources
+//!   over the subgraph a node list induces, without building it (the
+//!   distributed views and the scoped store's blocks).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -750,6 +753,107 @@ impl AllPairsPaths {
         rev.reverse();
         Some(rev)
     }
+}
+
+/// Shortest-path rows from each of `sources` over the subgraph of `g`
+/// induced by `nodes`, without building that subgraph.
+///
+/// `nodes` must be strictly ascending and every source one of them;
+/// paths may pass through listed nodes only. `node_cost` is indexed by
+/// id in `g`. Row `i` of the result gives, for every `nodes[j]`, the
+/// endpoint-inclusive cost from `sources[i]` as [`AllPairsPaths::cost`]
+/// defines it (`0.0` on the diagonal, `f64::INFINITY` when unreachable
+/// inside the subgraph) and the hop count (`u32::MAX` when
+/// unreachable). Both vectors are row-major, `sources.len()` rows of
+/// `nodes.len()` entries.
+///
+/// Ids inside the subgraph are positions in `nodes`, and the local
+/// adjacency is read from the members' own neighbor lists, so no pass
+/// over the rest of `g` is made. Each row is one run of the per-source
+/// kernel behind [`AllPairsPaths::compute`]. Positions in a sorted list
+/// are monotone in id, so the local neighbor lists come out in the
+/// order [`Graph::induced_subgraph`] gives them and the
+/// `(interior cost, parent id)` tie rule picks the same parents: every
+/// value is bit-identical to `AllPairsPaths::compute` on
+/// `g.induced_subgraph(nodes)`, at the price of the listed rows alone.
+///
+/// # Errors
+///
+/// * [`GraphError::UnsortedNodes`] if `nodes` is not strictly ascending;
+/// * [`GraphError::NodeOutOfBounds`] if a listed node is not in `g`, or
+///   `node_cost` is shorter than `g`'s node count;
+/// * [`GraphError::NotInNodeList`] if a source is not in `nodes`.
+///
+/// # Example
+///
+/// ```
+/// use peercache_graph::paths::{induced_rows, PathSelection};
+/// use peercache_graph::{builders, NodeId};
+///
+/// let g = builders::path(4); // 0 - 1 - 2 - 3
+/// let costs = [1.0, 5.0, 1.0, 1.0];
+/// let nodes = [NodeId::new(0), NodeId::new(1), NodeId::new(3)];
+/// let from_zero = [NodeId::new(0)];
+/// let (cost, hops) = induced_rows(&g, &nodes, &from_zero, &costs, PathSelection::FewestHops)?;
+/// // Without node 2, node 3 is cut off from node 0.
+/// assert_eq!(cost, [0.0, 6.0, f64::INFINITY]);
+/// assert_eq!(hops, [0, 1, u32::MAX]);
+/// # Ok::<(), peercache_graph::GraphError>(())
+/// ```
+pub fn induced_rows(
+    g: &Graph,
+    nodes: &[NodeId],
+    sources: &[NodeId],
+    node_cost: &[f64],
+    selection: PathSelection,
+) -> Result<(Vec<f64>, Vec<u32>), GraphError> {
+    if let Some(w) = nodes.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(GraphError::UnsortedNodes { node: w[1] });
+    }
+    let node_count = g.node_count();
+    // The list is ascending, so its last entry is its largest.
+    if let Some(&node) = nodes.last().filter(|v| v.index() >= node_count) {
+        return Err(GraphError::NodeOutOfBounds { node, node_count });
+    }
+    if node_cost.len() < node_count {
+        return Err(GraphError::NodeOutOfBounds {
+            node: NodeId::new(node_cost.len()),
+            node_count,
+        });
+    }
+    let rows = sources
+        .iter()
+        .map(|&s| {
+            nodes
+                .binary_search(&s)
+                .map_err(|_| GraphError::NotInNodeList { node: s })
+        })
+        .collect::<Result<Vec<usize>, _>>()?;
+    let b = nodes.len();
+    let csr = Csr::induced(g, nodes);
+    let term: Vec<f64> = nodes.iter().map(|v| node_cost[v.index()]).collect();
+    let (mut interior, mut hops, mut parent) = (vec![0.0; b], vec![0; b], vec![0; b]);
+    let mut mask = vec![0u64; words_per_row(b)];
+    let mut scratch = Scratch::new(b);
+    let mut cost_out = Vec::with_capacity(rows.len() * b);
+    let mut hops_out = Vec::with_capacity(rows.len() * b);
+    for &s in &rows {
+        let mut row = RowMut {
+            interior: &mut interior,
+            hops: &mut hops,
+            parent: &mut parent,
+            mask: &mut mask,
+        };
+        single_source(&csr, &term, s, selection, &mut row, &mut scratch);
+        // The endpoint terms are added in `AllPairsPaths::cost`'s order.
+        cost_out.extend((0..b).map(|j| match hops[j] {
+            _ if j == s => 0.0,
+            UNREACHABLE_HOPS => f64::INFINITY,
+            _ => interior[j] + term[s] + term[j],
+        }));
+        hops_out.extend_from_slice(&hops);
+    }
+    Ok((cost_out, hops_out))
 }
 
 fn words_per_row(n: usize) -> usize {
@@ -1576,6 +1680,45 @@ mod tests {
                 assert_identical(&ap, &fresh, &g);
             }
         }
+    }
+
+    #[test]
+    fn induced_rows_rejects_bad_lists() {
+        let g = builders::path(4);
+        let costs = unit_costs(&g);
+        let ids = |v: &[usize]| v.iter().copied().map(NodeId::new).collect::<Vec<_>>();
+        let rows = |nodes: &[usize], sources: &[usize], costs: &[f64]| {
+            induced_rows(
+                &g,
+                &ids(nodes),
+                &ids(sources),
+                costs,
+                PathSelection::FewestHops,
+            )
+        };
+        let unsorted = Err(GraphError::UnsortedNodes {
+            node: NodeId::new(1),
+        });
+        assert_eq!(rows(&[0, 2, 1], &[0], &costs), unsorted);
+        assert_eq!(rows(&[0, 1, 1], &[0], &costs), unsorted);
+        assert_eq!(
+            rows(&[0, 4], &[0], &costs),
+            Err(GraphError::NodeOutOfBounds {
+                node: NodeId::new(4),
+                node_count: 4
+            })
+        );
+        assert!(matches!(
+            rows(&[0, 1], &[0], &costs[..3]),
+            Err(GraphError::NodeOutOfBounds { .. })
+        ));
+        assert_eq!(
+            rows(&[0, 1], &[2], &costs),
+            Err(GraphError::NotInNodeList {
+                node: NodeId::new(2)
+            })
+        );
+        assert_eq!(rows(&[], &[], &costs), Ok((vec![], vec![])));
     }
 
     #[test]

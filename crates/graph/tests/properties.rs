@@ -5,7 +5,8 @@ use proptest::prelude::*;
 use peercache_graph::mst::{kruskal, prim, UnionFind};
 use peercache_graph::oracle::LandmarkOracle;
 use peercache_graph::paths::{
-    bfs_hops, dijkstra_edge_weighted, k_hop_neighborhood, AllPairsPaths, Parallelism, PathSelection,
+    bfs_hops, dijkstra_edge_weighted, induced_rows, k_hop_neighborhood, AllPairsPaths, Parallelism,
+    PathSelection,
 };
 use peercache_graph::regions::RegionPartition;
 use peercache_graph::{analysis, builders, components, steiner, Graph, NodeId};
@@ -23,8 +24,78 @@ fn connected_graph() -> impl Strategy<Value = Graph> {
         })
 }
 
+/// Connected graphs beside small grids: with unit costs a grid ties
+/// every equal-hop route, so the parent-id rule settles most parents.
+fn graph_or_grid() -> impl Strategy<Value = Graph> {
+    prop_oneof![
+        connected_graph(),
+        (2usize..8, 2usize..8).prop_map(|(rows, cols)| builders::grid(rows, cols)),
+    ]
+}
+
+/// splitmix64: a fixed hash for seeded subset picks.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn induced_rows_match_all_pairs_on_the_induced_subgraph(
+        g in graph_or_grid(),
+        keep_tenths in 2u64..11,
+        source_tenths in 0u64..11,
+        salt in any::<u64>(),
+        unit in any::<bool>(),
+        random_costs in prop::collection::vec(0.25f64..8.0, 64),
+    ) {
+        // Each node is kept with probability keep_tenths / 10 and each
+        // kept node is a source with probability source_tenths / 10.
+        // Sparse subsets often induce a disconnected subgraph, whose
+        // unreachable pairs must read infinity and u32::MAX.
+        let pick = |v: NodeId, tenths: u64, stream: u64| {
+            mix(salt ^ stream ^ v.index() as u64) % 10 < tenths
+        };
+        let nodes: Vec<NodeId> = g.nodes().filter(|&v| pick(v, keep_tenths, 0)).collect();
+        let sources: Vec<NodeId> = nodes
+            .iter()
+            .copied()
+            .filter(|&v| pick(v, source_tenths, 1 << 40))
+            .collect();
+        let costs: Vec<f64> = if unit {
+            vec![1.0; g.node_count()]
+        } else {
+            random_costs[..g.node_count()].to_vec()
+        };
+        let (sub, _) = g.induced_subgraph(&nodes).unwrap();
+        let sub_costs: Vec<f64> = nodes.iter().map(|v| costs[v.index()]).collect();
+        let b = nodes.len();
+        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
+            let reference = AllPairsPaths::compute(&sub, &sub_costs, selection).unwrap();
+            let (cost, hops) = induced_rows(&g, &nodes, &sources, &costs, selection).unwrap();
+            prop_assert_eq!(cost.len(), sources.len() * b);
+            prop_assert_eq!(hops.len(), sources.len() * b);
+            for (i, s) in sources.iter().enumerate() {
+                let row = NodeId::new(nodes.binary_search(s).unwrap());
+                for j in 0..b {
+                    let col = NodeId::new(j);
+                    prop_assert_eq!(
+                        cost[i * b + j].to_bits(),
+                        reference.cost(row, col).to_bits(),
+                        "cost({s}, {}) under {selection:?}", nodes[j]
+                    );
+                    prop_assert_eq!(
+                        hops[i * b + j],
+                        reference.hops(row, col).unwrap_or(u32::MAX)
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn generated_graphs_are_connected_simple(g in connected_graph()) {

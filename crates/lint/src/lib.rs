@@ -14,7 +14,7 @@
 //! | P1 | no `unwrap`/`expect`/`panic!`-family macros | `crates/dist/src/**`, `core::world` |
 //! | N1 | no direct `==`/`!=` on cost-valued f64 | `core`, `dist`, `graph` (helpers in `core::costs` exempt) |
 //! | O1 | `obs::span!`/`event!`/counter/gauge/histogram/`TimeSeries` names must be string literals registered in `obs::names`; registered names must also be emitted somewhere | everywhere except `obs`, `lint` |
-//! | S1 | no `AllPairsPaths::compute`/`compute_with` call sites | everywhere except `graph::paths`, `graph::oracle`, `core::costs`, `core::scoped` |
+//! | S1 | no `AllPairsPaths::compute`/`compute_with` call sites | everywhere except `graph::paths`, `graph::oracle`, `core::costs` |
 //! | R1 | no `arena_mut(...)`/`apply_cross(...)` call sites (shard state mutates only via `CrossShardEvent`s through the router) | everywhere except `core::shard`, `core::sharded` |
 //! | U1 | a non-test `pub fn` must be named somewhere besides its own definition and its own file's tests; never waivable ([`unreferenced_pub_fns`]) | `crates/*/src` |
 //!

@@ -58,14 +58,14 @@ const N1_EXEMPT_FILE: &str = "crates/core/src/costs.rs";
 const O1_EXEMPT_CRATES: &[&str] = &["obs", "lint"];
 /// The sanctioned `AllPairsPaths::compute` call sites for rule S1: the
 /// definition and its incremental-update internals, the landmark
-/// oracle's exact-in-ball fallback, the dense reference matrix, and the
-/// scoped store's bounded per-block computes. Anywhere else, a dense
-/// all-pairs compute is the `O(N²)` wall creeping back in.
+/// oracle's exact-in-ball fallback, and the dense reference matrix. The
+/// scoped store's blocks solve only their rows (`paths::induced_rows`).
+/// Anywhere else, a dense all-pairs compute is the `O(N²)` wall creeping
+/// back in.
 const S1_ALLOWED_FILES: &[&str] = &[
     "crates/graph/src/paths.rs",
     "crates/graph/src/oracle.rs",
     "crates/core/src/costs.rs",
-    "crates/core/src/scoped.rs",
 ];
 /// The only files allowed to mutate shard-local state directly (rule
 /// R1): the shard data structures themselves and the sharded world's
