@@ -34,14 +34,14 @@
 use peercache_graph::paths::{Parallelism, PathSelection};
 use peercache_graph::NodeId;
 
-use crate::costs::{ContentionMatrix, CostWeights};
+use crate::costs::CostWeights;
 use crate::instance::{ConflCosts, ConflInstance};
 use crate::placement::Placement;
 use peercache_obs as obs;
 
 use crate::planner::{
     chunk_span, commit_chunk_replicated, finish_chunk_span, improve_by_removal,
-    improve_by_removal_reference, prune_unused_facilities, CachePlanner,
+    improve_by_removal_reference, plan_chunks, prune_unused_facilities, CachePlanner, ChunkSpan,
 };
 use crate::replication::ReplicationPolicy;
 use crate::{ChunkId, CoreError, Network};
@@ -717,6 +717,31 @@ impl ApproxPlanner {
     pub fn new(config: ApproxConfig) -> Self {
         ApproxPlanner { config }
     }
+
+    /// Ascent → prune → improve: the facility set Appx commits for one
+    /// chunk, with the phase laps and ascent counters on its span.
+    fn select(
+        &self,
+        net: &Network,
+        inst: &ConflInstance,
+        span: &mut ChunkSpan,
+    ) -> Result<Vec<NodeId>, CoreError> {
+        let (facilities, stats) = dual_ascent(net, inst, &self.config)?;
+        span.lap("ascent_us");
+        let facilities = prune_unused_facilities(net, inst, &facilities);
+        span.lap("prune_us");
+        let facilities = if self.config.reference_mode {
+            improve_by_removal_reference(net, inst, &facilities)?
+        } else {
+            improve_by_removal(net, inst, &facilities)?
+        };
+        span.lap("improve_us");
+        span.field("rounds", stats.rounds);
+        span.field("tight_events", stats.tight_events);
+        span.field("opened", stats.opened);
+        span.field("pruned", stats.opened - facilities.len());
+        Ok(facilities)
+    }
 }
 
 impl CachePlanner for ApproxPlanner {
@@ -726,75 +751,31 @@ impl CachePlanner for ApproxPlanner {
 
     fn plan(&self, net: &mut Network, chunk_count: usize) -> Result<Placement, CoreError> {
         self.config.validate()?;
+        let cfg = &self.config;
+        if !cfg.reference_mode {
+            return plan_chunks(
+                "Appx",
+                net,
+                (0..chunk_count).map(ChunkId::new),
+                cfg.weights,
+                cfg.selection,
+                cfg.parallelism,
+                &cfg.replication,
+                |net, inst, _, span| self.select(net, inst, span),
+            );
+        }
+        // The oracle loop: a fresh all-pairs matrix and the original
+        // removal search every chunk.
         let mut placement = Placement::default();
-        // The contention matrix is carried from chunk to chunk and
-        // refreshed incrementally: committing a chunk only raises the
-        // contention terms of the nodes that started caching (plus the
-        // producer's load), so each shortest-path row re-solves only the
-        // nodes whose routes pass through one of them. That usually
-        // touches every row, but only about half of each.
-        let mut carried: Option<(ContentionMatrix, Vec<NodeId>)> = None;
         for q in 0..chunk_count {
             let chunk = ChunkId::new(q);
             let mut span = chunk_span("Appx", chunk);
-            let mut clock = obs::Stopwatch::start();
-            let mut apsp_recomputed = net.node_count();
-            let inst = if self.config.reference_mode {
-                ConflInstance::build_for_chunk(
-                    net,
-                    chunk,
-                    self.config.weights,
-                    self.config.selection,
-                )?
-            } else {
-                let matrix = match carried.take() {
-                    Some((mut matrix, dirty)) => {
-                        apsp_recomputed = matrix.update(net, &dirty, self.config.parallelism)?;
-                        matrix
-                    }
-                    None => ContentionMatrix::compute_with(
-                        net,
-                        self.config.selection,
-                        self.config.parallelism,
-                    )?,
-                };
-                ConflInstance::build_for_chunk_with_matrix(net, chunk, self.config.weights, matrix)
-            };
-            let build_us = clock.lap_us();
-            let (facilities, stats) = dual_ascent(net, &inst, &self.config)?;
-            let ascent_us = clock.lap_us();
-            let facilities = prune_unused_facilities(net, &inst, &facilities);
-            let prune_us = clock.lap_us();
-            let facilities = if self.config.reference_mode {
-                improve_by_removal_reference(net, &inst, &facilities)?
-            } else {
-                improve_by_removal(net, &inst, &facilities)?
-            };
-            let improve_us = clock.lap_us();
-            let cp =
-                commit_chunk_replicated(net, &inst, chunk, &facilities, &self.config.replication)?;
-            // The commit phase evaluates the final set, which includes
-            // building the Steiner dissemination tree.
-            let steiner_commit_us = clock.lap_us();
-            if !self.config.reference_mode && q + 1 < chunk_count {
-                // Committing bumped S(k) on the new caches and the
-                // producer's load term; those are the only dirty nodes.
-                let mut dirty = cp.caches.clone();
-                dirty.push(net.producer());
-                carried = Some((inst.into_matrix(), dirty));
-            }
-            if span.is_recording() {
-                span.add_field("apsp_recomputed", obs::Value::from(apsp_recomputed));
-                span.add_field("rounds", obs::Value::from(stats.rounds));
-                span.add_field("tight_events", obs::Value::from(stats.tight_events));
-                span.add_field("opened", obs::Value::from(stats.opened));
-                span.add_field("pruned", obs::Value::from(stats.opened - facilities.len()));
-                span.add_field("build_us", obs::Value::from(build_us));
-                span.add_field("ascent_us", obs::Value::from(ascent_us));
-                span.add_field("prune_us", obs::Value::from(prune_us));
-                span.add_field("improve_us", obs::Value::from(improve_us));
-                span.add_field("steiner_commit_us", obs::Value::from(steiner_commit_us));
-            }
+            let inst = ConflInstance::build_for_chunk(net, chunk, cfg.weights, cfg.selection)?;
+            span.field("apsp_recomputed", net.node_count());
+            span.lap("build_us");
+            let facilities = self.select(net, &inst, &mut span)?;
+            let cp = commit_chunk_replicated(net, &inst, chunk, &facilities, &cfg.replication)?;
+            span.lap("steiner_commit_us");
             finish_chunk_span(span, &cp);
             placement.push(cp);
         }

@@ -23,14 +23,13 @@
 //! Costs reported per chunk use the same Contention Cost model as every
 //! other planner, so the figures compare like with like.
 
-use peercache_graph::paths::{AllPairsPaths, PathSelection};
+use peercache_graph::paths::{AllPairsPaths, Parallelism, PathSelection};
 use peercache_graph::{components, NodeId};
 
 use crate::costs::CostWeights;
-use crate::instance::ConflInstance;
 use crate::placement::Placement;
-use crate::planner::{chunk_span, commit_chunk, finish_chunk_span, CachePlanner};
-use crate::{ChunkId, CoreError, Network};
+use crate::planner::{plan_chunks, CachePlanner};
+use crate::{ChunkId, CoreError, Network, ReplicationPolicy};
 
 /// Which delay metric drives the baseline's greedy selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,10 +185,7 @@ fn greedy_select(
 
 impl CachePlanner for GreedyBaselinePlanner {
     fn name(&self) -> &str {
-        match self.metric {
-            BaselineMetric::HopCount => "Hopc",
-            BaselineMetric::StaticContention => "Cont",
-        }
+        self.label()
     }
 
     fn plan(&self, net: &mut Network, chunk_count: usize) -> Result<Placement, CoreError> {
@@ -199,41 +195,41 @@ impl CachePlanner for GreedyBaselinePlanner {
                 self.config.lambda
             )));
         }
-        let mut placement = Placement::default();
-        // `used_up` marks nodes already claimed by a previous round's set.
+        // `claimed` marks nodes already claimed by a previous round's set.
         let mut claimed = vec![false; net.node_count()];
         let mut round_set: Vec<NodeId> = Vec::new();
-        let name = match self.metric {
-            BaselineMetric::HopCount => "Hopc",
-            BaselineMetric::StaticContention => "Cont",
-        };
-        for q in 0..chunk_count {
-            let chunk = ChunkId::new(q);
-            let span = chunk_span(name, chunk);
-            // Refresh the round set when nobody in it has vacancy left.
-            if round_set.iter().all(|&i| net.remaining(i) == 0) {
-                round_set = self.next_round_set(net, &mut claimed)?;
-            }
-            let caches: Vec<NodeId> = round_set
-                .iter()
-                .copied()
-                .filter(|&i| net.remaining(i) > 0)
-                .collect();
-            let inst = ConflInstance::build_for_chunk(
-                net,
-                chunk,
-                self.config.weights,
-                self.config.selection,
-            )?;
-            let cp = commit_chunk(net, &inst, chunk, &caches)?;
-            finish_chunk_span(span, &cp);
-            placement.push(cp);
-        }
-        Ok(placement)
+        plan_chunks(
+            self.label(),
+            net,
+            (0..chunk_count).map(ChunkId::new),
+            self.config.weights,
+            self.config.selection,
+            Parallelism::Sequential,
+            &ReplicationPolicy::default(),
+            |net, _, _, _| {
+                // Refresh the round set when nobody in it has vacancy left.
+                if round_set.iter().all(|&i| net.remaining(i) == 0) {
+                    round_set = self.next_round_set(net, &mut claimed)?;
+                }
+                Ok(round_set
+                    .iter()
+                    .copied()
+                    .filter(|&i| net.remaining(i) > 0)
+                    .collect())
+            },
+        )
     }
 }
 
 impl GreedyBaselinePlanner {
+    /// The figure legend of this planner's metric.
+    fn label(&self) -> &'static str {
+        match self.metric {
+            BaselineMetric::HopCount => "Hopc",
+            BaselineMetric::StaticContention => "Cont",
+        }
+    }
+
     /// Selects the next round's caching set on the residual subgraph
     /// (§V's multi-item extension), marking its members as claimed.
     fn next_round_set(

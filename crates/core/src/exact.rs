@@ -23,13 +23,13 @@
 use peercache_graph::NodeId;
 use peercache_lp::{solve_milp, MilpOptions, Model, Relation, Sense};
 
-use peercache_graph::paths::PathSelection;
+use peercache_graph::paths::{Parallelism, PathSelection};
 
 use crate::costs::CostWeights;
 use crate::instance::ConflInstance;
 use crate::placement::Placement;
-use crate::planner::{chunk_span, commit_chunk, finish_chunk_span, CachePlanner};
-use crate::{ChunkId, CoreError, Network};
+use crate::planner::{plan_chunks, CachePlanner};
+use crate::{ChunkId, CoreError, Network, ReplicationPolicy};
 
 /// Configuration of the exact planners.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +39,8 @@ pub struct ExactConfig {
     /// Path routing model for the contention metric.
     pub selection: PathSelection,
     /// Refuse to enumerate beyond this many facility candidates
-    /// (`2^max_candidates` subsets).
+    /// (`2^max_candidates` subsets). Subsets are 64-bit masks, so the
+    /// effective cap is at most 63.
     pub max_candidates: usize,
 }
 
@@ -77,13 +78,15 @@ impl BruteForcePlanner {
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidParameter`] when there are more than
-/// `max_candidates` candidates.
+/// `max_candidates` candidates, or more than 63: subsets are enumerated
+/// as `u64` masks.
 pub fn best_facility_set(
     net: &Network,
     inst: &ConflInstance,
     max_candidates: usize,
 ) -> Result<Vec<NodeId>, CoreError> {
     let candidates = inst.candidates();
+    let max_candidates = max_candidates.min(63);
     if candidates.len() > max_candidates {
         return Err(CoreError::InvalidParameter(format!(
             "brute force limited to {max_candidates} candidates, instance has {}",
@@ -126,23 +129,31 @@ impl CachePlanner for BruteForcePlanner {
     }
 
     fn plan(&self, net: &mut Network, chunk_count: usize) -> Result<Placement, CoreError> {
-        let mut placement = Placement::default();
-        for q in 0..chunk_count {
-            let chunk = ChunkId::new(q);
-            let span = chunk_span("Brtf", chunk);
-            let inst = ConflInstance::build_for_chunk(
-                net,
-                chunk,
-                self.config.weights,
-                self.config.selection,
-            )?;
-            let set = best_facility_set(net, &inst, self.config.max_candidates)?;
-            let cp = commit_chunk(net, &inst, chunk, &set)?;
-            finish_chunk_span(span, &cp);
-            placement.push(cp);
-        }
-        Ok(placement)
+        plan_exact("Brtf", &self.config, net, chunk_count, |net, inst| {
+            best_facility_set(net, inst, self.config.max_candidates)
+        })
     }
+}
+
+/// Places chunks through [`plan_chunks`] with one exact solver's
+/// facility set per chunk.
+fn plan_exact(
+    planner: &'static str,
+    config: &ExactConfig,
+    net: &mut Network,
+    chunk_count: usize,
+    solve: impl Fn(&Network, &ConflInstance) -> Result<Vec<NodeId>, CoreError>,
+) -> Result<Placement, CoreError> {
+    plan_chunks(
+        planner,
+        net,
+        (0..chunk_count).map(ChunkId::new),
+        config.weights,
+        config.selection,
+        Parallelism::Sequential,
+        &ReplicationPolicy::default(),
+        |net, inst, _, _| solve(net, inst),
+    )
 }
 
 /// Solves one chunk's ConFL instance as a MILP; returns the optimal
@@ -279,22 +290,9 @@ impl CachePlanner for MilpPlanner {
     }
 
     fn plan(&self, net: &mut Network, chunk_count: usize) -> Result<Placement, CoreError> {
-        let mut placement = Placement::default();
-        for q in 0..chunk_count {
-            let chunk = ChunkId::new(q);
-            let span = chunk_span("Ilp", chunk);
-            let inst = ConflInstance::build_for_chunk(
-                net,
-                chunk,
-                self.config.weights,
-                self.config.selection,
-            )?;
-            let (set, _) = solve_chunk_milp(net, &inst)?;
-            let cp = commit_chunk(net, &inst, chunk, &set)?;
-            finish_chunk_span(span, &cp);
-            placement.push(cp);
-        }
-        Ok(placement)
+        plan_exact("Ilp", &self.config, net, chunk_count, |net, inst| {
+            Ok(solve_chunk_milp(net, inst)?.0)
+        })
     }
 }
 
@@ -335,12 +333,18 @@ mod tests {
 
     #[test]
     fn brute_force_rejects_oversized_instances() {
-        let net = Network::new(builders::grid(5, 5), NodeId::new(0), 2).unwrap();
+        // 80 candidates: over a cap of 10, and over the 63 a `u64` mask
+        // can enumerate even when the cap allows 100 (bit `k + 64` would
+        // alias bit `k`).
+        let net = Network::new(builders::grid(9, 9), NodeId::new(0), 2).unwrap();
         let i = inst(&net);
-        assert!(matches!(
-            best_facility_set(&net, &i, 10),
-            Err(CoreError::InvalidParameter(_))
-        ));
+        assert_eq!(i.candidates().len(), 80);
+        for cap in [10, 100] {
+            assert!(matches!(
+                best_facility_set(&net, &i, cap),
+                Err(CoreError::InvalidParameter(_))
+            ));
+        }
     }
 
     #[test]

@@ -7,31 +7,57 @@
 //! as they go, which is exactly what couples chunks together through the
 //! fairness and contention costs.
 
+use peercache_graph::paths::{Parallelism, PathSelection};
 use peercache_graph::NodeId;
 use peercache_obs as obs;
 
+use crate::costs::{ContentionMatrix, CostWeights};
 use crate::instance::ConflInstance;
 use crate::placement::{ChunkPlacement, Placement};
+use crate::replication::ReplicationPolicy;
 use crate::{ChunkId, CoreError, Network};
 
-/// Opens the per-chunk telemetry span every planner emits; pass it to
-/// [`finish_chunk_span`] once the chunk is committed. No-op (and
-/// allocation-free) when tracing is off.
-pub fn chunk_span(planner: &'static str, chunk: ChunkId) -> obs::Span {
-    obs::span!("planner.chunk", planner = planner, chunk = chunk.index())
+/// The per-chunk telemetry span every planner emits, with the stopwatch
+/// that splits it into phases. No-op (and allocation-free) when tracing
+/// is off.
+#[derive(Debug)]
+pub struct ChunkSpan {
+    span: obs::Span,
+    clock: obs::Stopwatch,
+}
+
+impl ChunkSpan {
+    /// Records the microseconds since the previous lap (or since the
+    /// span opened) as field `name`.
+    pub fn lap(&mut self, name: &'static str) {
+        let us = self.clock.lap_us();
+        self.field(name, us);
+    }
+
+    /// Attaches a field to the span.
+    pub fn field(&mut self, name: &'static str, value: impl Into<obs::Value>) {
+        self.span.add_field(name, value.into());
+    }
+}
+
+/// Opens the `planner.chunk` span of one chunk; pass it to
+/// [`finish_chunk_span`] once the chunk is committed.
+pub(crate) fn chunk_span(planner: &'static str, chunk: ChunkId) -> ChunkSpan {
+    ChunkSpan {
+        span: obs::span!("planner.chunk", planner = planner, chunk = chunk.index()),
+        clock: obs::Stopwatch::start(),
+    }
 }
 
 /// Attaches the committed cost breakdown to the span and drops it,
 /// emitting one record per (planner, chunk) with wall time and the
 /// fairness/access/dissemination split.
-pub fn finish_chunk_span(mut span: obs::Span, cp: &ChunkPlacement) {
-    if span.is_recording() {
-        span.add_field("caches", obs::Value::from(cp.caches.len()));
-        span.add_field("fairness", obs::Value::from(cp.costs.fairness));
-        span.add_field("access", obs::Value::from(cp.costs.access));
-        span.add_field("dissemination", obs::Value::from(cp.costs.dissemination));
-        span.add_field("cost_total", obs::Value::from(cp.costs.total()));
-    }
+pub(crate) fn finish_chunk_span(mut span: ChunkSpan, cp: &ChunkPlacement) {
+    span.field("caches", cp.caches.len());
+    span.field("fairness", cp.costs.fairness);
+    span.field("access", cp.costs.access);
+    span.field("dissemination", cp.costs.dissemination);
+    span.field("cost_total", cp.costs.total());
 }
 
 /// A caching-placement algorithm.
@@ -263,20 +289,68 @@ pub fn commit_chunk_replicated(
     commit_chunk(net, inst, chunk, &caches)
 }
 
-/// Convenience: runs a planner on a fresh clone of `net` without
-/// mutating the original; returns the placement and the final state.
+/// The dense per-chunk pipeline: places `chunks` in order on `net`,
+/// taking each chunk's facility set from `select` and committing it
+/// with [`commit_chunk_replicated`].
+///
+/// One [`ContentionMatrix`] is carried across the chunks: computed for
+/// the first, then refreshed with [`ContentionMatrix::update`] from the
+/// previous commit's caches plus the producer — the only nodes whose
+/// contention terms a commit changes — so each chunk is priced exactly
+/// as a fresh [`ConflInstance::build_for_chunk`] would price it. The
+/// pipeline owns each chunk's `planner.chunk` span and records
+/// `apsp_recomputed`, `build_us` and `steiner_commit_us` on it; `select`
+/// adds its own phase laps and counters.
 ///
 /// # Errors
 ///
-/// Propagates the planner's error.
-pub fn plan_on_copy<P: CachePlanner + ?Sized>(
-    planner: &P,
-    net: &Network,
-    chunk_count: usize,
-) -> Result<(Placement, Network), CoreError> {
-    let mut copy = net.clone();
-    let placement = planner.plan(&mut copy, chunk_count)?;
-    Ok((placement, copy))
+/// Propagates path-computation, selection and commit failures.
+#[allow(clippy::too_many_arguments)]
+pub fn plan_chunks(
+    planner: &'static str,
+    net: &mut Network,
+    chunks: impl IntoIterator<Item = ChunkId>,
+    weights: CostWeights,
+    selection: PathSelection,
+    parallelism: Parallelism,
+    replication: &ReplicationPolicy,
+    mut select: impl FnMut(
+        &Network,
+        &ConflInstance,
+        ChunkId,
+        &mut ChunkSpan,
+    ) -> Result<Vec<NodeId>, CoreError>,
+) -> Result<Placement, CoreError> {
+    let mut placement = Placement::default();
+    let mut carried: Option<(ContentionMatrix, Vec<NodeId>)> = None;
+    for chunk in chunks {
+        let mut span = chunk_span(planner, chunk);
+        let (matrix, apsp_recomputed) = match carried.take() {
+            Some((mut matrix, dirty)) => {
+                let rows = matrix.update(net, &dirty, parallelism)?;
+                (matrix, rows)
+            }
+            None => (
+                ContentionMatrix::compute_with(net, selection, parallelism)?,
+                net.node_count(),
+            ),
+        };
+        let inst = ConflInstance::build_for_chunk_with_matrix(net, chunk, weights, matrix);
+        span.field("apsp_recomputed", apsp_recomputed);
+        span.lap("build_us");
+        let facilities = select(net, &inst, chunk, &mut span)?;
+        // Timed on its own clock: `select` may or may not lap the span's.
+        // The commit evaluates the final set, Steiner tree included.
+        let mut commit_clock = obs::Stopwatch::start();
+        let cp = commit_chunk_replicated(net, &inst, chunk, &facilities, replication)?;
+        span.field("steiner_commit_us", commit_clock.lap_us());
+        let mut dirty = cp.caches.clone();
+        dirty.push(net.producer());
+        carried = Some((inst.into_matrix(), dirty));
+        finish_chunk_span(span, &cp);
+        placement.push(cp);
+    }
+    Ok(placement)
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ use crate::approx::{dual_ascent_scoped, ApproxConfig};
 use crate::costs::{cost_tie_eq, node_contention_terms, CostWeights};
 use crate::instance::{ConflCosts, ConflInstance, SetCosts};
 use crate::placement::{ChunkPlacement, Placement};
-use crate::planner::{chunk_span, finish_chunk_span, CachePlanner};
+use crate::planner::{chunk_span, finish_chunk_span, CachePlanner, ChunkSpan};
 use crate::{ChunkId, CoreError, Network};
 
 /// Tuning parameters of the scoped contention store.
@@ -445,33 +445,46 @@ fn build_blocks(
     parallelism: Parallelism,
     which: &[usize],
 ) -> Result<Vec<(usize, Block)>, CoreError> {
-    let threads = parallelism.threads(which.len().max(1));
-    let mut slots: Vec<Option<Result<Block, CoreError>>> = (0..which.len()).map(|_| None).collect();
-    if threads <= 1 || which.len() <= 1 {
-        for (slot, &r) in slots.iter_mut().zip(which) {
-            *slot = Some(obs::with_quiet(|| {
-                build_block(net, partition, terms, halo_hops, selection, r)
-            }));
+    fan_out(which, parallelism, |&r| {
+        build_block(net, partition, terms, halo_hops, selection, r).map(|block| (r, block))
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Runs `task` over `items` with slot-array fan-out: results land in
+/// pre-indexed slots, so the merge order is the item order no matter
+/// how threads are scheduled. `task` must be a pure function of frozen
+/// state. Both arms run each task under [`obs::with_quiet`], so the
+/// emitted trace is the same for every [`Parallelism`] setting.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    parallelism: Parallelism,
+    task: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let threads = parallelism.threads(items.len().max(1));
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    if threads <= 1 || items.len() <= 1 {
+        for (slot, item) in slots.iter_mut().zip(items) {
+            *slot = Some(obs::with_quiet(|| task(item)));
         }
     } else {
-        let per = which.len().div_ceil(threads);
+        let per = items.len().div_ceil(threads);
         std::thread::scope(|s| {
-            for (chunk, regions) in slots.chunks_mut(per).zip(which.chunks(per)) {
+            for (chunk, part) in slots.chunks_mut(per).zip(items.chunks(per)) {
+                let task = &task;
                 s.spawn(move || {
-                    for (slot, &r) in chunk.iter_mut().zip(regions) {
-                        *slot = Some(obs::with_quiet(|| {
-                            build_block(net, partition, terms, halo_hops, selection, r)
-                        }));
+                    for (slot, item) in chunk.iter_mut().zip(part) {
+                        *slot = Some(obs::with_quiet(|| task(item)));
                     }
                 });
             }
         });
     }
-    let mut out = Vec::with_capacity(which.len());
-    for (slot, &r) in slots.into_iter().zip(which) {
-        out.push((r, slot.expect("every block slot is filled")?));
-    }
-    Ok(out)
+    slots
+        .into_iter()
+        .map(|s| s.expect("every fan-out slot is filled"))
+        .collect()
 }
 
 /// Computes one region's block: the region's rows of shortest paths
@@ -598,8 +611,6 @@ impl CachePlanner for HierarchicalPlanner {
     fn plan(&self, net: &mut Network, chunk_count: usize) -> Result<Placement, CoreError> {
         self.config.validate()?;
         let n = net.node_count();
-        let producer = net.producer();
-        let weights = self.config.weights;
         let mut scoped = ScopedContention::new(
             net,
             self.scoped,
@@ -620,134 +631,20 @@ impl CachePlanner for HierarchicalPlanner {
         for q in 0..chunk_count {
             let chunk = ChunkId::new(q);
             let mut span = chunk_span("Hier", chunk);
-            let mut clock = obs::Stopwatch::start();
-            let facility_cost = ConflInstance::facility_costs(net, weights);
-            let audience = net.interested_clients(chunk);
-
-            // Per-region dual ascent over the scoped store, fanned out
-            // in parallel; the merge is by region order, so every
-            // parallelism setting yields the same facilities.
-            let mut by_region: Vec<Vec<NodeId>> = vec![Vec::new(); regions];
-            for &j in &audience {
-                by_region[scoped.partition().region_of(j)].push(j);
-            }
-            let busy: Vec<usize> = (0..regions).filter(|&r| !by_region[r].is_empty()).collect();
-            let opened = ascend_regions(
-                &scoped,
-                &facility_cost,
-                producer,
-                weights,
-                &self.config,
-                &by_region,
-                &busy,
-                self.config.parallelism,
-            )?;
-            let mut facilities: Vec<NodeId> = opened.into_iter().flatten().collect();
-            facilities.sort_unstable();
-            facilities.dedup();
-            let ascent_us = clock.lap_us();
-
-            // Border-stitched assignment + prune: every client chooses
-            // among the facilities in its region's demand ball (its own
-            // region plus the k-hop halo — the cross-border stitch) and
-            // the producer; facilities serving nobody are dropped to a
-            // fixpoint, exactly like the dense pipeline's prune.
-            let (mut current, mut providers, mut costs) = assign_and_prune(
-                &scoped,
-                &facility_cost,
-                producer,
-                weights,
-                &audience,
-                facilities,
-            );
-            let prune_us = clock.lap_us();
-
-            // Dissemination: one producer-rooted edge-weighted SPT per
-            // chunk; the tree is the union of the facilities' trunk
-            // paths. Removal improvement scores each facility by the
-            // fairness it frees, the access it costs its clients, and
-            // the trunk edges only it holds alive.
-            let (_, spt_parent) =
-                dijkstra_edge_weighted(net.graph(), producer, |u, v| scoped.edge_cost(u, v));
-            improve_by_scoped_removal(
-                &scoped,
-                &facility_cost,
-                producer,
-                weights,
-                &audience,
-                &spt_parent,
-                &mut current,
-                &mut providers,
-                &mut costs,
-            );
-            let improve_us = clock.lap_us();
-
-            // R-copy durability floor (a no-op for the default
-            // single-copy policy): top the pruned set up to the
-            // replication degree under the replica-load cap, then
-            // re-derive providers so a client may be served by a
-            // replica that landed inside its region's demand ball. The
-            // trunk tree below unions the SPT paths of *all* R copies —
-            // the R-connected dissemination objective.
-            let extra = crate::replication::top_up_targets(
-                net,
-                &current,
-                &self.config.replication,
-                |i| facility_cost[i.index()],
-                |a, b| weights.contention * scoped.cost(a, b),
-                producer,
-            );
-            if !extra.is_empty() {
-                current.extend(extra);
-                current.sort_unstable();
-                let by_ball = facilities_by_region(&scoped, &current);
-                for (idx, &j) in audience.iter().enumerate() {
-                    let options = &by_ball[scoped.partition().region_of(j)];
-                    let (p, c) = best_provider(&scoped, weights, producer, options, j, None);
-                    providers[idx] = p;
-                    costs[idx] = c;
-                }
-            }
-
-            let (tree_edges, tree_cost) = trunk_tree(&scoped, producer, &spt_parent, &current);
-            let fairness: f64 = current.iter().map(|&i| facility_cost[i.index()]).sum();
-            let access: f64 = costs.iter().sum();
-            let set_costs = SetCosts {
-                fairness,
-                access,
-                dissemination: weights.dissemination * tree_cost,
-            };
-            let assignment: Vec<(NodeId, NodeId)> =
-                audience.iter().copied().zip(providers).collect();
-            for &i in &current {
+            let (cp, _, _) = plan_scoped_chunk(net, &scoped, &self.config, chunk, &mut span)?;
+            for &i in &cp.caches {
                 net.cache(i, chunk)?;
             }
-            let cp = ChunkPlacement {
-                chunk,
-                caches: current,
-                assignment,
-                tree_edges,
-                costs: set_costs,
-            };
             #[cfg(feature = "strict-invariants")]
             crate::strict::check_tree_connectivity(net, &cp);
-            let commit_us = clock.lap_us();
+            span.lap("commit_us");
             if q + 1 < chunk_count {
                 let mut dirty = cp.caches.clone();
-                dirty.push(producer);
+                dirty.push(net.producer());
                 let rebuilt = scoped.update(net, &dirty, self.config.parallelism)?;
-                if span.is_recording() {
-                    span.add_field("blocks_rebuilt", obs::Value::from(rebuilt));
-                }
+                span.field("blocks_rebuilt", rebuilt);
             }
             obs::gauge("planner.contention_bytes").set(scoped.contention_bytes() as i64);
-            if span.is_recording() {
-                span.add_field("regions_active", obs::Value::from(busy.len()));
-                span.add_field("ascent_us", obs::Value::from(ascent_us));
-                span.add_field("prune_us", obs::Value::from(prune_us));
-                span.add_field("improve_us", obs::Value::from(improve_us));
-                span.add_field("commit_us", obs::Value::from(commit_us));
-            }
             finish_chunk_span(span, &cp);
             placement.push(cp);
         }
@@ -761,67 +658,151 @@ impl CachePlanner for HierarchicalPlanner {
     }
 }
 
-/// Runs the dual ascent for every busy region, in parallel, returning
-/// the opened facilities per busy-region slot (busy order).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ascend_regions(
+/// The scoped per-chunk step shared by [`HierarchicalPlanner`] and the
+/// sharded world's arrivals: per-region dual ascent → border-stitched
+/// assignment and prune → removal improvement over the producer-rooted
+/// SPT → R-copy top-up → trunk tree. Records `regions_active` and the
+/// ascent, prune and improve laps on `span`; commits nothing.
+///
+/// Returns the placement record (caches sorted, `(client, provider)`
+/// rows in audience order, the trunk tree and the cost breakdown), the
+/// per-client access costs parallel to its assignment, and the
+/// unweighted trunk-tree cost.
+///
+/// # Errors
+///
+/// Propagates dual-ascent failures.
+pub(crate) fn plan_scoped_chunk(
+    net: &Network,
+    scoped: &ScopedContention,
+    cfg: &ApproxConfig,
+    chunk: ChunkId,
+    span: &mut ChunkSpan,
+) -> Result<(ChunkPlacement, Vec<f64>, f64), CoreError> {
+    let producer = net.producer();
+    let weights = cfg.weights;
+    let facility_cost = ConflInstance::facility_costs(net, weights);
+    let audience = net.interested_clients(chunk);
+
+    // Per-region dual ascent over the scoped store, fanned out in
+    // parallel; the merge is by region order, so every parallelism
+    // setting yields the same facilities.
+    let (facilities, busy) = ascend_regions(scoped, &facility_cost, producer, cfg, &audience)?;
+    span.field("regions_active", busy);
+    span.lap("ascent_us");
+
+    // Border-stitched assignment + prune: every client chooses among the
+    // facilities in its region's demand ball (its own region plus the
+    // k-hop halo — the cross-border stitch) and the producer; facilities
+    // serving nobody are dropped to a fixpoint, exactly like the dense
+    // pipeline's prune.
+    let (mut current, mut providers, mut access) =
+        assign_and_prune(scoped, producer, weights, &audience, facilities);
+    span.lap("prune_us");
+
+    // Dissemination: one producer-rooted edge-weighted SPT per chunk;
+    // the tree is the union of the facilities' trunk paths. Removal
+    // improvement scores each facility by the fairness it frees, the
+    // access it costs its clients, and the trunk edges only it holds
+    // alive.
+    let (_, spt_parent) =
+        dijkstra_edge_weighted(net.graph(), producer, |u, v| scoped.edge_cost(u, v));
+    improve_by_scoped_removal(
+        scoped,
+        &facility_cost,
+        producer,
+        weights,
+        &audience,
+        &spt_parent,
+        &mut current,
+        &mut providers,
+        &mut access,
+    );
+    span.lap("improve_us");
+
+    // R-copy durability floor (a no-op for the default single-copy
+    // policy): top the pruned set up to the replication degree under
+    // the replica-load cap, then re-derive providers so a client may be
+    // served by a replica that landed inside its region's demand ball.
+    // The trunk tree below unions the SPT paths of *all* R copies — the
+    // R-connected dissemination objective.
+    let extra = crate::replication::top_up_targets(
+        net,
+        &current,
+        &cfg.replication,
+        |i| facility_cost[i.index()],
+        |a, b| weights.contention * scoped.cost(a, b),
+        producer,
+    );
+    if !extra.is_empty() {
+        current.extend(extra);
+        current.sort_unstable();
+        (providers, access) = assign(scoped, weights, producer, &audience, &current);
+    }
+
+    let (tree_edges, tree_cost) = trunk_tree(scoped, producer, &spt_parent, &current);
+    let costs = SetCosts {
+        fairness: current.iter().map(|&i| facility_cost[i.index()]).sum(),
+        access: access.iter().sum(),
+        dissemination: weights.dissemination * tree_cost,
+    };
+    let placement = ChunkPlacement {
+        chunk,
+        caches: current,
+        assignment: audience.into_iter().zip(providers).collect(),
+        tree_edges,
+        costs,
+    };
+    Ok((placement, access, tree_cost))
+}
+
+/// Runs the dual ascent of every region `audience` touches, fanned out
+/// over `cfg.parallelism`. Returns the opened facilities (sorted) and
+/// the number of busy regions.
+fn ascend_regions(
     scoped: &ScopedContention,
     facility_cost: &[f64],
     producer: NodeId,
-    weights: CostWeights,
     cfg: &ApproxConfig,
-    by_region: &[Vec<NodeId>],
-    busy: &[usize],
-    parallelism: Parallelism,
-) -> Result<Vec<Vec<NodeId>>, CoreError> {
-    let run = |r: usize| -> Result<Vec<NodeId>, CoreError> {
-        let view = RegionView::new(
-            scoped,
-            facility_cost,
-            producer,
-            weights,
-            r,
-            by_region[r].clone(),
-        );
-        if view.candidates.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (facilities, _) = dual_ascent_scoped(&view, cfg)?;
-        Ok(facilities)
-    };
-    let threads = parallelism.threads(busy.len().max(1));
-    let mut slots: Vec<Option<Result<Vec<NodeId>, CoreError>>> =
-        (0..busy.len()).map(|_| None).collect();
-    if threads <= 1 || busy.len() <= 1 {
-        for (slot, &r) in slots.iter_mut().zip(busy) {
-            *slot = Some(obs::with_quiet(|| run(r)));
-        }
-    } else {
-        let per = busy.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            for (chunk, rs) in slots.chunks_mut(per).zip(busy.chunks(per)) {
-                let run = &run;
-                s.spawn(move || {
-                    for (slot, &r) in chunk.iter_mut().zip(rs) {
-                        *slot = Some(obs::with_quiet(|| run(r)));
-                    }
-                });
+    audience: &[NodeId],
+) -> Result<(Vec<NodeId>, usize), CoreError> {
+    let mut by_region: Vec<Vec<NodeId>> = vec![Vec::new(); scoped.partition().region_count()];
+    for &j in audience {
+        by_region[scoped.partition().region_of(j)].push(j);
+    }
+    let busy: Vec<usize> = (0..by_region.len())
+        .filter(|&r| !by_region[r].is_empty())
+        .collect();
+    let opened = fan_out(
+        &busy,
+        cfg.parallelism,
+        |&r| -> Result<Vec<NodeId>, CoreError> {
+            let view = RegionView::new(
+                scoped,
+                facility_cost,
+                producer,
+                cfg.weights,
+                r,
+                by_region[r].clone(),
+            );
+            if view.candidates.is_empty() {
+                return Ok(Vec::new());
             }
-        });
+            Ok(dual_ascent_scoped(&view, cfg)?.0)
+        },
+    );
+    let mut facilities = Vec::new();
+    for region in opened {
+        facilities.extend(region?);
     }
-    let mut out = Vec::with_capacity(busy.len());
-    for slot in slots {
-        out.push(slot.expect("every region slot is filled")?);
-    }
-    Ok(out)
+    facilities.sort_unstable();
+    facilities.dedup();
+    Ok((facilities, busy.len()))
 }
 
 /// Facilities available to each region's clients: the open facilities
 /// inside the region's demand ball (region ∪ halo), sorted.
-pub(crate) fn facilities_by_region(
-    scoped: &ScopedContention,
-    facilities: &[NodeId],
-) -> Vec<Vec<NodeId>> {
+fn facilities_by_region(scoped: &ScopedContention, facilities: &[NodeId]) -> Vec<Vec<NodeId>> {
     (0..scoped.partition().region_count())
         .map(|r| {
             let cols = scoped.region_cols(r);
@@ -858,28 +839,38 @@ pub(crate) fn best_provider(
     best
 }
 
+/// Assigns every client to its cheapest provider among the facilities
+/// in its region's demand ball and the producer. Returns providers and
+/// access costs in audience order.
+fn assign(
+    scoped: &ScopedContention,
+    weights: CostWeights,
+    producer: NodeId,
+    audience: &[NodeId],
+    facilities: &[NodeId],
+) -> (Vec<NodeId>, Vec<f64>) {
+    let by_region = facilities_by_region(scoped, facilities);
+    audience
+        .iter()
+        .map(|&j| {
+            let options = &by_region[scoped.partition().region_of(j)];
+            best_provider(scoped, weights, producer, options, j, None)
+        })
+        .unzip()
+}
+
 /// Assigns every client and drops unused facilities to a fixpoint.
 /// Returns the surviving facilities (sorted), plus per-client providers
 /// and access costs in audience order.
-pub(crate) fn assign_and_prune(
+fn assign_and_prune(
     scoped: &ScopedContention,
-    facility_cost: &[f64],
     producer: NodeId,
     weights: CostWeights,
     audience: &[NodeId],
     mut current: Vec<NodeId>,
 ) -> (Vec<NodeId>, Vec<NodeId>, Vec<f64>) {
-    let _ = facility_cost;
     loop {
-        let by_region = facilities_by_region(scoped, &current);
-        let mut providers = Vec::with_capacity(audience.len());
-        let mut costs = Vec::with_capacity(audience.len());
-        for &j in audience {
-            let options = &by_region[scoped.partition().region_of(j)];
-            let (p, c) = best_provider(scoped, weights, producer, options, j, None);
-            providers.push(p);
-            costs.push(c);
-        }
+        let (providers, costs) = assign(scoped, weights, producer, audience, &current);
         let mut used: Vec<NodeId> = providers
             .iter()
             .copied()
@@ -957,7 +948,7 @@ fn trunk_refcounts(
 /// would cost. Total work is `O(passes × facilities)` candidate
 /// evaluations, which is what lets the 100k-node plan finish.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn improve_by_scoped_removal(
+fn improve_by_scoped_removal(
     scoped: &ScopedContention,
     facility_cost: &[f64],
     producer: NodeId,
@@ -1061,7 +1052,6 @@ mod tests {
     use super::*;
     use crate::approx::ApproxPlanner;
     use crate::costs::ContentionMatrix;
-    use crate::planner::plan_on_copy;
     use peercache_graph::builders;
 
     fn grid_net(side: usize, cap: usize) -> Network {
@@ -1413,7 +1403,7 @@ mod tests {
                 },
                 small_cfg(),
             );
-            plan_on_copy(&planner, &net, 3).unwrap().0
+            planner.plan(&mut net.clone(), 3).unwrap()
         };
         let a = mk(Parallelism::Sequential);
         let b = mk(Parallelism::Threads(4));
@@ -1433,7 +1423,7 @@ mod tests {
         // multi-region decomposition the hierarchical total must stay
         // within 10% of the exact-matrix Appx total.
         let net = grid_net(10, 4);
-        let (dense, _) = plan_on_copy(&ApproxPlanner::default(), &net, 4).unwrap();
+        let dense = ApproxPlanner::default().plan(&mut net.clone(), 4).unwrap();
         let planner = HierarchicalPlanner::new(
             ApproxConfig::default(),
             ScopedConfig {
@@ -1441,7 +1431,7 @@ mod tests {
                 ..ScopedConfig::default()
             },
         );
-        let (hier, _) = plan_on_copy(&planner, &net, 4).unwrap();
+        let hier = planner.plan(&mut net.clone(), 4).unwrap();
         let dense_total: f64 = dense.chunks().iter().map(|c| c.costs.total()).sum();
         let hier_total: f64 = hier.chunks().iter().map(|c| c.costs.total()).sum();
         assert!(

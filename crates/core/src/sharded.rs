@@ -22,9 +22,9 @@
 //!    *proposals* are computed in parallel against the frozen post-
 //!    refresh state (slot-array fan-out, one pure task per item), then
 //!    merged serially in ascending item order with capacity re-checks.
-//! 4. **Arrivals** — each new chunk runs the hierarchical planning
-//!    pipeline (per-region dual ascent fans out in parallel inside
-//!    `ascend_regions`).
+//! 4. **Arrivals** — each new chunk runs the hierarchical planner's
+//!    chunk step, `plan_scoped_chunk` (its per-region dual ascent fans
+//!    out in parallel), and commits it as arena rows and router events.
 //! 5. **Tree rebuild** — one producer-rooted SPT refreshes every live
 //!    chunk's trunk dissemination tree.
 //! 6. **Telemetry + oracles** — per-shard gauges, the tick span, and
@@ -56,8 +56,7 @@ use crate::placement::ChunkPlacement;
 use crate::planner::{chunk_span, finish_chunk_span};
 use crate::replication::top_up_targets;
 use crate::scoped::{
-    ascend_regions, assign_and_prune, best_provider, facilities_by_region,
-    improve_by_scoped_removal, trunk_tree, ScopedConfig, ScopedContention,
+    best_provider, fan_out, plan_scoped_chunk, trunk_tree, ScopedConfig, ScopedContention,
 };
 use crate::shard::{ArenaRow, CrossShardEvent, ShardRouter, WorldShard};
 use crate::world::WorldEvent;
@@ -810,9 +809,10 @@ impl ShardedWorld {
         Ok(())
     }
 
-    /// Places the next arriving chunk through the hierarchical
-    /// pipeline; the producer's home shard owns the decision, so rows
-    /// and copies homed elsewhere travel as Assign / RemoteCopy events.
+    /// Places the next arriving chunk through the scoped chunk step Hier
+    /// runs ([`plan_scoped_chunk`]); the producer's home shard owns the
+    /// decision, so rows and copies homed elsewhere travel as Assign /
+    /// RemoteCopy events.
     fn place_next_chunk(&mut self, report: &mut TickReport) -> Result<ChunkId, CoreError> {
         if let Some(cap) = self.retention {
             while self.chunks.len() >= cap {
@@ -835,79 +835,18 @@ impl ShardedWorld {
         self.next_chunk += 1;
         let mut span = chunk_span("Shard", chunk);
         self.span_count += 1;
-        let producer = self.net.producer();
-        let w = self.weights();
-        let regions = self.scoped.partition().region_count();
-        let fc = ConflInstance::facility_costs(&self.net, w);
-        let audience = self.net.interested_clients(chunk);
-        let mut by_region: Vec<Vec<NodeId>> = vec![Vec::new(); regions];
-        for &j in &audience {
-            by_region[self.scoped.partition().region_of(j)].push(j);
-        }
-        let busy: Vec<usize> = (0..regions).filter(|&r| !by_region[r].is_empty()).collect();
-        let opened = ascend_regions(
-            &self.scoped,
-            &fc,
-            producer,
-            w,
-            &self.cfg.approx,
-            &by_region,
-            &busy,
-            self.parallelism(),
-        )?;
-        let mut facilities: Vec<NodeId> = opened.into_iter().flatten().collect();
-        facilities.sort_unstable();
-        facilities.dedup();
-        let (mut current, mut providers, mut costs) =
-            assign_and_prune(&self.scoped, &fc, producer, w, &audience, facilities);
-        let (_, spt_parent) = dijkstra_edge_weighted(self.net.graph(), producer, |u, v| {
-            self.scoped.edge_cost(u, v)
-        });
-        improve_by_scoped_removal(
-            &self.scoped,
-            &fc,
-            producer,
-            w,
-            &audience,
-            &spt_parent,
-            &mut current,
-            &mut providers,
-            &mut costs,
-        );
-        // R-copy durability floor (a no-op for the default single-copy
-        // policy): top the pruned set up to the replication degree
-        // under the replica-load cap, then re-derive providers so a
-        // client may be served by a replica inside its region's demand
-        // ball. The trunk tree unions the SPT paths of all R copies.
-        let extra = top_up_targets(
-            &self.net,
-            &current,
-            &self.cfg.approx.replication,
-            |i| fc[i.index()],
-            |a, b| w.contention * self.scoped.cost(a, b),
-            producer,
-        );
-        if !extra.is_empty() {
-            current.extend(extra);
-            current.sort_unstable();
-            let by_ball = facilities_by_region(&self.scoped, &current);
-            for (idx, &j) in audience.iter().enumerate() {
-                let options = &by_ball[self.scoped.partition().region_of(j)];
-                let (p, c) = best_provider(&self.scoped, w, producer, options, j, None);
-                providers[idx] = p;
-                costs[idx] = c;
-            }
-        }
-        let (tree_edges, tree_cost) = trunk_tree(&self.scoped, producer, &spt_parent, &current);
-        for &i in &current {
+        let (cp, access, tree_cost) =
+            plan_scoped_chunk(&self.net, &self.scoped, &self.cfg.approx, chunk, &mut span)?;
+        for &i in &cp.caches {
             self.net.cache(i, chunk)?;
             let home = self.shard_of[i.index()] as usize;
             self.shards[home].arena_mut().pin_replica(i);
         }
         // Commit rows and copies, shard by shard: the producer's home
         // shard writes locally, everything else goes over the router.
+        let producer = self.net.producer();
         let decider = self.shard_of[producer.index()];
-        for (&j, (&p, &cost)) in audience.iter().zip(providers.iter().zip(&costs)) {
+        for (&(j, p), &cost) in cp.assignment.iter().zip(&access) {
             let home = self.shard_of[j.index()];
             if home == decider {
                 self.shards[home as usize]
@@ -925,38 +864,24 @@ impl ShardedWorld {
                 );
             }
         }
-        for &i in &current {
+        for &i in &cp.caches {
             let home = self.shard_of[i.index()];
             if home != decider {
                 self.router
                     .send(home, CrossShardEvent::RemoteCopy { chunk, node: i });
             }
         }
-        let mut dirty = current.clone();
+        let mut dirty = cp.caches.clone();
         dirty.push(producer);
         dirty.sort_unstable();
         dirty.dedup();
+        span.field("audience", cp.assignment.len());
+        finish_chunk_span(span, &cp);
         let sc = ShardChunk {
-            caches: current,
-            tree_edges,
+            caches: cp.caches,
+            tree_edges: cp.tree_edges,
             tree_cost,
         };
-        if span.is_recording() {
-            span.add_field("caches", obs::Value::from(sc.caches.len()));
-            span.add_field("audience", obs::Value::from(audience.len()));
-        }
-        let cp = ChunkPlacement {
-            chunk,
-            caches: sc.caches.clone(),
-            assignment: Vec::new(),
-            tree_edges: sc.tree_edges.clone(),
-            costs: SetCosts {
-                fairness: sc.caches.iter().map(|&i| fc[i.index()]).sum(),
-                access: costs.iter().sum(),
-                dissemination: w.dissemination * sc.tree_cost,
-            },
-        };
-        finish_chunk_span(span, &cp);
         self.chunks.insert(chunk, sc);
         self.scoped.update(&self.net, &dirty, self.parallelism())?;
         Ok(chunk)
@@ -1167,40 +1092,6 @@ fn shards_of(scoped: &ScopedContention) -> (Vec<WorldShard>, Vec<u32>) {
         }
     }
     (shards, shard_of)
-}
-
-/// Runs `task` over `items` with slot-array fan-out: results land in
-/// pre-indexed slots, so the merge order is the item order no matter
-/// how threads are scheduled. `task` must be a pure function of frozen
-/// state.
-fn fan_out<T: Sync, R: Send>(
-    items: &[T],
-    parallelism: Parallelism,
-    task: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let threads = parallelism.threads(items.len().max(1));
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    if threads <= 1 || items.len() <= 1 {
-        for (slot, item) in slots.iter_mut().zip(items) {
-            *slot = Some(obs::with_quiet(|| task(item)));
-        }
-    } else {
-        let per = items.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            for (chunk, part) in slots.chunks_mut(per).zip(items.chunks(per)) {
-                let task = &task;
-                s.spawn(move || {
-                    for (slot, item) in chunk.iter_mut().zip(part) {
-                        *slot = Some(obs::with_quiet(|| task(item)));
-                    }
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every fan-out slot is filled"))
-        .collect()
 }
 
 #[cfg(test)]

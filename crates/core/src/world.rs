@@ -32,11 +32,11 @@ use peercache_graph::{steiner, NodeId};
 use peercache_obs as obs;
 use peercache_obs::MonotonicClock;
 
-use crate::approx::{dual_ascent, ApproxConfig};
+use crate::approx::{dual_ascent, ApproxConfig, DualAscentStats};
 use crate::costs::ContentionMatrix;
 use crate::instance::{ConflInstance, SetCosts};
 use crate::placement::{recost_final, ChunkPlacement, Placement};
-use crate::planner::{commit_chunk_replicated, prune_unused_facilities};
+use crate::planner::{commit_chunk_replicated, plan_chunks, prune_unused_facilities};
 use crate::{ChunkId, CoreError, Network, PartitionPolicy};
 
 /// One step of the dynamic environment driving a [`CacheWorld`].
@@ -748,40 +748,17 @@ impl CacheWorld {
         let start = MonotonicClock::System.now_us();
         let mut oracle = self.net.clone();
         oracle.reset();
-        let mut matrix = ContentionMatrix::compute_with(
-            &oracle,
-            self.config.selection,
-            self.config.parallelism,
-        )?;
-        let mut chunks = Vec::new();
-        for &chunk in &self.live {
-            let inst = ConflInstance::build_for_chunk_with_matrix(
-                &oracle,
-                chunk,
-                self.config.weights,
-                matrix,
-            );
-            let (facilities, _) = dual_ascent(&oracle, &inst, &self.config)?;
-            let facilities = prune_unused_facilities(&oracle, &inst, &facilities);
-            let cp = commit_chunk_replicated(
-                &mut oracle,
-                &inst,
-                chunk,
-                &facilities,
-                &self.config.replication,
-            )?;
-            matrix = inst.into_matrix();
-            let mut dirty = cp.caches.clone();
-            dirty.push(oracle.producer());
-            matrix.update(&oracle, &dirty, self.config.parallelism)?;
-            chunks.push(cp);
-        }
-        let replanned = recost_final(
-            &oracle,
-            &Placement::new(chunks),
+        let chunks = plan_chunks(
+            "Replan",
+            &mut oracle,
+            self.live.iter().copied(),
             self.config.weights,
             self.config.selection,
+            self.config.parallelism,
+            &self.config.replication,
+            |net, inst, _, _| Ok(ascend_and_prune(net, inst, &self.config)?.0),
         )?;
+        let replanned = recost_final(&oracle, &chunks, self.config.weights, self.config.selection)?;
         let replan_contention = replanned.total_contention_cost();
         let replan_wall_us = MonotonicClock::System.elapsed_us(start);
         let cost_ratio = if replan_contention > 0.0 {
@@ -823,8 +800,7 @@ impl CacheWorld {
         self.next_chunk += 1;
         let mut span = obs::span!("online.insert", chunk = chunk.index());
         let inst = self.build_instance(chunk)?;
-        let (facilities, stats) = dual_ascent(&self.net, &inst, &self.config)?;
-        let facilities = prune_unused_facilities(&self.net, &inst, &facilities);
+        let (facilities, stats) = ascend_and_prune(&self.net, &inst, &self.config)?;
         let placement = commit_chunk_replicated(
             &mut self.net,
             &inst,
@@ -1277,6 +1253,17 @@ impl CacheWorld {
     fn refresh_matrix(&mut self) -> Result<usize, CoreError> {
         self.update_matrix_topology(&[], &[])
     }
+}
+
+/// Ascent → prune: the facility set an arrival commits, shared by
+/// [`CacheWorld`]'s arrivals and the full-replan oracle.
+fn ascend_and_prune(
+    net: &Network,
+    inst: &ConflInstance,
+    cfg: &ApproxConfig,
+) -> Result<(Vec<NodeId>, DualAscentStats), CoreError> {
+    let (facilities, stats) = dual_ascent(net, inst, cfg)?;
+    Ok((prune_unused_facilities(net, inst, &facilities), stats))
 }
 
 /// Whether a placement record mentions `node` anywhere.

@@ -8,13 +8,10 @@
 use std::cell::RefCell;
 
 use peercache_core::costs::CostWeights;
-use peercache_core::instance::ConflInstance;
 use peercache_core::placement::Placement;
-use peercache_core::planner::{
-    chunk_span, commit_chunk, finish_chunk_span, prune_unused_facilities, CachePlanner,
-};
-use peercache_core::{ChunkId, CoreError, Network};
-use peercache_graph::paths::PathSelection;
+use peercache_core::planner::{plan_chunks, prune_unused_facilities, CachePlanner};
+use peercache_core::{ChunkId, CoreError, Network, ReplicationPolicy};
+use peercache_graph::paths::{Parallelism, PathSelection};
 
 use peercache_obs as obs;
 
@@ -123,57 +120,55 @@ impl CachePlanner for DistributedPlanner {
             ));
         }
         let mut report = RunReport::default();
-        let mut placement = Placement::default();
         let mut plan_span = obs::span!(
             "dist.plan",
             chunks = chunk_count,
             k_hops = self.config.k_hops
         );
-        for q in 0..chunk_count {
-            let chunk = ChunkId::new(q);
-            let planner_span = chunk_span("Dist", chunk);
-            // Carry the causal trace id so the RAII round summary and
-            // the per-message spans of the same round can be joined.
-            let round_span = obs::span!(
-                "dist.round",
-                chunk = q,
-                trace = crate::sim::round_trace_id(net, &self.config.sim, chunk)
-            );
-            // CC exchange against the current caching state.
-            let (views, cc_stats) = build_views(net, self.config.k_hops)?;
-            let mut round_stats = cc_stats;
-            let outcome = run_chunk_round(net, &views, chunk, &self.config.sim);
-            round_stats.merge(&outcome.stats);
-            report.messages.merge(&round_stats);
-            report.per_chunk.push(round_stats);
-            report.ticks_per_chunk.push(outcome.ticks);
-            report.fallbacks_per_chunk.push(outcome.producer_fallbacks);
-            report.retries += outcome.retries;
-            report.depositions += outcome.depositions;
-            if outcome.protocol_errors > 0 {
-                report.protocol_errors += outcome.protocol_errors;
-                if report.first_error.is_none() {
-                    // The engine's only survivable bookkeeping fault.
-                    report.first_error = Some("MissingPayload".to_string());
+        // Costs are reported with the shared global model, so Dist is
+        // comparable with Appx/Brtf/Hopc/Cont.
+        let placement = plan_chunks(
+            "Dist",
+            net,
+            (0..chunk_count).map(ChunkId::new),
+            self.config.weights,
+            self.config.selection,
+            Parallelism::Sequential,
+            &ReplicationPolicy::default(),
+            |net, inst, chunk, _| {
+                // Carry the causal trace id so the RAII round summary and
+                // the per-message spans of the same round can be joined.
+                let round_span = obs::span!(
+                    "dist.round",
+                    chunk = chunk.index(),
+                    trace = crate::sim::round_trace_id(net, &self.config.sim, chunk)
+                );
+                // CC exchange against the current caching state.
+                let (views, cc_stats) = build_views(net, self.config.k_hops)?;
+                let mut round_stats = cc_stats;
+                let outcome = run_chunk_round(net, &views, chunk, &self.config.sim);
+                round_stats.merge(&outcome.stats);
+                report.messages.merge(&round_stats);
+                report.per_chunk.push(round_stats);
+                report.ticks_per_chunk.push(outcome.ticks);
+                report.fallbacks_per_chunk.push(outcome.producer_fallbacks);
+                report.retries += outcome.retries;
+                report.depositions += outcome.depositions;
+                if outcome.protocol_errors > 0 {
+                    report.protocol_errors += outcome.protocol_errors;
+                    if report.first_error.is_none() {
+                        // The engine's only survivable bookkeeping fault.
+                        report.first_error = Some("MissingPayload".to_string());
+                    }
                 }
-            }
-            emit_round_record(round_span, &round_stats, &outcome);
-            // Report costs with the shared global model so Dist is
-            // comparable with Appx/Brtf/Hopc/Cont.
-            let inst = ConflInstance::build_for_chunk(
-                net,
-                chunk,
-                self.config.weights,
-                self.config.selection,
-            )?;
-            // No improving-removal cleanup here: that pass needs global
-            // information a distributed node does not have. Only the
-            // assignment-level prune (an artifact of reporting) runs.
-            let admins = prune_unused_facilities(net, &inst, &outcome.admins);
-            let cp = commit_chunk(net, &inst, chunk, &admins)?;
-            finish_chunk_span(planner_span, &cp);
-            placement.push(cp);
-        }
+                emit_round_record(round_span, &round_stats, &outcome);
+                // No improving-removal cleanup here: that pass needs
+                // global information a distributed node does not have.
+                // Only the assignment-level prune (an artifact of
+                // reporting) runs.
+                Ok(prune_unused_facilities(net, inst, &outcome.admins))
+            },
+        )?;
         plan_span.add_field("messages_total", obs::Value::from(report.messages.total()));
         plan_span.add_field("dropped", obs::Value::from(report.messages.dropped));
         drop(plan_span);

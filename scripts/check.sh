@@ -29,6 +29,11 @@ if [[ $fast -eq 0 ]]; then
     run cargo run -p peercache-lint --quiet -- --deep \
         --json target/lint-report.json --budget-ms 5000
 fi
+# The benchmark package (its own workspace under benchmark/) calls the
+# library's public layer functions; compile it on every run, --fast
+# included, so a changed signature fails here rather than at the end.
+run env CARGO_TARGET_DIR=.bench_build cargo check --offline \
+    --manifest-path benchmark/Cargo.toml
 run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 if [[ $fast -eq 0 ]]; then

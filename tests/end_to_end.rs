@@ -149,10 +149,10 @@ fn identical_scenarios_produce_identical_plans() {
 }
 
 #[test]
-fn plan_on_copy_leaves_the_original_untouched() {
+fn run_planner_leaves_the_original_untouched() {
     let net = paper_grid(4).unwrap();
     let planner = ApproxPlanner::default();
-    let (placement, final_state) = peercache::planner::plan_on_copy(&planner, &net, 3).unwrap();
+    let (placement, final_state) = peercache_bench::harness::run_planner(&planner, &net, 3);
     assert_eq!(net.load_vector(), vec![0; 16]);
     assert_eq!(placement.chunks().len(), 3);
     assert!(final_state.load_vector().iter().sum::<usize>() > 0);
