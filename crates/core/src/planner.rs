@@ -143,25 +143,40 @@ pub fn improve_by_removal(
     let solver = peercache_graph::steiner::SteinerSolver::new(net.graph(), &terminals, |u, v| {
         inst.matrix().edge_cost(u, v)
     })?;
-    let (costs, _, _) = inst.evaluate_set_with(net, &current, &solver)?;
-    let mut best_total = costs.total();
+    remove_greedily(current, |set| {
+        Ok(inst.evaluate_set_with(net, set, &solver)?.0.total())
+    })
+}
+
+/// The greedy-removal loop shared by [`improve_by_removal`] and the
+/// world repair's trim: repeatedly drops the member of `set` whose
+/// removal lowers `score` the most (ties to the lowest index), until no
+/// removal gains more than `1e-9`.
+///
+/// # Errors
+///
+/// Propagates `score` failures.
+pub(crate) fn remove_greedily(
+    mut set: Vec<NodeId>,
+    score: impl Fn(&[NodeId]) -> Result<f64, CoreError>,
+) -> Result<Vec<NodeId>, CoreError> {
+    let mut best_total = score(&set)?;
     loop {
         let mut best_removal: Option<(f64, usize)> = None;
-        for idx in 0..current.len() {
-            let mut candidate = current.clone();
+        for idx in 0..set.len() {
+            let mut candidate = set.clone();
             candidate.remove(idx);
-            let (costs, _, _) = inst.evaluate_set_with(net, &candidate, &solver)?;
-            let total = costs.total();
+            let total = score(&candidate)?;
             if total < best_total - 1e-9 && best_removal.is_none_or(|(bt, _)| total < bt) {
                 best_removal = Some((total, idx));
             }
         }
         match best_removal {
             Some((total, idx)) => {
-                current.remove(idx);
+                set.remove(idx);
                 best_total = total;
             }
-            None => return Ok(current),
+            None => return Ok(set),
         }
     }
 }

@@ -14,8 +14,9 @@
 //!   copies stay pinned as pre-opened facilities);
 //! * placements merely *touched* by churn (a dead client in the
 //!   assignment, a dissemination tree routed over a dropped link) are
-//!   refreshed in place: clients re-assigned among the surviving
-//!   holders and the Steiner tree rebuilt, with no copy movement;
+//!   re-derived in place by one function: clients re-assigned among
+//!   the surviving holders and the Steiner tree kept (re-priced) or
+//!   rebuilt, with no copy movement;
 //! * everything else is left alone — the contention snapshot itself is
 //!   refreshed through the structural dirty-set rules of
 //!   [`peercache_graph::paths::AllPairsPaths::update_topology`], so the
@@ -36,7 +37,9 @@ use crate::approx::{dual_ascent, ApproxConfig, DualAscentStats};
 use crate::costs::ContentionMatrix;
 use crate::instance::{ConflInstance, SetCosts};
 use crate::placement::{recost_final, ChunkPlacement, Placement};
-use crate::planner::{commit_chunk_replicated, plan_chunks, prune_unused_facilities};
+use crate::planner::{
+    commit_chunk_replicated, plan_chunks, prune_unused_facilities, remove_greedily,
+};
 use crate::{ChunkId, CoreError, Network, PartitionPolicy};
 
 /// One step of the dynamic environment driving a [`CacheWorld`].
@@ -204,14 +207,6 @@ impl WorldSeries {
     }
 }
 
-/// Re-evaluation of one holder set under the carried snapshot.
-struct HolderEval {
-    assignment: Vec<(NodeId, NodeId)>,
-    tree_edges: Vec<(NodeId, NodeId)>,
-    access: f64,
-    dissemination: f64,
-}
-
 /// An evolving cache over a mutating topology.
 ///
 /// Owns the [`Network`] outright; every mutation flows through
@@ -251,10 +246,6 @@ pub struct CacheWorld {
     matrix: Option<ContentionMatrix>,
     events_applied: usize,
     repair_wall_us: u64,
-    /// Whether the world degrades gracefully across partitions instead
-    /// of rejecting partitioning events (see
-    /// [`CacheWorld::partition_tolerant`]).
-    partition_mode: bool,
     /// Partition transitions observed so far, drained by
     /// [`CacheWorld::take_partition_events`].
     partition_log: Vec<PartitionEvent>,
@@ -278,7 +269,6 @@ impl CacheWorld {
             matrix: None,
             events_applied: 0,
             repair_wall_us: 0,
-            partition_mode: false,
             partition_log: Vec::new(),
             series: obs::enabled().then(WorldSeries::new),
         }
@@ -312,9 +302,12 @@ impl CacheWorld {
     /// components merge again, every live record is reconciled against
     /// the healed reachability and the deferred clients fold back in.
     /// Transitions are reported as typed [`PartitionEvent`]s.
+    ///
+    /// The mode *is* the network's policy: a world built over a network
+    /// already set to [`PartitionPolicy::Allow`] is partition-tolerant
+    /// without this call.
     pub fn partition_tolerant(mut self) -> Self {
         self.net.set_partition_policy(PartitionPolicy::Allow);
-        self.partition_mode = true;
         self
     }
 
@@ -408,7 +401,7 @@ impl CacheWorld {
     ) -> Result<(), CoreError> {
         self.net.set_interest(chunk, clients)?;
         if self.placements.contains_key(&chunk) {
-            self.refresh_chunk(chunk)?;
+            self.rederive(&[chunk], &[])?;
         }
         Ok(())
     }
@@ -418,7 +411,8 @@ impl CacheWorld {
     /// exactly [`Network::interested_clients`].
     pub fn served_clients(&self, chunk: ChunkId) -> Vec<NodeId> {
         let interested = self.net.interested_clients(chunk);
-        if !self.partition_mode || self.net.component_count() <= 1 {
+        if self.net.partition_policy() != PartitionPolicy::Allow || self.net.component_count() <= 1
+        {
             return interested;
         }
         let mut sources: Vec<usize> = self
@@ -479,16 +473,8 @@ impl CacheWorld {
     ///   [partition-tolerant mode](CacheWorld::partition_tolerant).
     /// * Planning and storage errors from chunk placement.
     pub fn apply(&mut self, event: WorldEvent) -> Result<EventOutcome, CoreError> {
-        let comps_before = if self.partition_mode {
-            self.net.component_count()
-        } else {
-            1
-        };
-        let deferred_before = if self.partition_mode {
-            self.deferred_demand()
-        } else {
-            0
-        };
+        let before = (self.net.partition_policy() == PartitionPolicy::Allow)
+            .then(|| (self.net.component_count(), self.deferred_demand()));
         let outcome = match event {
             WorldEvent::ChunkArrived => EventOutcome::Placed(self.place_next_chunk()?),
             WorldEvent::ChunkRetired(chunk) => EventOutcome::Retired {
@@ -511,7 +497,7 @@ impl CacheWorld {
                 EventOutcome::LinkRemoved { removed, refreshed }
             }
         };
-        if self.partition_mode {
+        if let Some((comps_before, deferred_before)) = before {
             self.reconcile_partitions(comps_before, deferred_before)?;
         }
         self.events_applied += 1;
@@ -553,9 +539,7 @@ impl CacheWorld {
     ) -> Result<(), CoreError> {
         let comps_after = self.net.component_count();
         if comps_after != comps_before {
-            for chunk in self.live.clone() {
-                self.refresh_chunk(chunk)?;
-            }
+            self.rederive(&self.live.clone(), &[])?;
             let deferred_after = self.deferred_demand();
             let components = self.net.active_components();
             if comps_after > comps_before {
@@ -725,7 +709,7 @@ impl CacheWorld {
     /// well-defined single cost) and returns
     /// [`CoreError::InvalidParameter`] while partitioned.
     pub fn repair_vs_replan(&self) -> Result<RepairVsReplan, CoreError> {
-        if self.partition_mode && self.net.component_count() > 1 {
+        if self.net.component_count() > 1 {
             return Err(CoreError::InvalidParameter(
                 "repair_vs_replan requires a connected network; wait for \
                  partitions to heal"
@@ -834,9 +818,7 @@ impl CacheWorld {
         // Node count changed: the snapshot rebuilds wholesale.
         self.update_matrix_topology(&[], &[])?;
         let live = self.live.clone();
-        for &chunk in &live {
-            self.refresh_chunk(chunk)?;
-        }
+        self.rederive(&live, &[])?;
         obs::event!(
             "world.join",
             node = node.index(),
@@ -854,13 +836,13 @@ impl CacheWorld {
             dep.former_neighbors.iter().map(|&v| (node, v)).collect();
         let apsp_rows = self.update_matrix_topology(&removed, &[])?;
 
-        // Classify the fallout before mutating anything, so refreshes
-        // run after every repair has settled the snapshot. A Steiner
-        // tree can route *through* the departed node even when it
-        // holds no copy; those trees lost edges and must be rebuilt
-        // (behind one shared solver). Every other touched chunk merely
-        // listed the node as a client or provider — re-assigning
-        // clients and re-pricing the intact tree suffices.
+        // Classify the fallout before mutating anything, so records
+        // are re-derived after every repair has settled the snapshot.
+        // A Steiner tree can route *through* the departed node even
+        // when it holds no copy; those trees lost edges and must be
+        // rebuilt. Every other touched chunk merely listed the node as
+        // a client or provider — re-assigning clients and re-pricing
+        // the intact tree suffices.
         let mut lost = Vec::new();
         let mut tree_hit = Vec::new();
         let mut client_only = Vec::new();
@@ -892,10 +874,7 @@ impl CacheWorld {
             new_copies.extend(added.into_iter().map(|i| (chunk, i)));
             repaired.push(chunk);
         }
-        self.refresh_chunks_shared_tree(&tree_hit)?;
-        for &chunk in &client_only {
-            self.refresh_chunk_keeping_tree(chunk)?;
-        }
+        self.rederive(&tree_hit, &client_only)?;
         let wall_us = MonotonicClock::System.elapsed_us(start);
         self.repair_wall_us += wall_us;
         if span.is_recording() {
@@ -932,16 +911,18 @@ impl CacheWorld {
         let mut refreshed = Vec::new();
         if removed {
             self.update_matrix_topology(&[(u, v)], &[])?;
-            for chunk in self.live.clone() {
-                let crosses = self.placements[&chunk]
-                    .tree_edges
-                    .iter()
-                    .any(|&(a, b)| (a == u && b == v) || (a == v && b == u));
-                if crosses {
-                    self.refresh_chunk(chunk)?;
-                    refreshed.push(chunk);
-                }
-            }
+            refreshed = self
+                .live
+                .iter()
+                .copied()
+                .filter(|c| {
+                    self.placements[c]
+                        .tree_edges
+                        .iter()
+                        .any(|&(a, b)| (a == u && b == v) || (a == v && b == u))
+                })
+                .collect();
+            self.rederive(&refreshed, &[])?;
             obs::event!(
                 "world.link_down",
                 u = u.index(),
@@ -981,17 +962,8 @@ impl CacheWorld {
         // One Steiner solver over every node the repair may touch
         // answers the trim scoring and the final tree alike (the same
         // per-terminal shortest-path-tree reuse as
-        // `improve_by_removal`). Detached replicas serve their island
-        // off-tree, so only producer-side nodes enter the solver.
-        let mut universe: Vec<NodeId> = survivors
-            .iter()
-            .filter(|&&s| self.net.in_producer_component(s))
-            .chain(&newly)
-            .copied()
-            .collect();
-        universe.push(inst.producer());
-        universe.sort_unstable();
-        universe.dedup();
+        // `improve_by_removal`).
+        let universe = tree_terminals(&self.net, survivors.iter().chain(&newly));
         let solver = steiner::SteinerSolver::new(self.net.graph(), &universe, |u, v| {
             inst.matrix().edge_cost(u, v)
         })?;
@@ -1021,12 +993,7 @@ impl CacheWorld {
         caches.extend(newly.iter().copied());
         caches.sort_unstable();
         let (assignment, access) = inst.assign_clients(&self.net, &caches);
-        let mut terminals: Vec<NodeId> = caches
-            .iter()
-            .copied()
-            .filter(|&c| self.net.in_producer_component(c))
-            .collect();
-        terminals.push(inst.producer());
+        let terminals = tree_terminals(&self.net, &caches);
         // The shared solver's universe predates the replica top-up, so
         // an R-extended terminal set needs the direct Steiner solve;
         // the single-copy path keeps the solver reuse byte-identical.
@@ -1036,12 +1003,6 @@ impl CacheWorld {
             steiner::steiner_tree(self.net.graph(), &terminals, |u, v| {
                 inst.matrix().edge_cost(u, v)
             })?
-        };
-        let eval = HolderEval {
-            assignment,
-            tree_edges: tree.edges,
-            access,
-            dissemination: inst.weights().dissemination * tree.cost,
         };
         drop(solver);
         // New copies pay their (pre-caching) fairness cost on top of
@@ -1057,12 +1018,12 @@ impl CacheWorld {
             ChunkPlacement {
                 chunk,
                 caches,
-                assignment: eval.assignment,
-                tree_edges: eval.tree_edges,
+                assignment,
+                tree_edges: tree.edges,
                 costs: SetCosts {
                     fairness: old_fairness + added_fairness,
-                    access: eval.access,
-                    dissemination: eval.dissemination,
+                    access,
+                    dissemination: inst.weights().dissemination * tree.cost,
                 },
             },
         );
@@ -1079,83 +1040,51 @@ impl CacheWorld {
         Ok(newly)
     }
 
-    /// Refreshes a live chunk's record in place — same copies, fresh
-    /// assignment and dissemination tree under the current snapshot.
-    fn refresh_chunk(&mut self, chunk: ChunkId) -> Result<(), CoreError> {
-        let inst = self.build_instance(chunk)?;
-        let caches = self.net.holders(chunk);
-        let eval = evaluate_holders(&self.net, &inst, &caches)?;
-        let old_fairness = self.placements[&chunk].costs.fairness;
-        self.placements.insert(
-            chunk,
-            ChunkPlacement {
-                chunk,
-                caches,
-                assignment: eval.assignment,
-                tree_edges: eval.tree_edges,
-                costs: SetCosts {
-                    fairness: old_fairness,
-                    access: eval.access,
-                    dissemination: eval.dissemination,
-                },
-            },
-        );
-        self.matrix = Some(inst.into_matrix());
-        Ok(())
-    }
-
-    /// Full refresh of several chunks whose recorded trees lost edges,
-    /// sharing one Steiner solver across all of them: the solver pays
-    /// one shortest-path tree per *distinct* holder instead of one per
-    /// chunk-holder pair. Tree construction matches [`refresh_chunk`]
-    /// exactly — the batching only deduplicates work.
-    fn refresh_chunks_shared_tree(&mut self, chunks: &[ChunkId]) -> Result<(), CoreError> {
-        if chunks.is_empty() {
+    /// Re-derives the records of live chunks in place under the carried
+    /// snapshot — the one path by which a record changes without a copy
+    /// moving. Copies stay as held, clients are re-assigned among the
+    /// current holders, and sunk fairness is kept. Each chunk in
+    /// `rebuild` gets a fresh dissemination tree, all of them from one
+    /// Steiner solver over the union of their tree terminals, so the
+    /// call pays one shortest-path tree per distinct holder; nothing
+    /// changes the network or the snapshot between chunks, so each tree
+    /// is bit-for-bit the one-shot [`steiner::steiner_tree`]. Each chunk
+    /// in `keep` keeps its tree, re-priced under the snapshot — valid
+    /// only when no recorded tree edge can have vanished.
+    fn rederive(&mut self, rebuild: &[ChunkId], keep: &[ChunkId]) -> Result<(), CoreError> {
+        if rebuild.is_empty() && keep.is_empty() {
             return Ok(());
         }
         let matrix = self.take_matrix()?;
-        // Detached replicas stay off the producer-side trees.
-        let mut universe: Vec<NodeId> = chunks
-            .iter()
-            .flat_map(|&c| self.net.holders(c))
-            .filter(|&h| self.net.in_producer_component(h))
-            .collect();
-        universe.push(self.net.producer());
-        universe.sort_unstable();
-        universe.dedup();
-        let solver = steiner::SteinerSolver::new(self.net.graph(), &universe, |u, v| {
-            matrix.edge_cost(u, v)
-        })?;
-        let mut trees = Vec::with_capacity(chunks.len());
-        for &chunk in chunks {
-            let mut terminals: Vec<NodeId> = self
-                .net
-                .holders(chunk)
-                .into_iter()
-                .filter(|&h| self.net.in_producer_component(h))
-                .collect();
-            terminals.push(self.net.producer());
-            trees.push(solver.tree(&terminals)?);
-        }
-        drop(solver);
+        let trees = shared_trees(&self.net, &matrix, rebuild);
         self.matrix = Some(matrix);
-        for (&chunk, tree) in chunks.iter().zip(trees) {
+        let rebuilt = rebuild.iter().zip(trees?.into_iter().map(Some));
+        for (&chunk, tree) in rebuilt.chain(keep.iter().zip(std::iter::repeat(None))) {
             let inst = self.build_instance(chunk)?;
             let caches = self.net.holders(chunk);
             let (assignment, access) = inst.assign_clients(&self.net, &caches);
-            let old_fairness = self.placements[&chunk].costs.fairness;
+            let old = &self.placements[&chunk];
+            let (tree_edges, tree_cost) = match tree {
+                Some(tree) => (tree.edges, tree.cost),
+                None => {
+                    let edges = &old.tree_edges;
+                    let cost = edges.iter().map(|&(u, v)| inst.matrix().edge_cost(u, v));
+                    (edges.clone(), cost.sum())
+                }
+            };
+            let costs = SetCosts {
+                fairness: old.costs.fairness,
+                access,
+                dissemination: inst.weights().dissemination * tree_cost,
+            };
             self.placements.insert(
                 chunk,
                 ChunkPlacement {
                     chunk,
                     caches,
                     assignment,
-                    tree_edges: tree.edges,
-                    costs: SetCosts {
-                        fairness: old_fairness,
-                        access,
-                        dissemination: inst.weights().dissemination * tree.cost,
-                    },
+                    tree_edges,
+                    costs,
                 },
             );
             self.matrix = Some(inst.into_matrix());
@@ -1163,62 +1092,25 @@ impl CacheWorld {
         Ok(())
     }
 
-    /// The cheap refresh variant: same copies *and* same dissemination
-    /// tree — clients re-assigned and the intact tree re-priced under
-    /// the current snapshot. Only valid when the triggering change
-    /// cannot have removed any of the recorded tree edges.
-    fn refresh_chunk_keeping_tree(&mut self, chunk: ChunkId) -> Result<(), CoreError> {
-        let inst = self.build_instance(chunk)?;
-        let caches = self.net.holders(chunk);
-        let (assignment, access) = inst.assign_clients(&self.net, &caches);
-        let p = &self.placements[&chunk];
-        let tree_edges = p.tree_edges.clone();
-        let dissemination = inst.weights().dissemination
-            * tree_edges
-                .iter()
-                .map(|&(u, v)| inst.matrix().edge_cost(u, v))
-                .sum::<f64>();
-        let old_fairness = p.costs.fairness;
-        self.placements.insert(
-            chunk,
-            ChunkPlacement {
-                chunk,
-                caches,
-                assignment,
-                tree_edges,
-                costs: SetCosts {
-                    fairness: old_fairness,
-                    access,
-                    dissemination,
-                },
-            },
-        );
-        self.matrix = Some(inst.into_matrix());
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Carried-snapshot plumbing.
     // ------------------------------------------------------------------
 
-    /// Builds `chunk`'s ConFL instance over the carried snapshot. In
-    /// partition-tolerant mode the audience is restricted to the served
-    /// clients, so planning runs per component and never feeds an
-    /// infinite (cross-partition) connection cost into an ascent's
-    /// round bound.
+    /// Builds `chunk`'s ConFL instance over the carried snapshot, its
+    /// audience restricted to the [served](CacheWorld::served_clients)
+    /// clients: while partitioned, planning runs per component and never
+    /// feeds an infinite (cross-partition) connection cost into an
+    /// ascent's round bound.
     fn build_instance(&mut self, chunk: ChunkId) -> Result<ConflInstance, CoreError> {
         let audience = self.served_clients(chunk);
         let matrix = self.take_matrix()?;
-        let mut inst = ConflInstance::build_for_chunk_with_matrix(
+        let inst = ConflInstance::build_for_chunk_with_matrix(
             &self.net,
             chunk,
             self.config.weights,
             matrix,
         );
-        if self.partition_mode {
-            inst = inst.with_clients(audience);
-        }
-        Ok(inst)
+        Ok(inst.with_clients(audience))
     }
 
     /// Hands out the carried snapshot (computing it on first use).
@@ -1274,33 +1166,38 @@ fn placement_touches(p: &ChunkPlacement, node: NodeId) -> bool {
         || p.tree_edges.iter().any(|&(a, b)| a == node || b == node)
 }
 
-/// Assignment, tree, and contention costs of serving a chunk's audience
-/// from exactly `caches` (plus the producer), under the instance's
-/// snapshot. Unlike [`ConflInstance::evaluate_set`] it does not price
-/// the facilities — repair treats surviving copies as sunk.
-fn evaluate_holders(
-    net: &Network,
-    inst: &ConflInstance,
-    caches: &[NodeId],
-) -> Result<HolderEval, CoreError> {
-    let (assignment, access) = inst.assign_clients(net, caches);
-    // Replicas detached from the producer serve their island off-tree
-    // (no-op on a connected network).
-    let mut terminals: Vec<NodeId> = caches
-        .iter()
+/// The terminals of a chunk's dissemination tree: its producer-side
+/// `holders` plus the producer. Replicas detached from the producer
+/// serve their island off-tree (every holder qualifies on a connected
+/// network).
+fn tree_terminals<'a>(net: &Network, holders: impl IntoIterator<Item = &'a NodeId>) -> Vec<NodeId> {
+    let mut terminals: Vec<NodeId> = holders
+        .into_iter()
         .copied()
-        .filter(|&c| net.in_producer_component(c))
+        .filter(|&h| net.in_producer_component(h))
         .collect();
-    terminals.push(inst.producer());
-    let tree = steiner::steiner_tree(net.graph(), &terminals, |u, v| {
-        inst.matrix().edge_cost(u, v)
-    })?;
-    Ok(HolderEval {
-        assignment,
-        tree_edges: tree.edges,
-        access,
-        dissemination: inst.weights().dissemination * tree.cost,
-    })
+    terminals.push(net.producer());
+    terminals
+}
+
+/// One dissemination tree per chunk over its [`tree_terminals`], all
+/// answered by one Steiner solver over their union.
+fn shared_trees(
+    net: &Network,
+    matrix: &ContentionMatrix,
+    chunks: &[ChunkId],
+) -> Result<Vec<steiner::SteinerTree>, CoreError> {
+    if chunks.is_empty() {
+        return Ok(Vec::new());
+    }
+    let holders: Vec<Vec<NodeId>> = chunks.iter().map(|&c| net.holders(c)).collect();
+    let universe = tree_terminals(net, holders.iter().flatten());
+    let solver =
+        steiner::SteinerSolver::new(net.graph(), &universe, |u, v| matrix.edge_cost(u, v))?;
+    holders
+        .iter()
+        .map(|h| Ok(solver.tree(&tree_terminals(net, h))?))
+        .collect()
 }
 
 /// The scoped dual ascent of the repair path.
@@ -1444,38 +1341,14 @@ fn trim_new_facilities<W: Fn(NodeId, NodeId) -> f64>(
     if newly.is_empty() {
         return Ok(newly);
     }
-    let score = |subset: &[NodeId]| -> Result<f64, CoreError> {
+    remove_greedily(newly, |subset| {
         let mut caches: Vec<NodeId> = survivors.iter().chain(subset).copied().collect();
         caches.sort_unstable();
         let (_, access) = inst.assign_clients(net, &caches);
-        let mut terminals: Vec<NodeId> = caches
-            .into_iter()
-            .filter(|&c| net.in_producer_component(c))
-            .collect();
-        terminals.push(inst.producer());
-        let tree = solver.tree(&terminals)?;
+        let tree = solver.tree(&tree_terminals(net, &caches))?;
         let fairness: f64 = subset.iter().map(|&i| inst.facility_cost(i)).sum();
         Ok(fairness + access + inst.weights().dissemination * tree.cost)
-    };
-    let mut best_total = score(&newly)?;
-    loop {
-        let mut best_removal: Option<(f64, usize)> = None;
-        for idx in 0..newly.len() {
-            let mut candidate = newly.clone();
-            candidate.remove(idx);
-            let total = score(&candidate)?;
-            if total < best_total - 1e-9 && best_removal.is_none_or(|(bt, _)| total < bt) {
-                best_removal = Some((total, idx));
-            }
-        }
-        match best_removal {
-            Some((total, idx)) => {
-                newly.remove(idx);
-                best_total = total;
-            }
-            None => return Ok(newly),
-        }
-    }
+    })
 }
 
 #[cfg(test)]

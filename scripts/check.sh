@@ -43,20 +43,12 @@ run cargo test --workspace -q
 # Second pass with the runtime invariant oracles armed: reference
 # dual-ascent re-verification, bitwise contention-matrix checks, and
 # Steiner connectivity after every world event (crates/core/src/strict.rs).
+# It runs every root suite once, the acceptance traces included:
+# chaos_trace (500+ faults, partition windows, ADMIN deposition),
+# shard_world (200+ churn events per topology, digests equal across
+# every Parallelism setting), swim_membership and replication_chaos
+# (R = 3 durability / convergence / recovery oracles).
 run cargo test --workspace --features strict-invariants -q
-# The chaos acceptance trace (500+ injected faults, two partition
-# windows, lease-based ADMIN deposition, byte-identical replay) must
-# hold with the oracles armed.
-run cargo test --test chaos_trace --features strict-invariants -q
-# The sharded-world determinism suite (200+ churn events per topology,
-# byte-identical digests across every Parallelism setting) must hold
-# with the per-tick shard oracles armed.
-run cargo test --test shard_world --features strict-invariants -q
-# The replication robustness suite: SWIM membership edge cases and the
-# R = 3 chaos trace (500+ faults, durability / convergence / recovery
-# oracles, byte-identical replay) with the oracles armed.
-run cargo test --test swim_membership --features strict-invariants -q
-run cargo test --test replication_chaos --features strict-invariants -q
 if [[ $fast -eq 0 ]]; then
     # Perf-regression gate: re-measures every baseline in
     # perf::BASELINES at full size and diffs the structural counters

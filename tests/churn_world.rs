@@ -3,6 +3,8 @@
 //! must keep the world state valid after *every* event, land within the
 //! repair-vs-replan cost gap at the end, and replay byte-identically.
 
+mod world_digest;
+
 use peercache::approx::ApproxConfig;
 use peercache::prelude::*;
 
@@ -36,6 +38,8 @@ struct TraceStats {
     rejected: usize,
     departures: usize,
     joins: usize,
+    /// Every attempted event's outcome, folded by [`world_digest`].
+    outcomes: u64,
 }
 
 /// Keep at least this many active nodes so departures cannot hollow
@@ -54,6 +58,7 @@ fn drive(world: &mut CacheWorld, seed: u64, attempts: usize) -> TraceStats {
         rejected: 0,
         departures: 0,
         joins: 0,
+        outcomes: world_digest::SEED,
     };
     for _ in 0..attempts {
         let roll = rng.below(100);
@@ -100,7 +105,9 @@ fn drive(world: &mut CacheWorld, seed: u64, attempts: usize) -> TraceStats {
         };
         let is_departure = matches!(event, WorldEvent::NodeDeparted(_));
         let is_join = matches!(event, WorldEvent::NodeJoined { .. });
-        match world.apply(event) {
+        let outcome = world.apply(event);
+        stats.outcomes = world_digest::fold_outcome(stats.outcomes, &outcome);
+        match outcome {
             Ok(_) => {
                 stats.applied += 1;
                 stats.departures += usize::from(is_departure);
@@ -160,6 +167,10 @@ fn random_geometric_churn_trace_stays_valid_and_near_replan() {
     );
 }
 
+/// [`world_digest`] of the `churn_traces_replay_identically` trace:
+/// every outcome, the history and every live record, bit for bit.
+const REPLAY_DIGEST: u64 = 0xae84_1701_a489_d462;
+
 #[test]
 fn churn_traces_replay_identically() {
     let (a, sa) = run_trace(paper_grid(5).unwrap(), 0xDECADE);
@@ -171,4 +182,9 @@ fn churn_traces_replay_identically() {
     for &chunk in a.live_chunks() {
         assert_eq!(a.placement(chunk), b.placement(chunk));
     }
+    let digest = world_digest::fold_world(sa.outcomes, &a);
+    assert_eq!(
+        digest, REPLAY_DIGEST,
+        "trace digest {digest:#018x} moved from the pinned records"
+    );
 }

@@ -5,6 +5,8 @@
 //! reconciled records must be byte-identical to a fresh independent
 //! evaluation of the merged component.
 
+mod world_digest;
+
 use peercache::approx::ApproxConfig;
 use peercache::graph::components::components_of_subset;
 use peercache::instance::ConflInstance;
@@ -41,6 +43,9 @@ struct TraceStats {
     formed: usize,
     healed: usize,
     max_components: usize,
+    /// Every attempted event's outcome and every partition transition,
+    /// folded by [`world_digest`].
+    outcomes: u64,
 }
 
 /// Keep at least this many active nodes so departures cannot hollow
@@ -61,6 +66,7 @@ fn drive(world: &mut CacheWorld, seed: u64, attempts: usize) -> TraceStats {
         formed: 0,
         healed: 0,
         max_components: 1,
+        outcomes: world_digest::SEED,
     };
     for _ in 0..attempts {
         let roll = rng.below(100);
@@ -105,7 +111,9 @@ fn drive(world: &mut CacheWorld, seed: u64, attempts: usize) -> TraceStats {
                 WorldEvent::LinkUp(a, b)
             }
         };
-        match world.apply(event) {
+        let outcome = world.apply(event);
+        stats.outcomes = world_digest::fold_outcome(stats.outcomes, &outcome);
+        match outcome {
             Ok(_) => stats.applied += 1,
             Err(_) => stats.rejected += 1,
         }
@@ -121,6 +129,7 @@ fn drive(world: &mut CacheWorld, seed: u64, attempts: usize) -> TraceStats {
         assert_eq!(net.component_count(), expected.len());
         stats.max_components = stats.max_components.max(expected.len());
         for event in world.take_partition_events() {
+            stats.outcomes = world_digest::fold_partition_event(stats.outcomes, &event);
             match event {
                 PartitionEvent::Formed { components, .. } => {
                     stats.formed += 1;
@@ -174,6 +183,11 @@ fn random_geometric_partition_trace_tracks_components_exactly() {
     world.validate().unwrap();
 }
 
+/// [`world_digest`] of the `partition_traces_replay_identically`
+/// trace: every outcome and partition transition, the history, every
+/// live record and the deferred demand, bit for bit.
+const REPLAY_DIGEST: u64 = 0x9778_759d_67a5_a432;
+
 #[test]
 fn partition_traces_replay_identically() {
     let (a, sa) = run_trace(paper_grid(5).unwrap(), 0xDEC0DE);
@@ -185,6 +199,67 @@ fn partition_traces_replay_identically() {
     for &chunk in a.live_chunks() {
         assert_eq!(a.placement(chunk), b.placement(chunk));
     }
+    let digest = world_digest::fold_world(sa.outcomes, &a) ^ a.deferred_demand() as u64;
+    assert_eq!(
+        digest, REPLAY_DIGEST,
+        "trace digest {digest:#018x} moved from the pinned records"
+    );
+}
+
+/// The partition mode is the network's policy: a world built over an
+/// `Allow` network without `.partition_tolerant()` degrades exactly
+/// like one that opted in. Departing nodes 1 and 4 of the 4x4 grid
+/// islands corner 0; every event must apply, the world must stay valid,
+/// and its outcomes, records, deferred demand and partition log must
+/// equal the opted-in world's.
+#[test]
+fn a_world_over_an_allow_network_is_partition_tolerant() {
+    let config = ApproxConfig::default();
+    let mut net = paper_grid(4).unwrap();
+    net.set_partition_policy(PartitionPolicy::Allow);
+    let mut plain = CacheWorld::new(net, config.clone());
+    let mut opted = CacheWorld::new(paper_grid(4).unwrap(), config).partition_tolerant();
+    let trace = [
+        WorldEvent::ChunkArrived,
+        WorldEvent::ChunkArrived,
+        WorldEvent::ChunkArrived,
+        WorldEvent::NodeDeparted(NodeId::new(1)),
+        WorldEvent::NodeDeparted(NodeId::new(4)),
+        WorldEvent::ChunkArrived,
+        WorldEvent::NodeJoined {
+            neighbors: vec![NodeId::new(0), NodeId::new(5)],
+            capacity: 3,
+        },
+        WorldEvent::ChunkArrived,
+    ];
+    let mut formed = 0;
+    for event in trace {
+        let a = plain.apply(event.clone());
+        let b = opted.apply(event.clone());
+        assert!(a.is_ok(), "{event:?} failed on the Allow world: {a:?}");
+        assert!(b.is_ok(), "{event:?} failed on the opted-in world: {b:?}");
+        plain.validate().unwrap();
+        opted.validate().unwrap();
+        assert_eq!(
+            world_digest::fold_outcome(0, &a),
+            world_digest::fold_outcome(0, &b),
+            "outcomes of {event:?}"
+        );
+        let log = plain.take_partition_events();
+        formed += log
+            .iter()
+            .filter(|e| matches!(e, PartitionEvent::Formed { .. }))
+            .count();
+        assert_eq!(log, opted.take_partition_events(), "log after {event:?}");
+        assert_eq!(plain.deferred_demand(), opted.deferred_demand());
+        assert_eq!(plain.live_chunks(), opted.live_chunks());
+        for &chunk in plain.live_chunks() {
+            assert_eq!(plain.placement(chunk), opted.placement(chunk));
+        }
+    }
+    assert_eq!(formed, 1, "the second departure islands corner 0");
+    assert_eq!(plain.history(), opted.history());
+    assert_eq!(plain.network(), opted.network());
 }
 
 /// Walks a deterministic split → publish-while-split → heal sequence
