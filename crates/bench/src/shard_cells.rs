@@ -8,12 +8,13 @@
 //! exactly the sharded world's determinism contract. Wall times and the
 //! derived speedup are machine-dependent (the perf gate bands them);
 //! everything else in a row — shard count, cross-shard event count, the
-//! digest itself — is deterministic and compared exactly.
+//! scoped store's staled / solved / oracle-sweep counts, the digest
+//! itself — is deterministic and compared exactly.
 
 use std::time::Instant;
 
 use peercache_core::approx::ApproxConfig;
-use peercache_core::scoped::ScopedConfig;
+use peercache_core::scoped::{ScopedConfig, StoreWork};
 use peercache_core::sharded::{ShardConfig, ShardedWorld};
 use peercache_core::world::WorldEvent;
 use peercache_core::Network;
@@ -92,6 +93,8 @@ pub struct ShardRow {
     pub cross_shard_events: u64,
     /// Shards of the world's partition.
     pub shards: usize,
+    /// Scoped-store work over the whole run (warm-up included).
+    pub work: StoreWork,
 }
 
 /// Runs warm-up plus the [`TICKS`]-tick churn trace under one thread
@@ -120,12 +123,13 @@ pub fn measure_threads(side: usize, ticks: usize, threads: usize) -> ShardRow {
         spans: world.span_count(),
         cross_shard_events: world.cross_shard_events(),
         shards: world.shard_count(),
+        work: world.store_work(),
     }
 }
 
 /// Runs the full sweep over [`THREADS`], asserting the determinism
 /// contract — every setting must produce the same digest, span count,
-/// shard count, and cross-shard event count.
+/// shard count, cross-shard event count, and scoped-store work.
 pub fn run_sweep(side: usize, ticks: usize) -> Vec<ShardRow> {
     let rows: Vec<ShardRow> = THREADS
         .iter()
@@ -143,6 +147,7 @@ pub fn run_sweep(side: usize, ticks: usize) -> Vec<ShardRow> {
             r.cross_shard_events, rows[0].cross_shard_events,
             "cross-shard event count diverged"
         );
+        assert_eq!(r.work, rows[0].work, "scoped-store work diverged");
     }
     rows
 }
@@ -179,6 +184,13 @@ fn render_json(side: usize, ticks: usize, rows: &[ShardRow]) -> String {
         "  \"cross_shard_events\": {},\n",
         rows[0].cross_shard_events
     ));
+    let work = rows[0].work;
+    out.push_str(&format!("  \"blocks_staled\": {},\n", work.blocks_staled));
+    out.push_str(&format!("  \"blocks_solved\": {},\n", work.blocks_solved));
+    out.push_str(&format!(
+        "  \"oracle_refreshes\": {},\n",
+        work.oracle_refreshes
+    ));
     out.push_str(&format!("  \"speedup_8x\": {:.3},\n", speedup_8x(rows)));
     out.push_str("  \"rows\": [\n");
     for (idx, r) in rows.iter().enumerate() {
@@ -208,6 +220,8 @@ mod tests {
         let again = run_sweep(12, 2);
         assert_eq!(rows[0].digest, again[0].digest);
         assert_eq!(rows[0].spans, again[0].spans);
+        assert_eq!(rows[0].work, again[0].work);
+        assert!(rows[0].work.blocks_solved > 0);
     }
 
     #[test]
@@ -235,6 +249,7 @@ mod tests {
                 spans: 40,
                 cross_shard_events: 99,
                 shards: 21,
+                work: StoreWork::default(),
             },
             ShardRow {
                 threads: 8,
@@ -243,12 +258,14 @@ mod tests {
                 spans: 40,
                 cross_shard_events: 99,
                 shards: 21,
+                work: StoreWork::default(),
             },
         ];
         let text = render_json(50, 8, &rows);
         let doc = peercache_obs::Json::parse(&text).expect("renders valid JSON");
         let rendered = format!("{doc:?}");
         assert!(rendered.contains("speedup_8x"));
+        assert!(rendered.contains("blocks_solved"));
         assert!(rendered.contains("0x00000000deadbeef"));
     }
 }

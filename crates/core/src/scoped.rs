@@ -13,7 +13,8 @@
 //! 2. **[`ScopedContention`]** — per region, the exact pairwise costs
 //!    from the region's nodes to everything in its `k`-hop demand ball
 //!    (region ∪ halo), solved for the region's rows only over the
-//!    subgraph the ball induces ([`induced_rows`]) and kept as lean
+//!    subgraph the ball induces
+//!    ([`induced_rows`](peercache_graph::paths::induced_rows)) and kept as lean
 //!    `cost f64 + hops u32` rows (12 B/pair, no parent pointers).
 //!    Because every hop-shortest path between nodes at hop
 //!    distance `h ≤ k` stays inside the `k`-ball, these block values
@@ -34,16 +35,24 @@
 //!
 //! The incremental discipline mirrors the dense path: committing a
 //! chunk dirties only the new caches and the producer, so
-//! [`ScopedContention::update`] rebuilds only the blocks whose demand
-//! ball contains a dirty node and refreshes the (fixed-selection)
-//! landmark vectors.
+//! [`ScopedContention::update`] stales only the blocks whose demand
+//! ball contains a dirty node, plus the landmark oracle (its landmark
+//! selection stays fixed). Staling is lazy. The update captures what
+//! each solve will read: a block's ball, the subgraph the ball induces
+//! and the members' terms, and the graph and terms for the oracle. A
+//! block's rows are solved on its first lookup, and the oracle's
+//! sweeps on the first oracle read. A block staled again before any
+//! read is never solved. A read between a cache commit and the next
+//! update still sees the values of the update that staled the block.
+
+use std::sync::OnceLock;
 
 use peercache_graph::oracle::LandmarkOracle;
 use peercache_graph::paths::{
-    dijkstra_edge_weighted, induced_rows, AllPairsPaths, Parallelism, PathSelection,
+    dijkstra_edge_weighted, AllPairsPaths, InducedRows, Parallelism, PathSelection,
 };
 use peercache_graph::regions::RegionPartition;
-use peercache_graph::NodeId;
+use peercache_graph::{Graph, NodeId};
 use peercache_obs as obs;
 
 use crate::approx::{dual_ascent_scoped, ApproxConfig};
@@ -78,42 +87,87 @@ impl Default for ScopedConfig {
     }
 }
 
+/// Work counters of a [`ScopedContention`] over its lifetime. They
+/// count deterministic events, so they are equal under every
+/// [`Parallelism`] setting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreWork {
+    /// Blocks [`ScopedContention::update`] captured for a re-solve.
+    pub blocks_staled: u64,
+    /// Block row solves run, each on a block's first lookup.
+    pub blocks_solved: u64,
+    /// Landmark-oracle sweeps run, each on the first oracle read after
+    /// a build or an update.
+    pub oracle_refreshes: u64,
+}
+
+impl std::ops::AddAssign for StoreWork {
+    fn add_assign(&mut self, other: StoreWork) {
+        self.blocks_staled += other.blocks_staled;
+        self.blocks_solved += other.blocks_solved;
+        self.oracle_refreshes += other.oracle_refreshes;
+    }
+}
+
+/// A value solved from inputs captured up front, on its first read.
+/// Every read sees what a solve at capture time would have returned,
+/// whichever thread asks first.
+#[derive(Debug, Clone)]
+struct Deferred<I, T> {
+    inputs: I,
+    value: OnceLock<T>,
+}
+
+impl<I, T> Deferred<I, T> {
+    fn new(inputs: I) -> Self {
+        Deferred {
+            inputs,
+            value: OnceLock::new(),
+        }
+    }
+
+    fn get_or_solve(&self, solve: impl FnOnce(&I) -> T) -> &T {
+        self.value.get_or_init(|| solve(&self.inputs))
+    }
+
+    fn is_solved(&self) -> bool {
+        self.value.get().is_some()
+    }
+}
+
 /// One region's exact-cost block: rows are the region's nodes, columns
 /// its `k`-hop demand ball (region ∪ halo), values the pair costs of
 /// the induced block subgraph.
 #[derive(Debug, Clone)]
 struct Block {
-    /// Region members, sorted ascending (the block's rows).
-    rows: Vec<NodeId>,
     /// Region ∪ halo, sorted ascending (the block's columns).
     cols: Vec<NodeId>,
-    /// Closed pair costs, `rows.len() × cols.len()`, row-major.
-    cost: Vec<f64>,
-    /// Routed hop counts, same shape; `u32::MAX` when unreachable
-    /// inside the block.
-    hops: Vec<u32>,
+    /// The region rows' solve over the subgraph the ball induces,
+    /// captured when the block was staled: closed pair costs and routed
+    /// hop counts, `rows × cols.len()`, row-major; hops are `u32::MAX`
+    /// when unreachable inside the block.
+    rows: Deferred<InducedRows, (Vec<f64>, Vec<u32>)>,
 }
 
 impl Block {
-    fn lookup(&self, row: NodeId, col: NodeId) -> Option<(f64, u32)> {
-        let ci = self.cols.binary_search(&col).ok()?;
-        let ri = self
-            .rows
-            .binary_search(&row)
-            .expect("block rows cover the region");
-        let at = ri * self.cols.len() + ci;
-        Some((self.cost[at], self.hops[at]))
+    fn solved(&self) -> &(Vec<f64>, Vec<u32>) {
+        self.rows.get_or_solve(InducedRows::solve)
     }
 
-    fn state_bytes(&self) -> u64 {
-        (self.cost.len() * 8 + self.hops.len() * 4 + (self.rows.len() + self.cols.len()) * 4) as u64
+    /// The block value at row `slot` (the row node's position in its
+    /// region) and column `col`; solves the block on its first hit.
+    fn lookup(&self, slot: usize, col: NodeId) -> Option<(f64, u32)> {
+        let ci = self.cols.binary_search(&col).ok()?;
+        let (cost, hops) = self.solved();
+        let at = slot * self.cols.len() + ci;
+        Some((cost[at], hops[at]))
     }
 }
 
 /// Scoped replacement for the dense contention matrix: exact block
 /// state within each region's `k`-hop demand ball, landmark-oracle
 /// estimates across balls. See the module docs for the exactness
-/// guarantee and the error model.
+/// guarantee, the error model and when blocks are solved.
 #[derive(Debug, Clone)]
 pub struct ScopedContention {
     cfg: ScopedConfig,
@@ -122,15 +176,20 @@ pub struct ScopedContention {
     /// Per-node contention terms `w_k (1 + S(k))`.
     terms: Vec<f64>,
     blocks: Vec<Block>,
-    oracle: LandmarkOracle,
+    /// The oracle's landmark selection, fixed at build time.
+    landmarks: Vec<NodeId>,
+    /// The oracle over the graph and terms of the last update.
+    oracle: Deferred<(Graph, Vec<f64>), LandmarkOracle>,
+    /// Work of the blocks and oracles an update replaced.
+    retired: StoreWork,
 }
 
 impl ScopedContention {
     /// Builds the scoped store for the network's current caching state:
-    /// grows the region partition, solves every block's region rows over
-    /// the subgraph its region ∪ halo induces ([`induced_rows`], one
-    /// block per task, fanned out over `parallelism`), and builds the
-    /// landmark oracle.
+    /// grows the region partition, selects the oracle's landmarks, and
+    /// captures every block's ball (one block per task, fanned out over
+    /// `parallelism`). Block rows and the oracle sweeps are solved on
+    /// first read.
     ///
     /// # Errors
     ///
@@ -145,10 +204,9 @@ impl ScopedContention {
         let g = net.graph();
         let terms = node_contention_terms(net);
         let partition = RegionPartition::grow(g, cfg.region_max, cfg.seed);
-        let oracle = LandmarkOracle::build(g, &terms, cfg.landmarks, cfg.seed)?;
         let all: Vec<usize> = (0..partition.region_count()).collect();
-        let built = build_blocks(
-            net,
+        let blocks = capture_blocks(
+            g,
             &partition,
             &terms,
             cfg.halo_hops,
@@ -156,17 +214,15 @@ impl ScopedContention {
             parallelism,
             &all,
         )?;
-        let mut blocks = Vec::with_capacity(built.len());
-        for (_, b) in built {
-            blocks.push(b);
-        }
         Ok(ScopedContention {
             cfg,
             selection,
             partition,
+            landmarks: LandmarkOracle::select(g, cfg.landmarks, cfg.seed),
+            oracle: Deferred::new((g.clone(), terms.clone())),
             terms,
             blocks,
-            oracle,
+            retired: StoreWork::default(),
         })
     }
 
@@ -218,7 +274,9 @@ impl ScopedContention {
     ///
     /// Symmetric by construction: the lookup tries the lower id's home
     /// block first, then the higher id's, so `(u, v)` and `(v, u)`
-    /// resolve through the same path.
+    /// resolve through the same path. The block or oracle read is
+    /// solved here if nothing has read it since the update that staled
+    /// it, from that update's captured inputs.
     ///
     /// # Panics
     ///
@@ -229,7 +287,7 @@ impl ScopedContention {
         }
         let (a, b) = if u <= v { (u, v) } else { (v, u) };
         self.block_value(a, b)
-            .map_or_else(|| self.oracle.estimate(a, b), |(c, _)| c)
+            .map_or_else(|| self.oracle().estimate(a, b), |(c, _)| c)
     }
 
     /// Whether [`ScopedContention::cost`] answers this pair from exact
@@ -255,30 +313,66 @@ impl ScopedContention {
     fn block_value(&self, a: NodeId, b: NodeId) -> Option<(f64, u32)> {
         [(a, b), (b, a)].into_iter().find_map(|(row, col)| {
             self.blocks[self.partition.region_of(row)]
-                .lookup(row, col)
+                .lookup(self.partition.slot_of(row), col)
                 .filter(|(c, _)| c.is_finite())
         })
     }
 
-    /// Refreshes the store after the caching state changed, rebuilding
-    /// only the blocks whose demand ball contains a node whose
-    /// contention term moved, and re-running the (fixed-selection)
-    /// landmark vectors. `dirty` is the caller's account of the changed
-    /// nodes, cross-checked in debug builds; the actual invalidation
-    /// diffs the recomputed terms, so a stale set cannot produce a
-    /// wrong store.
+    /// The landmark oracle of the last update, swept over the graph and
+    /// terms that update captured on its first read.
+    fn oracle(&self) -> &LandmarkOracle {
+        self.oracle.get_or_solve(|(g, terms)| {
+            LandmarkOracle::with_landmarks(g, terms, self.landmarks.clone())
+                .expect("the captured terms and landmarks cover the captured graph")
+        })
+    }
+
+    /// Refreshes the store after the caching state or the topology
+    /// changed. It diffs the recomputed per-node terms bitwise against
+    /// the held ones and re-captures every block whose demand ball
+    /// contains a node whose term moved, plus the landmark oracle (its
+    /// selection stays fixed). Each capture records what its solve will
+    /// read; the solve runs on the first read. `dirty` is the caller's
+    /// account of the changed nodes, cross-checked in debug builds; the
+    /// invalidation itself rides on the term diff, so a stale set cannot
+    /// produce a wrong store. Include the producer when distinct-chunk
+    /// counts may have moved.
     ///
-    /// Returns the number of blocks rebuilt.
+    /// Why the same invalidation is sound for topology edits (links
+    /// added or removed, a node deactivated): the per-node contention
+    /// term is `w_k (1 + S(k))` with `w_k` the node's *degree*, so every
+    /// endpoint of a changed link (and every former neighbor of a
+    /// departed node, and the departed node itself) changes its term
+    /// bitwise. A block's values can only change if the edited edge
+    /// lies inside its induced ball subgraph — both endpoints in its
+    /// columns — and a ball can only *gain* a member through a new edge
+    /// whose nearer endpoint was already within `k-1` hops (hence
+    /// already a column). Either way the stale block holds an endpoint,
+    /// so the term diff catches it and the capture recomputes the ball
+    /// afresh.
+    ///
+    /// Returns the number of blocks staled.
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError::Graph`] on internal failures.
+    /// * [`CoreError::InvalidParameter`] if the graph's node count no
+    ///   longer matches the store ([`Network::join_node`] grew it): the
+    ///   region partition has no region for the newcomer, so the caller
+    ///   must rebuild with [`ScopedContention::new`].
+    /// * [`CoreError::Graph`] on internal failures.
     pub fn update(
         &mut self,
         net: &Network,
         dirty: &[NodeId],
         parallelism: Parallelism,
     ) -> Result<usize, CoreError> {
+        if net.node_count() != self.terms.len() {
+            return Err(CoreError::InvalidParameter(format!(
+                "scoped store built for {} nodes cannot absorb a grown graph of {} — rebuild",
+                self.terms.len(),
+                net.node_count()
+            )));
+        }
         let terms = node_contention_terms(net);
         let changed: Vec<NodeId> = (0..terms.len())
             .filter(|&k| terms[k].to_bits() != self.terms[k].to_bits())
@@ -299,8 +393,9 @@ impl ScopedContention {
                     .any(|c| self.blocks[r].cols.binary_search(c).is_ok())
             })
             .collect();
-        let rebuilt = build_blocks(
-            net,
+        let g = net.graph();
+        let captured = capture_blocks(
+            g,
             &self.partition,
             &terms,
             self.cfg.halo_hops,
@@ -308,61 +403,24 @@ impl ScopedContention {
             parallelism,
             &stale,
         )?;
-        for (r, b) in rebuilt {
-            self.blocks[r] = b;
+        for (&r, block) in stale.iter().zip(captured) {
+            let old = std::mem::replace(&mut self.blocks[r], block);
+            self.retired.blocks_solved += u64::from(old.rows.is_solved());
         }
-        self.oracle.refresh(net.graph(), &terms)?;
+        self.retired.blocks_staled += stale.len() as u64;
+        self.retired.oracle_refreshes += u64::from(self.oracle.is_solved());
+        self.oracle = Deferred::new((g.clone(), terms.clone()));
         self.terms = terms;
         Ok(stale.len())
     }
 
-    /// Refreshes the store after a *topology* change (links added or
-    /// removed, a node deactivated): the structural sibling of
-    /// [`ScopedContention::update`], and in fact a documented thin
-    /// wrapper over it.
-    ///
-    /// Why the same invalidation is sound for topology edits: the
-    /// per-node contention term is `w_k (1 + S(k))` with `w_k` the
-    /// node's *degree*, so every endpoint of a changed link (and every
-    /// former neighbor of a departed node, and the departed node
-    /// itself) changes its term bitwise, and `update` already rebuilds
-    /// every block whose demand ball contains a term-changed node. A
-    /// block's values can only change if the edited edge lies inside
-    /// its induced ball subgraph — both endpoints in its columns — and
-    /// a ball can only *gain* a member through a new edge whose nearer
-    /// endpoint was already within `k-1` hops (hence already a column).
-    /// Either way the stale block holds an endpoint, so the term diff
-    /// catches it and `build_block` recomputes the halo afresh.
-    ///
-    /// The one structural edit this cannot absorb is a *new node id*
-    /// ([`Network::join_node`] grows the graph): the region partition
-    /// has no region for it, so that case is rejected and the caller
-    /// must rebuild with [`ScopedContention::new`].
-    ///
-    /// `touched` must cover every node whose degree or load changed
-    /// (include the producer when distinct-chunk counts may have
-    /// moved); it is cross-checked in debug builds exactly like
-    /// `update`'s dirty set. Returns the number of blocks rebuilt.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::InvalidParameter`] if the graph's node count no
-    ///   longer matches the partition (a node joined).
-    /// * [`CoreError::Graph`] on internal failures.
-    pub fn update_topology(
-        &mut self,
-        net: &Network,
-        touched: &[NodeId],
-        parallelism: Parallelism,
-    ) -> Result<usize, CoreError> {
-        if net.node_count() != self.terms.len() {
-            return Err(CoreError::InvalidParameter(format!(
-                "scoped store built for {} nodes cannot absorb a grown graph of {} — rebuild",
-                self.terms.len(),
-                net.node_count()
-            )));
-        }
-        self.update(net, touched, parallelism)
+    /// The store's work so far: blocks staled by updates, block solves
+    /// and oracle sweeps run. Reading the counters solves nothing.
+    pub(crate) fn work(&self) -> StoreWork {
+        let mut work = self.retired;
+        work.blocks_solved += self.blocks.iter().filter(|b| b.rows.is_solved()).count() as u64;
+        work.oracle_refreshes += u64::from(self.oracle.is_solved());
+        work
     }
 
     /// Strict-invariants oracle: rebuilds every block from scratch
@@ -371,7 +429,9 @@ impl ScopedContention {
     /// [`ScopedContention::new`] would re-grow the partition over the
     /// current graph and legitimately differ after topology churn; the
     /// invariant is that incremental maintenance of *this* partition
-    /// equals a from-scratch build of it.
+    /// equals a from-scratch build of it. An unsolved block is solved
+    /// into a temporary, so the check leaves the store's work counts
+    /// unchanged.
     ///
     /// # Panics
     ///
@@ -391,8 +451,8 @@ impl ScopedContention {
             );
         }
         let all: Vec<usize> = (0..self.partition.region_count()).collect();
-        let built = build_blocks(
-            net,
+        let fresh_blocks = capture_blocks(
+            net.graph(),
             &self.partition,
             &terms,
             self.cfg.halo_hops,
@@ -400,27 +460,45 @@ impl ScopedContention {
             Parallelism::Sequential,
             &all,
         )
-        .expect("strict: from-scratch block rebuild failed");
-        for (r, fresh) in built {
+        .expect("strict: from-scratch block capture failed");
+        for (r, fresh) in fresh_blocks.iter().enumerate() {
             let held = &self.blocks[r];
             assert_eq!(held.cols, fresh.cols, "strict: block {r} columns drifted");
-            assert_eq!(held.hops, fresh.hops, "strict: block {r} hops drifted");
+            let unsolved;
+            let (cost, hops) = match held.rows.value.get() {
+                Some(rows) => rows,
+                None => {
+                    unsolved = held.rows.inputs.solve();
+                    &unsolved
+                }
+            };
+            let (fresh_cost, fresh_hops) = fresh.rows.inputs.solve();
+            assert_eq!(*hops, fresh_hops, "strict: block {r} hops drifted");
             assert!(
-                held.cost
-                    .iter()
-                    .zip(&fresh.cost)
+                cost.iter()
+                    .zip(&fresh_cost)
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "strict: block {r} cost values drifted from a fresh rebuild"
             );
         }
     }
 
-    /// Bytes of heap state the store holds: all block rows plus the
-    /// landmark vectors and the term table. This is the
-    /// `planner.contention_bytes` gauge.
+    /// Bytes of heap state the store holds once solved: all block rows
+    /// plus the landmark vectors and the term table. This is the
+    /// `planner.contention_bytes` gauge. It is computed from the
+    /// blocks' shapes, so it solves nothing.
     pub fn contention_bytes(&self) -> u64 {
-        let blocks: u64 = self.blocks.iter().map(Block::state_bytes).sum();
-        blocks + self.oracle.state_bytes() + (self.terms.len() * 8) as u64
+        let blocks: u64 = self
+            .blocks
+            .iter()
+            .enumerate()
+            .map(|(r, b)| {
+                let (rows, cols) = (self.partition.region(r).len(), b.cols.len());
+                (rows * cols * (8 + 4) + (rows + cols) * 4) as u64
+            })
+            .sum();
+        let n = self.terms.len();
+        blocks + LandmarkOracle::state_bytes_for(n, self.landmarks.len()) + (n * 8) as u64
     }
 
     /// Bytes an equivalent dense [`AllPairsPaths`] snapshot would hold:
@@ -432,21 +510,20 @@ impl ScopedContention {
     }
 }
 
-/// Builds the blocks for the listed regions, fanning out over
-/// `parallelism`; results come back tagged with their region index so
-/// the merge is deterministic regardless of thread scheduling.
-#[allow(clippy::too_many_arguments)]
-fn build_blocks(
-    net: &Network,
+/// Captures the blocks of the listed regions, fanning out over
+/// `parallelism`; results come back in `which` order, so the merge is
+/// deterministic regardless of thread scheduling.
+fn capture_blocks(
+    g: &Graph,
     partition: &RegionPartition,
     terms: &[f64],
     halo_hops: u32,
     selection: PathSelection,
     parallelism: Parallelism,
     which: &[usize],
-) -> Result<Vec<(usize, Block)>, CoreError> {
+) -> Result<Vec<Block>, CoreError> {
     fan_out(which, parallelism, |&r| {
-        build_block(net, partition, terms, halo_hops, selection, r).map(|block| (r, block))
+        capture_block(g, partition, terms, halo_hops, selection, r)
     })
     .into_iter()
     .collect()
@@ -487,26 +564,23 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
         .collect()
 }
 
-/// Computes one region's block: the region's rows of shortest paths
-/// over the subgraph region ∪ halo induces ([`induced_rows`]), as lean
-/// `cost + hops` arrays.
-fn build_block(
-    net: &Network,
+/// Captures one region's block: its ball (region ∪ `halo_hops`-hop
+/// halo) and everything the region rows' solve over the subgraph the
+/// ball induces reads ([`InducedRows`]). Solving it gives the rows
+/// [`peercache_graph::paths::induced_rows`] gives now.
+fn capture_block(
+    g: &Graph,
     partition: &RegionPartition,
     terms: &[f64],
     halo_hops: u32,
     selection: PathSelection,
     r: usize,
 ) -> Result<Block, CoreError> {
-    let g = net.graph();
-    let rows: Vec<NodeId> = partition.region(r).to_vec();
     let cols = partition.ball_of(g, r, halo_hops);
-    let (cost, hops) = induced_rows(g, &cols, &rows, terms, selection)?;
+    let rows = InducedRows::capture(g, &cols, partition.region(r), terms, selection)?;
     Ok(Block {
-        rows,
         cols,
-        cost,
-        hops,
+        rows: Deferred::new(rows),
     })
 }
 
@@ -641,8 +715,8 @@ impl CachePlanner for HierarchicalPlanner {
             if q + 1 < chunk_count {
                 let mut dirty = cp.caches.clone();
                 dirty.push(net.producer());
-                let rebuilt = scoped.update(net, &dirty, self.config.parallelism)?;
-                span.field("blocks_rebuilt", rebuilt);
+                let staled = scoped.update(net, &dirty, self.config.parallelism)?;
+                span.field("blocks_staled", staled);
             }
             obs::gauge("planner.contention_bytes").set(scoped.contention_bytes() as i64);
             finish_chunk_span(span, &cp);
@@ -1135,10 +1209,10 @@ mod tests {
         net.cache(NodeId::new(3), ChunkId::new(0)).unwrap();
         net.cache(NodeId::new(20), ChunkId::new(0)).unwrap();
         let dirty = [NodeId::new(3), NodeId::new(20), net.producer()];
-        let rebuilt = scoped
+        let staled = scoped
             .update(&net, &dirty, Parallelism::Sequential)
             .unwrap();
-        assert!(rebuilt > 0);
+        assert!(staled > 0);
         let fresh = ScopedContention::new(
             &net,
             small_cfg(),
@@ -1159,33 +1233,32 @@ mod tests {
 
     /// Reference construction: `AllPairsPaths` over the whole induced
     /// region-∪-halo subgraph, the region rows read off by position.
+    /// Returns the columns, costs and hops.
     fn reference_block(
         net: &Network,
         partition: &RegionPartition,
         terms: &[f64],
         selection: PathSelection,
         r: usize,
-    ) -> Block {
+    ) -> (Vec<NodeId>, Vec<f64>, Vec<u32>) {
         let g = net.graph();
-        let rows = partition.region(r).to_vec();
         let cols = partition.ball_of(g, r, small_cfg().halo_hops);
         let (sub, originals) = g.induced_subgraph(&cols).unwrap();
         let local_terms: Vec<f64> = originals.iter().map(|&x| terms[x.index()]).collect();
         let ap = AllPairsPaths::compute(&sub, &local_terms, selection).unwrap();
         let (mut cost, mut hops) = (Vec::new(), Vec::new());
-        for u in &rows {
+        for u in partition.region(r) {
             let lu = NodeId::new(cols.binary_search(u).unwrap());
             for lv in (0..cols.len()).map(NodeId::new) {
                 cost.push(ap.cost(lu, lv));
                 hops.push(ap.hops(lu, lv).unwrap_or(u32::MAX));
             }
         }
-        Block {
-            rows,
-            cols,
-            cost,
-            hops,
-        }
+        (cols, cost, hops)
+    }
+
+    fn bits(c: &[f64]) -> Vec<u64> {
+        c.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -1204,29 +1277,25 @@ mod tests {
         }
         net.deactivate_node(NodeId::new(44)).unwrap();
         let terms = node_contention_terms(&net);
-        let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
             let mut unreachable = 0;
             for r in 0..partition.region_count() {
                 let block =
-                    build_block(&net, &partition, &terms, cfg.halo_hops, selection, r).unwrap();
-                let reference = reference_block(&net, &partition, &terms, selection, r);
-                assert_eq!(block.rows, reference.rows);
-                assert_eq!(block.cols, reference.cols);
-                assert_eq!(block.hops, reference.hops, "block {r}, {selection:?}");
-                assert_eq!(
-                    bits(&block.cost),
-                    bits(&reference.cost),
-                    "block {r}, {selection:?}"
-                );
-                unreachable += block.cost.iter().filter(|c| c.is_infinite()).count();
+                    capture_block(net.graph(), &partition, &terms, cfg.halo_hops, selection, r)
+                        .unwrap();
+                let (cols, cost, hops) = reference_block(&net, &partition, &terms, selection, r);
+                assert_eq!(block.cols, cols);
+                let (block_cost, block_hops) = block.solved();
+                assert_eq!(*block_hops, hops, "block {r}, {selection:?}");
+                assert_eq!(bits(block_cost), bits(&cost), "block {r}, {selection:?}");
+                unreachable += block_cost.iter().filter(|c| c.is_infinite()).count();
             }
             assert!(unreachable > 0, "no cut left a pair unreachable in a block");
         }
     }
 
     #[test]
-    fn update_with_no_changes_rebuilds_nothing() {
+    fn update_with_no_changes_stales_nothing() {
         let net = grid_net(5, 4);
         let mut scoped = ScopedContention::new(
             &net,
@@ -1235,17 +1304,44 @@ mod tests {
             Parallelism::Sequential,
         )
         .unwrap();
-        let rebuilt = scoped.update(&net, &[], Parallelism::Sequential).unwrap();
-        assert_eq!(rebuilt, 0);
+        let staled = scoped.update(&net, &[], Parallelism::Sequential).unwrap();
+        assert_eq!(staled, 0);
+        assert_eq!(scoped.work(), StoreWork::default());
+    }
+
+    /// Asserts every block of `scoped` equals a from-scratch capture and
+    /// solve over its *retained* partition, bitwise.
+    fn assert_blocks_equal_a_retained_partition_rebuild(scoped: &ScopedContention, net: &Network) {
+        let terms = node_contention_terms(net);
+        let all: Vec<usize> = (0..scoped.partition().region_count()).collect();
+        let fresh = capture_blocks(
+            net.graph(),
+            scoped.partition(),
+            &terms,
+            scoped.cfg.halo_hops,
+            scoped.selection,
+            Parallelism::Sequential,
+            &all,
+        )
+        .unwrap();
+        for (r, b) in fresh.iter().enumerate() {
+            let (held, fresh) = (&scoped.blocks[r], b.solved());
+            assert_eq!(held.cols, b.cols, "block {r} cols drifted");
+            assert_eq!(held.solved().1, fresh.1, "block {r} hops drifted");
+            assert_eq!(
+                bits(&held.solved().0),
+                bits(&fresh.0),
+                "block {r} costs drifted"
+            );
+        }
     }
 
     #[test]
-    fn update_topology_matches_scratch_rebuild_of_retained_partition() {
+    fn topology_update_matches_scratch_rebuild_of_retained_partition() {
         let mut net = grid_net(6, 4);
-        let cfg = small_cfg();
         let mut scoped = ScopedContention::new(
             &net,
-            cfg,
+            small_cfg(),
             PathSelection::FewestHops,
             Parallelism::Sequential,
         )
@@ -1263,43 +1359,210 @@ mod tests {
         touched.push(net.producer());
         touched.sort_unstable();
         touched.dedup();
-        let rebuilt = scoped
-            .update_topology(&net, &touched, Parallelism::Sequential)
+        let staled = scoped
+            .update(&net, &touched, Parallelism::Sequential)
             .unwrap();
-        assert!(rebuilt > 0, "topology churn must invalidate blocks");
-        // Every block must now equal a from-scratch build over the
-        // *retained* partition, bitwise.
-        let terms = node_contention_terms(&net);
-        let all: Vec<usize> = (0..scoped.partition().region_count()).collect();
-        let fresh = build_blocks(
+        assert!(staled > 0, "topology churn must invalidate blocks");
+        assert_blocks_equal_a_retained_partition_rebuild(&scoped, &net);
+    }
+
+    #[test]
+    fn update_rejects_a_grown_graph() {
+        let mut net = grid_net(6, 4);
+        let mut scoped = ScopedContention::new(
             &net,
-            scoped.partition(),
-            &terms,
-            cfg.halo_hops,
+            small_cfg(),
             PathSelection::FewestHops,
             Parallelism::Sequential,
-            &all,
         )
         .unwrap();
-        for (r, b) in fresh {
-            assert_eq!(scoped.blocks[r].cols, b.cols, "block {r} cols drifted");
-            assert_eq!(scoped.blocks[r].hops, b.hops, "block {r} hops drifted");
-            assert!(
-                scoped.blocks[r]
-                    .cost
-                    .iter()
-                    .zip(&b.cost)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "block {r} costs drifted"
-            );
-        }
-        // A grown graph cannot be absorbed: the partition has no region
-        // for the newcomer, so the call must refuse and demand a rebuild.
+        // The partition has no region for the newcomer, so the call must
+        // refuse and demand a rebuild.
         net.join_node(&[NodeId::new(2)], 3).unwrap();
         assert!(matches!(
-            scoped.update_topology(&net, &[], Parallelism::Sequential),
+            scoped.update(&net, &[], Parallelism::Sequential),
             Err(CoreError::InvalidParameter(_))
         ));
+    }
+
+    /// Every pair's [`ScopedContention::cost`] bit pattern, row-major.
+    fn all_costs(scoped: &ScopedContention, net: &Network) -> Vec<u64> {
+        let nodes: Vec<NodeId> = net.graph().nodes().collect();
+        let mut out = Vec::with_capacity(nodes.len() * nodes.len());
+        for &u in &nodes {
+            for &v in &nodes {
+                out.push(scoped.cost(u, v).to_bits());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn two_updates_without_a_read_solve_each_block_once() {
+        let mut net = grid_net(8, 4);
+        let new = |net: &Network| {
+            ScopedContention::new(
+                net,
+                small_cfg(),
+                PathSelection::FewestHops,
+                Parallelism::Sequential,
+            )
+            .unwrap()
+        };
+        let mut scoped = new(&net);
+        let regions = scoped.partition().region_count() as u64;
+        let producer = net.producer();
+        net.cache(NodeId::new(3), ChunkId::new(0)).unwrap();
+        net.cache(NodeId::new(60), ChunkId::new(0)).unwrap();
+        let first = scoped
+            .update(
+                &net,
+                &[NodeId::new(3), NodeId::new(60), producer],
+                Parallelism::Sequential,
+            )
+            .unwrap();
+        net.cache(NodeId::new(5), ChunkId::new(1)).unwrap();
+        let second = scoped
+            .update(&net, &[NodeId::new(5), producer], Parallelism::Sequential)
+            .unwrap();
+        assert!(first > 0 && second > 0);
+        let unread = scoped.work();
+        assert_eq!(unread.blocks_staled, (first + second) as u64);
+        assert_eq!(unread.blocks_solved, 0, "nothing was read");
+        assert_eq!(unread.oracle_refreshes, 0, "nothing was read");
+        let costs = all_costs(&scoped, &net);
+        let read = scoped.work();
+        assert_eq!(read.blocks_solved, regions, "each block solved once");
+        assert_eq!(read.oracle_refreshes, 1, "the oracle swept once");
+        assert_eq!(all_costs(&scoped, &net), costs);
+        assert_eq!(scoped.work(), read, "a second read solves nothing");
+        assert_blocks_equal_a_retained_partition_rebuild(&scoped, &net);
+        assert_eq!(costs, all_costs(&new(&net), &net));
+    }
+
+    #[test]
+    fn a_read_after_cache_without_update_returns_the_pre_cache_value() {
+        let mut net = grid_net(8, 4);
+        let mut scoped = ScopedContention::new(
+            &net,
+            small_cfg(),
+            PathSelection::FewestHops,
+            Parallelism::Sequential,
+        )
+        .unwrap();
+        let producer = net.producer();
+        net.cache(NodeId::new(3), ChunkId::new(0)).unwrap();
+        scoped
+            .update(&net, &[NodeId::new(3), producer], Parallelism::Sequential)
+            .unwrap();
+        let before = net.clone();
+        // The store has not been read since the update, so every block
+        // it staled and the oracle solve after these changes.
+        net.cache(NodeId::new(20), ChunkId::new(1)).unwrap();
+        net.cache(NodeId::new(45), ChunkId::new(1)).unwrap();
+        assert!(net.remove_link(NodeId::new(26), NodeId::new(27)).unwrap());
+        let read = all_costs(&scoped, &net);
+        let eager = |net: &Network| {
+            let fresh = ScopedContention::new(
+                net,
+                small_cfg(),
+                PathSelection::FewestHops,
+                Parallelism::Sequential,
+            )
+            .unwrap();
+            all_costs(&fresh, net)
+        };
+        assert_eq!(read, eager(&before), "a read saw the post-update state");
+        assert_ne!(read, eager(&net), "the changes moved no cost");
+    }
+
+    #[test]
+    fn a_clone_with_unsolved_blocks_answers_identically() {
+        let mut net = grid_net(8, 4);
+        let mut scoped = ScopedContention::new(
+            &net,
+            small_cfg(),
+            PathSelection::FewestHops,
+            Parallelism::Sequential,
+        )
+        .unwrap();
+        let producer = net.producer();
+        // Solve part of the store, then stale some of it again.
+        let _ = scoped.cost(NodeId::new(0), NodeId::new(1));
+        net.cache(NodeId::new(30), ChunkId::new(0)).unwrap();
+        scoped
+            .update(&net, &[NodeId::new(30), producer], Parallelism::Sequential)
+            .unwrap();
+        let clone = scoped.clone();
+        assert_eq!(clone.work(), scoped.work());
+        net.cache(NodeId::new(50), ChunkId::new(0)).unwrap();
+        let from_clone = all_costs(&clone, &net);
+        assert!(
+            scoped.work().blocks_solved < clone.work().blocks_solved,
+            "reading the clone solved the original's blocks"
+        );
+        assert_eq!(all_costs(&scoped, &net), from_clone);
+        assert_eq!(scoped.work(), clone.work());
+    }
+
+    /// Plans `chunks` chunks the way [`HierarchicalPlanner`] does and
+    /// returns the placements and the store's work.
+    fn plan_with(parallelism: Parallelism, chunks: usize) -> (Vec<ChunkPlacement>, StoreWork) {
+        let mut net = grid_net(10, 3);
+        let cfg = ApproxConfig {
+            parallelism,
+            ..ApproxConfig::default()
+        };
+        let mut scoped =
+            ScopedContention::new(&net, small_cfg(), cfg.selection, parallelism).unwrap();
+        let mut placed = Vec::new();
+        for q in 0..chunks {
+            let chunk = ChunkId::new(q);
+            let mut span = chunk_span("Hier", chunk);
+            let (cp, _, _) = plan_scoped_chunk(&net, &scoped, &cfg, chunk, &mut span).unwrap();
+            for &i in &cp.caches {
+                net.cache(i, chunk).unwrap();
+            }
+            let mut dirty = cp.caches.clone();
+            dirty.push(net.producer());
+            scoped.update(&net, &dirty, parallelism).unwrap();
+            placed.push(cp);
+        }
+        (placed, scoped.work())
+    }
+
+    #[test]
+    fn solve_counts_are_equal_under_every_parallelism() {
+        let (seq, seq_work) = plan_with(Parallelism::Sequential, 4);
+        let (par, par_work) = plan_with(Parallelism::Threads(2), 4);
+        assert_eq!(seq, par);
+        assert_eq!(seq_work, par_work);
+        assert!(seq_work.blocks_solved > 0 && seq_work.oracle_refreshes > 0);
+    }
+
+    #[cfg(feature = "strict-invariants")]
+    #[test]
+    fn strict_verify_leaves_the_work_counts_unchanged() {
+        let mut net = grid_net(8, 4);
+        let mut scoped = ScopedContention::new(
+            &net,
+            small_cfg(),
+            PathSelection::FewestHops,
+            Parallelism::Sequential,
+        )
+        .unwrap();
+        let _ = scoped.cost(NodeId::new(0), NodeId::new(1));
+        net.cache(NodeId::new(30), ChunkId::new(0)).unwrap();
+        scoped
+            .update(
+                &net,
+                &[NodeId::new(30), net.producer()],
+                Parallelism::Sequential,
+            )
+            .unwrap();
+        let work = scoped.work();
+        scoped.strict_verify(&net);
+        assert_eq!(scoped.work(), work);
     }
 
     #[test]

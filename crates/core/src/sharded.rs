@@ -14,10 +14,10 @@
 //! 1. **Structural edits** — serial, in input order (joins, departures,
 //!    link flips, retirements). Per-event rejections (e.g. a departure
 //!    the Reject partition policy refuses) are counted, not fatal.
-//! 2. **Scoped refresh** — [`ScopedContention::update_topology`]
-//!    rebuilds exactly the stale blocks, fanned out over the
-//!    configured [`Parallelism`]; a join (new node id) forces a full
-//!    partition + shard rebuild instead.
+//! 2. **Scoped refresh** — [`ScopedContention::update`] re-captures
+//!    exactly the stale blocks and the landmark oracle, which are
+//!    solved on their first read in a later phase; a join (new node
+//!    id) forces a full partition + shard rebuild instead.
 //! 3. **Churn repair** — replacement-copy and orphan-reassignment
 //!    *proposals* are computed in parallel against the frozen post-
 //!    refresh state (slot-array fan-out, one pure task per item), then
@@ -57,6 +57,7 @@ use crate::planner::{chunk_span, finish_chunk_span};
 use crate::replication::top_up_targets;
 use crate::scoped::{
     best_provider, fan_out, plan_scoped_chunk, trunk_tree, ScopedConfig, ScopedContention,
+    StoreWork,
 };
 use crate::shard::{ArenaRow, CrossShardEvent, ShardRouter, WorldShard};
 use crate::world::WorldEvent;
@@ -136,6 +137,8 @@ pub struct ShardedWorld {
     net: Network,
     cfg: ShardConfig,
     scoped: ScopedContention,
+    /// Work of the scoped stores a join rebuild replaced.
+    replaced_work: StoreWork,
     shards: Vec<WorldShard>,
     /// Home shard per node id (parallel to the node table).
     shard_of: Vec<u32>,
@@ -184,6 +187,7 @@ impl ShardedWorld {
             net,
             cfg,
             scoped,
+            replaced_work: StoreWork::default(),
             shards,
             shard_of,
             router: ShardRouter::new(),
@@ -276,6 +280,15 @@ impl ShardedWorld {
         self.span_count
     }
 
+    /// The scoped stores' work over the world's lifetime (the current
+    /// store's plus that of every store a join rebuild replaced),
+    /// identical across thread counts for the same event trace.
+    pub fn store_work(&self) -> StoreWork {
+        let mut work = self.replaced_work;
+        work += self.scoped.work();
+        work
+    }
+
     fn parallelism(&self) -> Parallelism {
         self.cfg.approx.parallelism
     }
@@ -352,6 +365,7 @@ impl ShardedWorld {
         let mut departures: Vec<DepartureRec> = Vec::new();
         let mut arrivals = 0usize;
         let routed_before = self.router.total_routed();
+        let solved_before = self.store_work().blocks_solved;
 
         // Phase 1: structural edits, serial in input order.
         for ev in events {
@@ -426,7 +440,7 @@ impl ShardedWorld {
             touched.sort_unstable();
             touched.dedup();
             self.scoped
-                .update_topology(&self.net, &touched, self.parallelism())?;
+                .update(&self.net, &touched, self.parallelism())?;
         }
 
         // Phase 3: churn repair (parallel proposals, serial merge).
@@ -468,6 +482,8 @@ impl ShardedWorld {
             span.add_field("applied", obs::Value::from(applied));
             span.add_field("rejected", obs::Value::from(report.rejected));
             span.add_field("cross_events", obs::Value::from(report.cross_events));
+            let solved = self.store_work().blocks_solved - solved_before;
+            span.add_field("blocks_solved", obs::Value::from(solved));
         }
         drop(span);
         #[cfg(feature = "strict-invariants")]
@@ -526,6 +542,7 @@ impl ShardedWorld {
     /// partition, the shards, and every arena row are re-homed; the
     /// newcomers get assignment rows for every live chunk.
     fn rebuild_after_join(&mut self, joined: &[NodeId]) -> Result<(), CoreError> {
+        self.replaced_work += self.scoped.work();
         self.scoped = ScopedContention::new(
             &self.net,
             self.cfg.scoped,
@@ -827,7 +844,7 @@ impl ShardedWorld {
                     touched.sort_unstable();
                     touched.dedup();
                     self.scoped
-                        .update_topology(&self.net, &touched, self.parallelism())?;
+                        .update(&self.net, &touched, self.parallelism())?;
                 }
             }
         }

@@ -49,7 +49,6 @@ const FAR: u32 = u32::MAX;
 /// graph. See the module docs for the bound semantics.
 #[derive(Debug, Clone)]
 pub struct LandmarkOracle {
-    n: usize,
     landmarks: Vec<NodeId>,
     /// Per landmark: closed node-weighted min-cost distance to every
     /// node (`Δ(l, v)`, both endpoints counted; `Δ(l, l) = w_l`).
@@ -62,7 +61,9 @@ pub struct LandmarkOracle {
 
 impl LandmarkOracle {
     /// Builds the oracle with `count` landmarks (clamped to `1..=n`)
-    /// over `g` with per-node costs `node_cost`.
+    /// over `g` with per-node costs `node_cost`: the landmarks
+    /// [`LandmarkOracle::select`] picks for `(g, count, seed)`, swept by
+    /// [`LandmarkOracle::with_landmarks`].
     ///
     /// # Errors
     ///
@@ -74,6 +75,70 @@ impl LandmarkOracle {
         count: usize,
         seed: u64,
     ) -> Result<Self, GraphError> {
+        Self::with_landmarks(g, node_cost, Self::select(g, count, seed))
+    }
+
+    /// Seeded farthest-point landmark selection in the hop metric. The
+    /// first landmark is seed-derived; each further landmark maximizes
+    /// the minimum hop distance to the chosen set (unreachable counts as
+    /// farthest, ties break toward the smaller id), so prefixes of the
+    /// sequence are themselves valid selections. `count` is clamped to
+    /// `1..=n`; an empty graph selects nothing.
+    #[must_use]
+    pub fn select(g: &Graph, count: usize, seed: u64) -> Vec<NodeId> {
+        let n = g.node_count();
+        if n == 0 {
+            return Vec::new();
+        }
+        let count = count.clamp(1, n);
+        let first = NodeId::new((splitmix64(seed) % n as u64) as usize);
+        let mut chosen = vec![first];
+        let mut min_hops: Vec<u32> = bfs_hops(g, first)
+            .into_iter()
+            .map(|h| h.unwrap_or(FAR))
+            .collect();
+        while chosen.len() < count {
+            let mut best = NodeId::new(0);
+            let mut best_d = 0u32;
+            let mut found = false;
+            for (u, &d) in min_hops.iter().enumerate() {
+                if d == 0 {
+                    continue; // already a landmark
+                }
+                if !found || d > best_d {
+                    best = NodeId::new(u);
+                    best_d = d;
+                    found = true;
+                }
+            }
+            if !found {
+                break; // n < count after dedup — cannot happen with clamp
+            }
+            chosen.push(best);
+            for (u, h) in bfs_hops(g, best).into_iter().enumerate() {
+                let h = h.unwrap_or(FAR);
+                if h < min_hops[u] {
+                    min_hops[u] = h;
+                }
+            }
+        }
+        chosen
+    }
+
+    /// Builds the oracle over a fixed landmark selection: one hop sweep
+    /// and one node-weighted sweep per landmark. The selection depends
+    /// only on the hop metric, so a caller whose node costs churn can
+    /// keep it and re-sweep, and estimates stay seed-stable.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::NodeOutOfBounds`] when `node_cost` is
+    /// shorter than the node count or a landmark is not in `g`.
+    pub fn with_landmarks(
+        g: &Graph,
+        node_cost: &[f64],
+        landmarks: Vec<NodeId>,
+    ) -> Result<Self, GraphError> {
         let n = g.node_count();
         if node_cost.len() < n {
             return Err(GraphError::NodeOutOfBounds {
@@ -81,42 +146,18 @@ impl LandmarkOracle {
                 node_count: n,
             });
         }
-        let landmarks = select_landmarks(g, count, seed);
-        let mut oracle = LandmarkOracle {
-            n,
-            landmarks,
-            dist: Vec::new(),
-            hops: Vec::new(),
-            node_cost: node_cost[..n].to_vec(),
-        };
-        oracle.refresh(g, node_cost)?;
-        Ok(oracle)
-    }
-
-    /// Recomputes the per-landmark vectors for updated node costs,
-    /// keeping the landmark *selection* fixed (it depends only on the
-    /// hop metric, which node-cost churn does not change).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfBounds`] when `node_cost` is
-    /// shorter than the node count.
-    pub fn refresh(&mut self, g: &Graph, node_cost: &[f64]) -> Result<(), GraphError> {
-        if node_cost.len() < self.n || g.node_count() != self.n {
+        if let Some(&node) = landmarks.iter().find(|l| l.index() >= n) {
             return Err(GraphError::NodeOutOfBounds {
-                node: NodeId::new(node_cost.len().min(g.node_count())),
-                node_count: self.n,
+                node,
+                node_count: n,
             });
         }
-        self.node_cost.clear();
-        self.node_cost.extend_from_slice(&node_cost[..self.n]);
-        self.dist = self
-            .landmarks
+        let node_cost = node_cost[..n].to_vec();
+        let dist = landmarks
             .iter()
-            .map(|&l| node_weighted_closed_dist(g, &self.node_cost, l))
+            .map(|&l| node_weighted_closed_dist(g, &node_cost, l))
             .collect();
-        self.hops = self
-            .landmarks
+        let hops = landmarks
             .iter()
             .map(|&l| {
                 bfs_hops(g, l)
@@ -125,7 +166,12 @@ impl LandmarkOracle {
                     .collect()
             })
             .collect();
-        Ok(())
+        Ok(LandmarkOracle {
+            landmarks,
+            dist,
+            hops,
+            node_cost,
+        })
     }
 
     /// The selected landmarks, in selection order (a prefix is itself a
@@ -315,60 +361,14 @@ impl LandmarkOracle {
         Some(interior[v.index()] + node_cost[u.index()] + node_cost[v.index()])
     }
 
-    /// Bytes of heap state the oracle holds (landmark vectors + node
-    /// costs) — the locality stack's memory accounting.
+    /// Bytes of heap state an oracle over `n` nodes with `landmarks`
+    /// landmarks holds once built (landmark vectors + node costs) — the
+    /// locality stack's memory accounting, known before any sweep runs.
     #[must_use]
-    pub fn state_bytes(&self) -> u64 {
-        let per_landmark = (self.n * (8 + 4)) as u64;
-        per_landmark * self.landmarks.len() as u64
-            + (self.node_cost.len() * 8) as u64
-            + (self.landmarks.len() * 8) as u64
+    pub fn state_bytes_for(n: usize, landmarks: usize) -> u64 {
+        let per_landmark = (n * (8 + 4)) as u64;
+        per_landmark * landmarks as u64 + (n * 8) as u64 + (landmarks * 8) as u64
     }
-}
-
-/// Seeded farthest-point landmark selection in the hop metric. The
-/// first landmark is seed-derived; each further landmark maximizes the
-/// minimum hop distance to the chosen set (unreachable counts as
-/// farthest, ties break toward the smaller id), so prefixes of the
-/// sequence are themselves valid selections.
-fn select_landmarks(g: &Graph, count: usize, seed: u64) -> Vec<NodeId> {
-    let n = g.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let count = count.clamp(1, n);
-    let first = NodeId::new((splitmix64(seed) % n as u64) as usize);
-    let mut chosen = vec![first];
-    let mut min_hops: Vec<u32> = bfs_hops(g, first)
-        .into_iter()
-        .map(|h| h.unwrap_or(FAR))
-        .collect();
-    while chosen.len() < count {
-        let mut best = NodeId::new(0);
-        let mut best_d = 0u32;
-        let mut found = false;
-        for (u, &d) in min_hops.iter().enumerate() {
-            if d == 0 {
-                continue; // already a landmark
-            }
-            if !found || d > best_d {
-                best = NodeId::new(u);
-                best_d = d;
-                found = true;
-            }
-        }
-        if !found {
-            break; // n < count after dedup — cannot happen with clamp
-        }
-        chosen.push(best);
-        for (u, h) in bfs_hops(g, best).into_iter().enumerate() {
-            let h = h.unwrap_or(FAR);
-            if h < min_hops[u] {
-                min_hops[u] = h;
-            }
-        }
-    }
-    chosen
 }
 
 /// Single-source node-weighted shortest distances, *closed* form: the
@@ -508,15 +508,28 @@ mod tests {
     }
 
     #[test]
-    fn refresh_tracks_new_node_costs() {
+    fn a_kept_selection_tracks_new_node_costs() {
         let g = builders::grid(4, 4);
         let w0 = vec![1.0; 16];
-        let mut oracle = LandmarkOracle::build(&g, &w0, 4, 1).unwrap();
+        let oracle = LandmarkOracle::build(&g, &w0, 4, 1).unwrap();
         let before = oracle.upper_bound(NodeId::new(0), NodeId::new(15));
         let w1: Vec<f64> = (0..16).map(|i| 1.0 + i as f64).collect();
-        oracle.refresh(&g, &w1).unwrap();
-        let after = oracle.upper_bound(NodeId::new(0), NodeId::new(15));
+        let swept = LandmarkOracle::with_landmarks(&g, &w1, oracle.landmarks().to_vec()).unwrap();
+        let after = swept.upper_bound(NodeId::new(0), NodeId::new(15));
         assert!(after > before);
-        assert!(oracle.state_bytes() > 0);
+        assert_eq!(swept.landmarks(), oracle.landmarks());
+        let fresh = LandmarkOracle::build(&g, &w1, 4, 1).unwrap();
+        for (u, v) in [(0, 15), (3, 12), (5, 6)] {
+            let (u, v) = (NodeId::new(u), NodeId::new(v));
+            assert_eq!(
+                swept.upper_bound(u, v).to_bits(),
+                fresh.upper_bound(u, v).to_bits()
+            );
+        }
+        assert!(LandmarkOracle::state_bytes_for(16, 4) > 0);
+        assert!(matches!(
+            LandmarkOracle::with_landmarks(&g, &w1, vec![NodeId::new(16)]),
+            Err(GraphError::NodeOutOfBounds { .. })
+        ));
     }
 }

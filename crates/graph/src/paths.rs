@@ -15,7 +15,8 @@
 //!   change ([`AllPairsPaths::update`]),
 //! * [`induced_rows`] — the same per-source kernel for a few sources
 //!   over the subgraph a node list induces, without building it (the
-//!   distributed views and the scoped store's blocks).
+//!   distributed views and the scoped store's blocks), split into an
+//!   [`InducedRows`] capture and a later solve.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -756,7 +757,8 @@ impl AllPairsPaths {
 }
 
 /// Shortest-path rows from each of `sources` over the subgraph of `g`
-/// induced by `nodes`, without building that subgraph.
+/// induced by `nodes`, without building that subgraph: the
+/// [`InducedRows::capture`] of those inputs, solved at once.
 ///
 /// `nodes` must be strictly ascending and every source one of them;
 /// paths may pass through listed nodes only. `node_cost` is indexed by
@@ -767,22 +769,13 @@ impl AllPairsPaths {
 /// unreachable). Both vectors are row-major, `sources.len()` rows of
 /// `nodes.len()` entries.
 ///
-/// Ids inside the subgraph are positions in `nodes`, and the local
-/// adjacency is read from the members' own neighbor lists, so no pass
-/// over the rest of `g` is made. Each row is one run of the per-source
-/// kernel behind [`AllPairsPaths::compute`]. Positions in a sorted list
-/// are monotone in id, so the local neighbor lists come out in the
-/// order [`Graph::induced_subgraph`] gives them and the
-/// `(interior cost, parent id)` tie rule picks the same parents: every
-/// value is bit-identical to `AllPairsPaths::compute` on
-/// `g.induced_subgraph(nodes)`, at the price of the listed rows alone.
+/// Every value is bit-identical to `AllPairsPaths::compute` on
+/// `g.induced_subgraph(nodes)`, at the price of the listed rows alone
+/// (see [`InducedRows`]).
 ///
 /// # Errors
 ///
-/// * [`GraphError::UnsortedNodes`] if `nodes` is not strictly ascending;
-/// * [`GraphError::NodeOutOfBounds`] if a listed node is not in `g`, or
-///   `node_cost` is shorter than `g`'s node count;
-/// * [`GraphError::NotInNodeList`] if a source is not in `nodes`.
+/// As [`InducedRows::capture`].
 ///
 /// # Example
 ///
@@ -807,53 +800,107 @@ pub fn induced_rows(
     node_cost: &[f64],
     selection: PathSelection,
 ) -> Result<(Vec<f64>, Vec<u32>), GraphError> {
-    if let Some(w) = nodes.windows(2).find(|w| w[0] >= w[1]) {
-        return Err(GraphError::UnsortedNodes { node: w[1] });
-    }
-    let node_count = g.node_count();
-    // The list is ascending, so its last entry is its largest.
-    if let Some(&node) = nodes.last().filter(|v| v.index() >= node_count) {
-        return Err(GraphError::NodeOutOfBounds { node, node_count });
-    }
-    if node_cost.len() < node_count {
-        return Err(GraphError::NodeOutOfBounds {
-            node: NodeId::new(node_cost.len()),
-            node_count,
-        });
-    }
-    let rows = sources
-        .iter()
-        .map(|&s| {
-            nodes
-                .binary_search(&s)
-                .map_err(|_| GraphError::NotInNodeList { node: s })
+    Ok(InducedRows::capture(g, nodes, sources, node_cost, selection)?.solve())
+}
+
+/// Everything an [`induced_rows`] solve reads, captured: the CSR of
+/// the subgraph a strictly ascending node list induces, the members'
+/// node costs, the sources' local ids and the path selection.
+///
+/// [`InducedRows::solve`] reads nothing else, so a capture solved later
+/// returns what [`induced_rows`] returned at capture time, whatever the
+/// graph or the costs did since. Ids inside the subgraph are positions
+/// in the node list, and the local adjacency is read from the members'
+/// own neighbor lists, so no pass over the rest of `g` is made.
+/// Positions in a sorted list are monotone in id, so the local
+/// neighbor lists come out in the order [`Graph::induced_subgraph`]
+/// gives them and the `(interior cost, parent id)` tie rule picks the
+/// same parents as [`AllPairsPaths::compute`] on that subgraph.
+#[derive(Debug, Clone)]
+pub struct InducedRows {
+    csr: Csr,
+    term: Vec<f64>,
+    sources: Vec<usize>,
+    selection: PathSelection,
+}
+
+impl InducedRows {
+    /// Captures the inputs of an [`induced_rows`] solve.
+    ///
+    /// # Errors
+    ///
+    /// * [`GraphError::UnsortedNodes`] if `nodes` is not strictly
+    ///   ascending;
+    /// * [`GraphError::NodeOutOfBounds`] if a listed node is not in `g`,
+    ///   or `node_cost` is shorter than `g`'s node count;
+    /// * [`GraphError::NotInNodeList`] if a source is not in `nodes`.
+    pub fn capture(
+        g: &Graph,
+        nodes: &[NodeId],
+        sources: &[NodeId],
+        node_cost: &[f64],
+        selection: PathSelection,
+    ) -> Result<Self, GraphError> {
+        if let Some(w) = nodes.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(GraphError::UnsortedNodes { node: w[1] });
+        }
+        let node_count = g.node_count();
+        // The list is ascending, so its last entry is its largest.
+        if let Some(&node) = nodes.last().filter(|v| v.index() >= node_count) {
+            return Err(GraphError::NodeOutOfBounds { node, node_count });
+        }
+        if node_cost.len() < node_count {
+            return Err(GraphError::NodeOutOfBounds {
+                node: NodeId::new(node_cost.len()),
+                node_count,
+            });
+        }
+        let sources = sources
+            .iter()
+            .map(|&s| {
+                nodes
+                    .binary_search(&s)
+                    .map_err(|_| GraphError::NotInNodeList { node: s })
+            })
+            .collect::<Result<Vec<usize>, _>>()?;
+        Ok(InducedRows {
+            csr: Csr::induced(g, nodes),
+            term: nodes.iter().map(|v| node_cost[v.index()]).collect(),
+            sources,
+            selection,
         })
-        .collect::<Result<Vec<usize>, _>>()?;
-    let b = nodes.len();
-    let csr = Csr::induced(g, nodes);
-    let term: Vec<f64> = nodes.iter().map(|v| node_cost[v.index()]).collect();
-    let (mut interior, mut hops, mut parent) = (vec![0.0; b], vec![0; b], vec![0; b]);
-    let mut mask = vec![0u64; words_per_row(b)];
-    let mut scratch = Scratch::new(b);
-    let mut cost_out = Vec::with_capacity(rows.len() * b);
-    let mut hops_out = Vec::with_capacity(rows.len() * b);
-    for &s in &rows {
-        let mut row = RowMut {
-            interior: &mut interior,
-            hops: &mut hops,
-            parent: &mut parent,
-            mask: &mut mask,
-        };
-        single_source(&csr, &term, s, selection, &mut row, &mut scratch);
-        // The endpoint terms are added in `AllPairsPaths::cost`'s order.
-        cost_out.extend((0..b).map(|j| match hops[j] {
-            _ if j == s => 0.0,
-            UNREACHABLE_HOPS => f64::INFINITY,
-            _ => interior[j] + term[s] + term[j],
-        }));
-        hops_out.extend_from_slice(&hops);
     }
-    Ok((cost_out, hops_out))
+
+    /// Solves the captured rows: each is one run of the per-source
+    /// kernel behind [`AllPairsPaths::compute`]. Returns the costs and
+    /// hops laid out as [`induced_rows`] documents.
+    #[must_use]
+    pub fn solve(&self) -> (Vec<f64>, Vec<u32>) {
+        let (csr, term) = (&self.csr, &self.term);
+        let b = term.len();
+        let (mut interior, mut hops, mut parent) = (vec![0.0; b], vec![0; b], vec![0; b]);
+        let mut mask = vec![0u64; words_per_row(b)];
+        let mut scratch = Scratch::new(b);
+        let mut cost_out = Vec::with_capacity(self.sources.len() * b);
+        let mut hops_out = Vec::with_capacity(self.sources.len() * b);
+        for &s in &self.sources {
+            let mut row = RowMut {
+                interior: &mut interior,
+                hops: &mut hops,
+                parent: &mut parent,
+                mask: &mut mask,
+            };
+            single_source(csr, term, s, self.selection, &mut row, &mut scratch);
+            // The endpoint terms are added in `AllPairsPaths::cost`'s order.
+            cost_out.extend((0..b).map(|j| match hops[j] {
+                _ if j == s => 0.0,
+                UNREACHABLE_HOPS => f64::INFINITY,
+                _ => interior[j] + term[s] + term[j],
+            }));
+            hops_out.extend_from_slice(&hops);
+        }
+        (cost_out, hops_out)
+    }
 }
 
 fn words_per_row(n: usize) -> usize {

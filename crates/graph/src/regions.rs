@@ -33,6 +33,8 @@ pub fn splitmix64(mut x: u64) -> u64 {
 pub struct RegionPartition {
     /// Region index per node.
     region_of: Vec<u32>,
+    /// Position of each node in its region's member list.
+    slot_of: Vec<u32>,
     /// Node lists per region, each sorted ascending.
     regions: Vec<Vec<NodeId>>,
 }
@@ -89,7 +91,17 @@ impl RegionPartition {
             members.sort_unstable();
             regions.push(members);
         }
-        RegionPartition { region_of, regions }
+        let mut slot_of = vec![0u32; n];
+        for members in &regions {
+            for (slot, u) in members.iter().enumerate() {
+                slot_of[u.index()] = slot as u32;
+            }
+        }
+        RegionPartition {
+            region_of,
+            slot_of,
+            regions,
+        }
     }
 
     /// Number of regions.
@@ -116,6 +128,17 @@ impl RegionPartition {
     #[must_use]
     pub fn region_of(&self, node: NodeId) -> usize {
         self.region_of[node.index()] as usize
+    }
+
+    /// The position of `node` in its region's sorted member list, so
+    /// `region(region_of(node))[slot_of(node)] == node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of bounds.
+    #[must_use]
+    pub fn slot_of(&self, node: NodeId) -> usize {
+        self.slot_of[node.index()] as usize
     }
 
     /// The k-hop halo of region `r`: nodes *outside* the region within
@@ -187,6 +210,7 @@ mod tests {
                 assert!(!seen[u.index()], "node assigned twice");
                 seen[u.index()] = true;
                 assert_eq!(p.region_of(u), r);
+                assert_eq!(p.region(r)[p.slot_of(u)], u);
             }
         }
         assert!(seen.iter().all(|&s| s), "node left unassigned");

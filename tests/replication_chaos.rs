@@ -333,11 +333,21 @@ fn chaos_trace_holds_durability_convergence_and_recovery_oracles() {
     );
 }
 
+/// [`ShardedWorld::state_digest`] at the end of the trace. The R-copy
+/// top-up reads the scoped store between `Network::cache` calls and the
+/// next store update, so this pins those reads too.
+const WORLD_DIGEST: u64 = 0xe4b2_3e31_cdbf_39fc;
+
 /// Oracle 4: the byte-identical replay across thread settings — the
 /// PR 8 shard determinism suite extended to the replication stack.
 #[test]
 fn replicated_chaos_trace_replays_identically_across_parallelism() {
     let baseline = run_trace(Parallelism::Sequential);
+    assert_eq!(
+        baseline.world_digest, WORLD_DIGEST,
+        "world digest {:#018x} moved from the pinned trace",
+        baseline.world_digest
+    );
     for par in [Parallelism::Threads(2), Parallelism::Auto] {
         let run = run_trace(par);
         assert_eq!(

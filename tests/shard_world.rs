@@ -157,8 +157,25 @@ fn settings() -> [Parallelism; 3] {
     ]
 }
 
-fn assert_identical_runs(mut make_net: impl FnMut() -> Network, seed: u64) {
+/// [`ShardedWorld::state_digest`] of the grid trace (seed `0x5EED_0001`).
+const GRID_DIGEST: u64 = 0xd5b0_814c_cdad_c68c;
+
+/// [`ShardedWorld::state_digest`] of the random geometric trace (seed
+/// `0x5EED_0002`).
+const RGG_DIGEST: u64 = 0x7b2d_4a4e_7cdf_b4c6;
+
+/// [`ShardedWorld::state_digest`] of the `0xDECADE` replay under `Auto`.
+const REPLAY_DIGEST: u64 = 0x731d_101c_752f_2328;
+
+/// Runs the trace under every [`settings`] entry and asserts each run
+/// equals the `Sequential` one and that its digest is `pinned`.
+fn assert_identical_runs(mut make_net: impl FnMut() -> Network, seed: u64, pinned: u64) {
     let baseline = run_trace(make_net(), Parallelism::Sequential, seed);
+    assert_eq!(
+        baseline.digest, pinned,
+        "state digest {:#018x} moved from the pinned trace",
+        baseline.digest
+    );
     assert_eq!(
         baseline.applied + baseline.rejected,
         (TICKS * BATCH) as u64,
@@ -203,6 +220,7 @@ fn grid_churn_trace_is_byte_identical_across_thread_settings() {
     assert_identical_runs(
         || Network::new(builders::grid(14, 14), NodeId::new(0), 5).expect("grid network builds"),
         0x5EED_0001,
+        GRID_DIGEST,
     );
 }
 
@@ -211,6 +229,7 @@ fn random_geometric_churn_trace_is_byte_identical_across_thread_settings() {
     assert_identical_runs(
         || paper_random(120, 7).expect("rgg network builds"),
         0x5EED_0002,
+        RGG_DIGEST,
     );
 }
 
@@ -226,4 +245,9 @@ fn traces_replay_identically_across_runs() {
     assert_eq!(a.digest, b.digest);
     assert_eq!(a.spans, b.spans);
     assert_eq!(a.reports, b.reports);
+    assert_eq!(
+        a.digest, REPLAY_DIGEST,
+        "state digest {:#018x} moved from the pinned trace",
+        a.digest
+    );
 }
