@@ -110,7 +110,7 @@ pub fn best_facility_set(
         if fairness >= best_total {
             continue;
         }
-        let (_, access) = inst.assign_clients(net, &subset);
+        let (_, access) = inst.assign_clients(&subset);
         if fairness + access >= best_total {
             continue;
         }

@@ -6,9 +6,16 @@
 //! `f_i`, client connection costs are Path Contention Costs `c_ij`,
 //! Steiner edges cost `M · c_e`, and the producer acts as a pre-opened,
 //! zero-cost facility that the dissemination tree must reach.
+//!
+//! An instance memoises one edge-weighted shortest-path tree per
+//! dissemination terminal ([`SptMemo`]): its matrix is frozen,
+//! so every tree a chunk prices — each removal candidate, the commit,
+//! a repair's trim and final tree — shares the same per-terminal
+//! searches.
 
 use peercache_graph::paths::PathSelection;
-use peercache_graph::{steiner, NodeId};
+use peercache_graph::steiner::{SptMemo, SteinerTree};
+use peercache_graph::NodeId;
 
 use crate::costs::{ContentionMatrix, CostWeights};
 use crate::{ChunkId, CoreError, Network};
@@ -43,6 +50,9 @@ pub struct ConflInstance {
     matrix: ContentionMatrix,
     weights: CostWeights,
     clients: Vec<NodeId>,
+    /// Shortest-path trees under [`ContentionMatrix::edge_cost`], solved
+    /// on first use.
+    spt: SptMemo,
 }
 
 impl ConflInstance {
@@ -101,6 +111,7 @@ impl ConflInstance {
             matrix,
             weights,
             clients: net.interested_clients(chunk),
+            spt: SptMemo::new(net.node_count()),
         }
     }
 
@@ -137,6 +148,7 @@ impl ConflInstance {
             matrix,
             weights,
             clients,
+            spt: SptMemo::new(net.node_count()),
         })
     }
 
@@ -215,12 +227,9 @@ impl ConflInstance {
     /// `facilities ∪ {producer}`; returns `(client, provider)` pairs in
     /// client order plus the summed access cost.
     ///
-    /// A facility node serves itself at zero cost.
-    pub fn assign_clients(
-        &self,
-        _net: &Network,
-        facilities: &[NodeId],
-    ) -> (Vec<(NodeId, NodeId)>, f64) {
+    /// A client's provider is the least under `(cost, id)`; a facility
+    /// node serves itself at zero cost.
+    pub fn assign_clients(&self, facilities: &[NodeId]) -> (Vec<(NodeId, NodeId)>, f64) {
         let mut assignment = Vec::new();
         let mut access = 0.0;
         for &j in &self.clients {
@@ -235,6 +244,34 @@ impl ConflInstance {
             assignment.push((j, best.0));
         }
         (assignment, access)
+    }
+
+    /// The approximate Steiner tree over `terminals` under this
+    /// instance's edge costs ([`ContentionMatrix::edge_cost`]),
+    /// bit-for-bit [`peercache_graph::steiner::steiner_tree`]'s. Each
+    /// terminal's shortest-path tree is solved on its first use and
+    /// read from the instance's memo afterwards.
+    ///
+    /// `net` must have the topology the instance was built for.
+    ///
+    /// # Errors
+    ///
+    /// Propagates Steiner-tree failures (cannot occur on a connected
+    /// [`Network`] with valid terminals).
+    pub fn dissemination_tree(
+        &self,
+        net: &Network,
+        terminals: &[NodeId],
+    ) -> Result<SteinerTree, CoreError> {
+        Ok(self
+            .spt
+            .tree(net.graph(), terminals, |u, v| self.matrix.edge_cost(u, v))?)
+    }
+
+    /// How many per-terminal shortest-path trees the instance has
+    /// solved so far.
+    pub fn spt_solved(&self) -> usize {
+        self.spt.solved()
     }
 
     /// Evaluates opening exactly `facilities` for this chunk: fairness +
@@ -252,50 +289,10 @@ impl ConflInstance {
         facilities: &[NodeId],
     ) -> Result<SetEvaluation, CoreError> {
         let fairness: f64 = facilities.iter().map(|&i| self.facility_cost(i)).sum();
-        let (assignment, access) = self.assign_clients(net, facilities);
+        let (assignment, access) = self.assign_clients(facilities);
         let mut terminals: Vec<NodeId> = facilities.to_vec();
         terminals.push(self.producer);
-        let tree =
-            steiner::steiner_tree(net.graph(), &terminals, |u, v| self.matrix.edge_cost(u, v))?;
-        let costs = SetCosts {
-            fairness,
-            access,
-            dissemination: self.weights.dissemination * tree.cost,
-        };
-        Ok((costs, assignment, tree.edges))
-    }
-
-    /// Like [`ConflInstance::evaluate_set`], but reuses a prebuilt
-    /// [`steiner::SteinerSolver`] for the dissemination tree instead of
-    /// re-running the per-terminal shortest paths — the win when many
-    /// facility subsets are evaluated against the same snapshot (the
-    /// planners' removal-improvement phase). Returns bit-for-bit the
-    /// same evaluation as [`ConflInstance::evaluate_set`].
-    ///
-    /// The solver's candidate set must cover `facilities` and the
-    /// producer, and its weight function must be this instance's
-    /// [`ContentionMatrix::edge_cost`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Graph`] with
-    /// [`peercache_graph::GraphError::UnknownTerminal`] if a facility
-    /// (or the producer) is outside the solver's candidates; otherwise
-    /// as [`ConflInstance::evaluate_set`].
-    pub fn evaluate_set_with<W>(
-        &self,
-        net: &Network,
-        facilities: &[NodeId],
-        solver: &steiner::SteinerSolver<W>,
-    ) -> Result<SetEvaluation, CoreError>
-    where
-        W: Fn(NodeId, NodeId) -> f64,
-    {
-        let fairness: f64 = facilities.iter().map(|&i| self.facility_cost(i)).sum();
-        let (assignment, access) = self.assign_clients(net, facilities);
-        let mut terminals: Vec<NodeId> = facilities.to_vec();
-        terminals.push(self.producer);
-        let tree = solver.tree(&terminals)?;
+        let tree = self.dissemination_tree(net, &terminals)?;
         let costs = SetCosts {
             fairness,
             access,
@@ -401,7 +398,7 @@ mod tests {
     fn empty_facility_set_assigns_everyone_to_producer() {
         let net = net();
         let inst = instance(&net);
-        let (assignment, access) = inst.assign_clients(&net, &[]);
+        let (assignment, access) = inst.assign_clients(&[]);
         assert_eq!(assignment.len(), 8);
         assert!(assignment.iter().all(|&(_, p)| p == NodeId::new(4)));
         assert!(access > 0.0);
@@ -411,7 +408,7 @@ mod tests {
     fn facility_serves_itself_for_free() {
         let net = net();
         let inst = instance(&net);
-        let (assignment, _) = inst.assign_clients(&net, &[NodeId::new(0)]);
+        let (assignment, _) = inst.assign_clients(&[NodeId::new(0)]);
         let self_assigned = assignment
             .iter()
             .find(|&&(j, _)| j == NodeId::new(0))
@@ -563,34 +560,31 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_set_with_solver_matches_evaluate_set() {
-        use peercache_graph::steiner::SteinerSolver;
+    fn evaluate_set_matches_a_one_shot_tree_whatever_the_query_order() {
+        use peercache_graph::steiner::steiner_tree;
         let net = net();
         let inst = instance(&net);
-        let sets: [&[NodeId]; 3] = [
+        let sets: [&[NodeId]; 4] = [
+            &[NodeId::new(0), NodeId::new(2), NodeId::new(8)],
             &[],
             &[NodeId::new(0)],
-            &[NodeId::new(0), NodeId::new(2), NodeId::new(8)],
+            &[NodeId::new(8), NodeId::new(6)],
         ];
-        let mut candidates = vec![
-            NodeId::new(0),
-            NodeId::new(2),
-            NodeId::new(8),
-            inst.producer(),
-        ];
-        candidates.sort_unstable();
-        let solver = SteinerSolver::new(net.graph(), &candidates, |u, v| {
-            inst.matrix().edge_cost(u, v)
-        })
-        .unwrap();
         for set in sets {
-            let (c1, a1, t1) = inst.evaluate_set(&net, set).unwrap();
-            let (c2, a2, t2) = inst.evaluate_set_with(&net, set, &solver).unwrap();
-            assert_eq!(c1.fairness.to_bits(), c2.fairness.to_bits());
-            assert_eq!(c1.access.to_bits(), c2.access.to_bits());
-            assert_eq!(c1.dissemination.to_bits(), c2.dissemination.to_bits());
-            assert_eq!(a1, a2);
-            assert_eq!(t1, t2);
+            let (costs, _, edges) = inst.evaluate_set(&net, set).unwrap();
+            let mut terminals = set.to_vec();
+            terminals.push(inst.producer());
+            let fresh = steiner_tree(net.graph(), &terminals, |u, v| {
+                inst.matrix().edge_cost(u, v)
+            })
+            .unwrap();
+            assert_eq!(edges, fresh.edges);
+            assert_eq!(
+                costs.dissemination.to_bits(),
+                (inst.weights().dissemination * fresh.cost).to_bits()
+            );
         }
+        // Nodes 0, 2, 6, 8 and the producer: one search each.
+        assert_eq!(inst.spt_solved(), 5);
     }
 }

@@ -8,11 +8,11 @@
 //! fairness and contention costs.
 
 use peercache_graph::paths::{Parallelism, PathSelection};
-use peercache_graph::NodeId;
+use peercache_graph::{steiner, NodeId};
 use peercache_obs as obs;
 
-use crate::costs::{ContentionMatrix, CostWeights};
-use crate::instance::ConflInstance;
+use crate::costs::{cost_tie_eq, ContentionMatrix, CostWeights};
+use crate::instance::{ConflInstance, SetCosts};
 use crate::placement::{ChunkPlacement, Placement};
 use crate::replication::ReplicationPolicy;
 use crate::{ChunkId, CoreError, Network};
@@ -83,8 +83,11 @@ pub trait CachePlanner {
 /// removing it saves its fairness cost and can only shrink the
 /// dissemination tree, while the assignment step reroutes nothing (the
 /// facility served nobody). The producer never appears in the result.
+///
+/// The assignment reads only the instance; `_net` is the network the
+/// instance was built for, taken like every other layer function.
 pub fn prune_unused_facilities(
-    net: &Network,
+    _net: &Network,
     inst: &ConflInstance,
     facilities: &[NodeId],
 ) -> Vec<NodeId> {
@@ -92,7 +95,7 @@ pub fn prune_unused_facilities(
     current.sort_unstable();
     current.dedup();
     loop {
-        let (assignment, _) = inst.assign_clients(net, &current);
+        let (assignment, _) = inst.assign_clients(&current);
         let mut used: Vec<NodeId> = assignment
             .iter()
             .map(|&(_, provider)| provider)
@@ -133,40 +136,71 @@ pub fn improve_by_removal(
     if current.is_empty() {
         return Ok(current);
     }
-    // Every set this search evaluates is a subset of the starting
-    // facilities plus the producer, so one Steiner solver's per-terminal
-    // shortest-path trees answer all the dissemination queries — instead
-    // of re-running Dijkstra from every terminal once per evaluation
-    // (see `improve_by_removal_reference` for the original form).
-    let mut terminals = current.clone();
-    terminals.push(inst.producer());
-    let solver = peercache_graph::steiner::SteinerSolver::new(net.graph(), &terminals, |u, v| {
-        inst.matrix().edge_cost(u, v)
-    })?;
-    remove_greedily(current, |set| {
-        Ok(inst.evaluate_set_with(net, set, &solver)?.0.total())
+    // Every tree the search prices reads the instance's shortest-path
+    // memo, so each terminal is searched once per chunk, and the commit
+    // after it reuses the same trees (see
+    // `improve_by_removal_reference` for the original form).
+    remove_greedily(inst, &[], current, |caches| {
+        let mut terminals = caches.to_vec();
+        terminals.push(inst.producer());
+        Ok(inst.dissemination_tree(net, &terminals)?.cost)
     })
 }
 
 /// The greedy-removal loop shared by [`improve_by_removal`] and the
 /// world repair's trim: repeatedly drops the member of `set` whose
-/// removal lowers `score` the most (ties to the lowest index), until no
-/// removal gains more than `1e-9`.
+/// removal lowers the objective the most (ties to the lowest index),
+/// until no removal gains more than `1e-9`. The `pinned` copies always
+/// serve and never leave.
+///
+/// A candidate `S` scores `fairness(S)` plus `access(pinned ∪ S)` plus
+/// `M · tree_cost(pinned ∪ S)`, where `tree_cost` prices the
+/// dissemination tree over the cache list it is given. Each pass ranks
+/// every client's providers once ([`rank_providers`]); removing a member
+/// moves exactly the clients it served best, to their second best, so a
+/// candidate's access adds the per-client values
+/// [`ConflInstance::assign_clients`] would add, in the same client
+/// order, in `O(C)` instead of `O(C·F)`.
 ///
 /// # Errors
 ///
-/// Propagates `score` failures.
+/// Propagates `tree_cost` failures.
 pub(crate) fn remove_greedily(
+    inst: &ConflInstance,
+    pinned: &[NodeId],
     mut set: Vec<NodeId>,
-    score: impl Fn(&[NodeId]) -> Result<f64, CoreError>,
+    tree_cost: impl Fn(&[NodeId]) -> Result<f64, CoreError>,
 ) -> Result<Vec<NodeId>, CoreError> {
-    let mut best_total = score(&set)?;
+    let caches = |set: &[NodeId], skip: Option<usize>| -> Vec<NodeId> {
+        let kept = set.iter().enumerate().filter(|&(i, _)| Some(i) != skip);
+        pinned
+            .iter()
+            .copied()
+            .chain(kept.map(|(_, &f)| f))
+            .collect()
+    };
+    let fairness = |set: &[NodeId], skip: Option<usize>| -> f64 {
+        let kept = set.iter().enumerate().filter(|&(i, _)| Some(i) != skip);
+        kept.map(|(_, &f)| inst.facility_cost(f)).sum()
+    };
+    let objective = |fairness: f64, access: f64, caches: &[NodeId]| {
+        Ok::<f64, CoreError>(fairness + access + inst.weights().dissemination * tree_cost(caches)?)
+    };
+    let mut ranked = rank_providers(inst, &caches(&set, None));
+    let access = ranked.iter().fold(0.0, |sum, r| sum + r.best_cost);
+    let mut best_total = objective(fairness(&set, None), access, &caches(&set, None))?;
     loop {
         let mut best_removal: Option<(f64, usize)> = None;
         for idx in 0..set.len() {
-            let mut candidate = set.clone();
-            candidate.remove(idx);
-            let total = score(&candidate)?;
+            let gone = set[idx];
+            let access = ranked.iter().fold(0.0, |sum, r| {
+                sum + if r.best == gone {
+                    r.next_cost
+                } else {
+                    r.best_cost
+                }
+            });
+            let total = objective(fairness(&set, Some(idx)), access, &caches(&set, Some(idx)))?;
             if total < best_total - 1e-9 && best_removal.is_none_or(|(bt, _)| total < bt) {
                 best_removal = Some((total, idx));
             }
@@ -175,14 +209,64 @@ pub(crate) fn remove_greedily(
             Some((total, idx)) => {
                 set.remove(idx);
                 best_total = total;
+                ranked = rank_providers(inst, &caches(&set, None));
             }
             None => return Ok(set),
         }
     }
 }
 
+/// One client's providers ranked under `(cost, id)`.
+struct Ranked {
+    /// The provider [`ConflInstance::assign_clients`] picks.
+    best: NodeId,
+    /// Its connection cost.
+    best_cost: f64,
+    /// The cost of the provider that picks up the client once one copy
+    /// of `best` leaves.
+    next_cost: f64,
+}
+
+/// Every client's best provider among `caches ∪ {producer}` and the
+/// cost of the best once one copy of it is gone, in client order.
+///
+/// `(cost, id)` is a strict order, so the least element is the one
+/// [`ConflInstance::assign_clients`] picks whatever the order it scans
+/// in, and the least after it is the one it picks without that copy.
+/// A node listed twice stays a provider after one copy leaves: its
+/// second copy ranks next at the same cost.
+fn rank_providers(inst: &ConflInstance, caches: &[NodeId]) -> Vec<Ranked> {
+    let precedes =
+        |a: (NodeId, f64), b: (NodeId, f64)| a.1 < b.1 || (cost_tie_eq(a.1, b.1) && a.0 < b.0);
+    let producer = inst.producer();
+    inst.clients()
+        .iter()
+        .map(|&j| {
+            let mut best = (producer, inst.connection_cost(producer, j));
+            let mut next: Option<(NodeId, f64)> = None;
+            for &i in caches {
+                let offer = (i, inst.connection_cost(i, j));
+                if precedes(offer, best) {
+                    next = Some(best);
+                    best = offer;
+                } else if next.is_none_or(|n| precedes(offer, n)) {
+                    next = Some(offer);
+                }
+            }
+            Ranked {
+                best: best.0,
+                best_cost: best.1,
+                // No runner-up only when `caches` is empty, and then no
+                // removal is ever priced.
+                next_cost: next.map_or(f64::INFINITY, |n| n.1),
+            }
+        })
+        .collect()
+}
+
 /// The original improving-removal loop, which rebuilds every Steiner
-/// tree from scratch per evaluation. Kept verbatim as the oracle behind
+/// tree from scratch and re-assigns every client per evaluation. Kept
+/// verbatim as the oracle behind
 /// [`crate::approx::ApproxConfig::reference_mode`]; byte-identical to
 /// [`improve_by_removal`].
 ///
@@ -201,15 +285,29 @@ pub fn improve_by_removal_reference(
     if current.is_empty() {
         return Ok(current);
     }
-    let (costs, _, _) = inst.evaluate_set(net, &current)?;
-    let mut best_total = costs.total();
+    let evaluate = |set: &[NodeId]| -> Result<f64, CoreError> {
+        let fairness: f64 = set.iter().map(|&i| inst.facility_cost(i)).sum();
+        let (_, access) = inst.assign_clients(set);
+        let mut terminals = set.to_vec();
+        terminals.push(inst.producer());
+        let tree = steiner::steiner_tree(net.graph(), &terminals, |u, v| {
+            inst.matrix().edge_cost(u, v)
+        })?;
+        let dissemination = inst.weights().dissemination * tree.cost;
+        Ok(SetCosts {
+            fairness,
+            access,
+            dissemination,
+        }
+        .total())
+    };
+    let mut best_total = evaluate(&current)?;
     loop {
         let mut best_removal: Option<(f64, usize)> = None;
         for idx in 0..current.len() {
             let mut candidate = current.clone();
             candidate.remove(idx);
-            let (costs, _, _) = inst.evaluate_set(net, &candidate)?;
-            let total = costs.total();
+            let total = evaluate(&candidate)?;
             if total < best_total - 1e-9 && best_removal.is_none_or(|(bt, _)| total < bt) {
                 best_removal = Some((total, idx));
             }
@@ -314,8 +412,10 @@ pub fn commit_chunk_replicated(
 /// contention terms a commit changes — so each chunk is priced exactly
 /// as a fresh [`ConflInstance::build_for_chunk`] would price it. The
 /// pipeline owns each chunk's `planner.chunk` span and records
-/// `apsp_recomputed`, `build_us` and `steiner_commit_us` on it; `select`
-/// adds its own phase laps and counters.
+/// `apsp_recomputed`, `build_us`, `steiner_commit_us` and `spt_solved`
+/// (the shortest-path trees the chunk's dissemination trees searched,
+/// read off the instance's memo) on it; `select` adds its own phase
+/// laps and counters.
 ///
 /// # Errors
 ///
@@ -359,6 +459,7 @@ pub fn plan_chunks(
         let mut commit_clock = obs::Stopwatch::start();
         let cp = commit_chunk_replicated(net, &inst, chunk, &facilities, replication)?;
         span.field("steiner_commit_us", commit_clock.lap_us());
+        span.field("spt_solved", inst.spt_solved());
         let mut dirty = cp.caches.clone();
         dirty.push(net.producer());
         carried = Some((inst.into_matrix(), dirty));

@@ -45,6 +45,7 @@
 //! read is never solved. A read between a cache commit and the next
 //! update still sees the values of the update that staled the block.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use peercache_graph::oracle::LandmarkOracle;
@@ -529,35 +530,51 @@ fn capture_blocks(
     .collect()
 }
 
-/// Runs `task` over `items` with slot-array fan-out: results land in
-/// pre-indexed slots, so the merge order is the item order no matter
-/// how threads are scheduled. `task` must be a pure function of frozen
-/// state. Both arms run each task under [`obs::with_quiet`], so the
-/// emitted trace is the same for every [`Parallelism`] setting.
+/// Runs `task` over `items` with slot-array fan-out: threads claim items
+/// one at a time from a shared cursor, so a slow item holds up only the
+/// thread that claimed it, and each result lands in its item's slot, so
+/// the merge order is the item order no matter how threads are
+/// scheduled. `task` must be a pure function of frozen state. Both arms
+/// run each task under [`obs::with_quiet`], so the emitted trace is the
+/// same for every [`Parallelism`] setting.
 pub(crate) fn fan_out<T: Sync, R: Send>(
     items: &[T],
     parallelism: Parallelism,
     task: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
     let threads = parallelism.threads(items.len().max(1));
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     if threads <= 1 || items.len() <= 1 {
-        for (slot, item) in slots.iter_mut().zip(items) {
-            *slot = Some(obs::with_quiet(|| task(item)));
-        }
-    } else {
-        let per = items.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            for (chunk, part) in slots.chunks_mut(per).zip(items.chunks(per)) {
-                let task = &task;
-                s.spawn(move || {
-                    for (slot, item) in chunk.iter_mut().zip(part) {
-                        *slot = Some(obs::with_quiet(|| task(item)));
-                    }
-                });
-            }
-        });
+        return items
+            .iter()
+            .map(|item| obs::with_quiet(|| task(item)))
+            .collect();
     }
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(idx) else {
+                            return done;
+                        };
+                        done.push((idx, obs::with_quiet(|| task(item))));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (idx, result) in done {
+                slots[idx] = Some(result);
+            }
+        }
+    });
     slots
         .into_iter()
         .map(|s| s.expect("every fan-out slot is filled"))
@@ -1139,6 +1156,28 @@ mod tests {
             landmarks: 4,
             seed: 7,
         }
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_item_order_under_uneven_load() {
+        // Early items are the slow ones, so threads that claim from the
+        // cursor finish out of item order.
+        let items: Vec<u64> = (0..23).collect();
+        let task = |&i: &u64| (0..(23 - i) * 2_000).fold(i, |acc, k| acc ^ k.wrapping_mul(i));
+        let expected: Vec<u64> = items.iter().map(task).collect();
+        for parallelism in [
+            Parallelism::Sequential,
+            Parallelism::Threads(2),
+            Parallelism::Threads(5),
+            Parallelism::Auto,
+        ] {
+            assert_eq!(
+                fan_out(&items, parallelism, task),
+                expected,
+                "{parallelism:?}"
+            );
+        }
+        assert!(fan_out(&[] as &[u64], Parallelism::Threads(3), task).is_empty());
     }
 
     #[test]

@@ -959,15 +959,10 @@ impl CacheWorld {
             .filter(|j| inst.clients().binary_search(j).is_ok())
             .collect();
         let newly = repair_ascent(&self.net, &inst, &survivors, &orphans, &self.config)?;
-        // One Steiner solver over every node the repair may touch
-        // answers the trim scoring and the final tree alike (the same
-        // per-terminal shortest-path-tree reuse as
-        // `improve_by_removal`).
-        let universe = tree_terminals(&self.net, survivors.iter().chain(&newly));
-        let solver = steiner::SteinerSolver::new(self.net.graph(), &universe, |u, v| {
-            inst.matrix().edge_cost(u, v)
-        })?;
-        let mut newly = trim_new_facilities(&self.net, &inst, &survivors, newly, &solver)?;
+        // The trim scoring and the final tree read the instance's
+        // shortest-path memo alike (the same per-terminal reuse as
+        // `improve_by_removal`), top-up replicas included.
+        let mut newly = trim_new_facilities(&self.net, &inst, &survivors, newly)?;
         // R-copy durability floor: the trim keeps only facilities that
         // earn their keep serving orphans, which can leave the chunk
         // below the replication degree after a death. Top back up over
@@ -992,19 +987,8 @@ impl CacheWorld {
         let mut caches = survivors.clone();
         caches.extend(newly.iter().copied());
         caches.sort_unstable();
-        let (assignment, access) = inst.assign_clients(&self.net, &caches);
-        let terminals = tree_terminals(&self.net, &caches);
-        // The shared solver's universe predates the replica top-up, so
-        // an R-extended terminal set needs the direct Steiner solve;
-        // the single-copy path keeps the solver reuse byte-identical.
-        let tree = if extra.is_empty() {
-            solver.tree(&terminals)?
-        } else {
-            steiner::steiner_tree(self.net.graph(), &terminals, |u, v| {
-                inst.matrix().edge_cost(u, v)
-            })?
-        };
-        drop(solver);
+        let (assignment, access) = inst.assign_clients(&caches);
+        let tree = inst.dissemination_tree(&self.net, &tree_terminals(&self.net, &caches))?;
         // New copies pay their (pre-caching) fairness cost on top of
         // what the chunk's past placements already paid; survivor
         // copies are sunk and not re-priced.
@@ -1045,10 +1029,10 @@ impl CacheWorld {
     /// moving. Copies stay as held, clients are re-assigned among the
     /// current holders, and sunk fairness is kept. Each chunk in
     /// `rebuild` gets a fresh dissemination tree, all of them from one
-    /// Steiner solver over the union of their tree terminals, so the
-    /// call pays one shortest-path tree per distinct holder; nothing
-    /// changes the network or the snapshot between chunks, so each tree
-    /// is bit-for-bit the one-shot [`steiner::steiner_tree`]. Each chunk
+    /// shortest-path memo, so the call pays one shortest-path tree per
+    /// distinct holder; nothing changes the network or the snapshot
+    /// between chunks, so each tree is bit-for-bit the one-shot
+    /// [`steiner::steiner_tree`]. Each chunk
     /// in `keep` keeps its tree, re-priced under the snapshot — valid
     /// only when no recorded tree edge can have vanished.
     fn rederive(&mut self, rebuild: &[ChunkId], keep: &[ChunkId]) -> Result<(), CoreError> {
@@ -1062,7 +1046,7 @@ impl CacheWorld {
         for (&chunk, tree) in rebuilt.chain(keep.iter().zip(std::iter::repeat(None))) {
             let inst = self.build_instance(chunk)?;
             let caches = self.net.holders(chunk);
-            let (assignment, access) = inst.assign_clients(&self.net, &caches);
+            let (assignment, access) = inst.assign_clients(&caches);
             let old = &self.placements[&chunk];
             let (tree_edges, tree_cost) = match tree {
                 Some(tree) => (tree.edges, tree.cost),
@@ -1181,22 +1165,19 @@ fn tree_terminals<'a>(net: &Network, holders: impl IntoIterator<Item = &'a NodeI
 }
 
 /// One dissemination tree per chunk over its [`tree_terminals`], all
-/// answered by one Steiner solver over their union.
+/// answered from one shortest-path memo.
 fn shared_trees(
     net: &Network,
     matrix: &ContentionMatrix,
     chunks: &[ChunkId],
 ) -> Result<Vec<steiner::SteinerTree>, CoreError> {
-    if chunks.is_empty() {
-        return Ok(Vec::new());
-    }
-    let holders: Vec<Vec<NodeId>> = chunks.iter().map(|&c| net.holders(c)).collect();
-    let universe = tree_terminals(net, holders.iter().flatten());
-    let solver =
-        steiner::SteinerSolver::new(net.graph(), &universe, |u, v| matrix.edge_cost(u, v))?;
-    holders
+    let memo = steiner::SptMemo::new(net.node_count());
+    chunks
         .iter()
-        .map(|h| Ok(solver.tree(&tree_terminals(net, h))?))
+        .map(|&c| {
+            let terminals = tree_terminals(net, &net.holders(c));
+            Ok(memo.tree(net.graph(), &terminals, |u, v| matrix.edge_cost(u, v))?)
+        })
         .collect()
 }
 
@@ -1314,12 +1295,11 @@ fn repair_ascent(
 /// fairness plus the full access and dissemination costs. Sunk survivor
 /// fairness is a constant across all compared sets, so dropping it
 /// never changes a comparison.
-fn trim_new_facilities<W: Fn(NodeId, NodeId) -> f64>(
+fn trim_new_facilities(
     net: &Network,
     inst: &ConflInstance,
     survivors: &[NodeId],
     mut newly: Vec<NodeId>,
-    solver: &steiner::SteinerSolver<W>,
 ) -> Result<Vec<NodeId>, CoreError> {
     if newly.is_empty() {
         return Ok(newly);
@@ -1331,7 +1311,7 @@ fn trim_new_facilities<W: Fn(NodeId, NodeId) -> f64>(
     // greedy phase below small.
     loop {
         let caches: Vec<NodeId> = survivors.iter().chain(&newly).copied().collect();
-        let (assignment, _) = inst.assign_clients(net, &caches);
+        let (assignment, _) = inst.assign_clients(&caches);
         let before = newly.len();
         newly.retain(|&i| assignment.iter().any(|&(_, provider)| provider == i));
         if newly.len() == before {
@@ -1341,13 +1321,10 @@ fn trim_new_facilities<W: Fn(NodeId, NodeId) -> f64>(
     if newly.is_empty() {
         return Ok(newly);
     }
-    remove_greedily(newly, |subset| {
-        let mut caches: Vec<NodeId> = survivors.iter().chain(subset).copied().collect();
-        caches.sort_unstable();
-        let (_, access) = inst.assign_clients(net, &caches);
-        let tree = solver.tree(&tree_terminals(net, &caches))?;
-        let fairness: f64 = subset.iter().map(|&i| inst.facility_cost(i)).sum();
-        Ok(fairness + access + inst.weights().dissemination * tree.cost)
+    remove_greedily(inst, survivors, newly, |caches| {
+        Ok(inst
+            .dissemination_tree(net, &tree_terminals(net, caches))?
+            .cost)
     })
 }
 

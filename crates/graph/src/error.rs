@@ -23,12 +23,6 @@ pub enum GraphError {
     Disconnected,
     /// A terminal set was empty where at least one terminal is required.
     NoTerminals,
-    /// A terminal was queried on a [`crate::steiner::SteinerSolver`]
-    /// that did not precompute it as a candidate.
-    UnknownTerminal {
-        /// The terminal missing from the solver's candidate set.
-        node: NodeId,
-    },
     /// A node list that must be strictly ascending (sorted, no
     /// duplicates) was not.
     UnsortedNodes {
@@ -57,10 +51,6 @@ impl fmt::Display for GraphError {
             }
             GraphError::Disconnected => write!(f, "graph is not connected"),
             GraphError::NoTerminals => write!(f, "terminal set is empty"),
-            GraphError::UnknownTerminal { node } => write!(
-                f,
-                "terminal {node} is not among the solver's precomputed candidates"
-            ),
             GraphError::UnsortedNodes { node } => {
                 write!(f, "node list is not strictly ascending at node {node}")
             }

@@ -1,9 +1,10 @@
 //! Minimum spanning trees and the union-find helper behind them.
 //!
 //! The Steiner-tree approximation ([`crate::steiner`]) builds MSTs twice:
-//! once over the metric closure of the terminals, once over the expanded
-//! subgraph. Both Kruskal (edge-list) and Prim (adjacency) variants are
-//! provided; they are cross-checked against each other in tests.
+//! once over the metric closure of the terminals (a dense Prim of its
+//! own, under [`kruskal`]'s edge order), once over the expanded subgraph
+//! ([`kruskal`]). Both Kruskal (edge-list) and Prim (adjacency) variants
+//! are provided; they are cross-checked against each other in tests.
 
 use crate::{Graph, NodeId};
 

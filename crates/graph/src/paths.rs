@@ -194,7 +194,7 @@ pub struct AllPairsPaths {
 }
 
 const UNREACHABLE_HOPS: u32 = u32::MAX;
-const NO_PARENT: u32 = u32::MAX;
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// Per-source scratch buffers reused across the rows one thread solves.
 struct Scratch {
@@ -1161,21 +1161,35 @@ pub fn dijkstra_edge_weighted<W>(
 where
     W: Fn(NodeId, NodeId) -> f64,
 {
+    let (cost, parent) = edge_weighted_spt(g, src, weight);
+    let parent = parent
+        .into_iter()
+        .map(|p| (p != NO_PARENT).then(|| NodeId::new(p as usize)))
+        .collect();
+    (cost, parent)
+}
+
+/// [`dijkstra_edge_weighted`] with `u32` parents ([`NO_PARENT`] for the
+/// source and unreachable nodes), the form the Steiner memo stores.
+///
+/// The heap is keyed on the cost's bit pattern, which orders
+/// non-negative costs exactly as `f64::total_cmp` does, so nodes settle
+/// in the order a `(cost, id)` heap would settle them and every tie
+/// resolves as documented on [`dijkstra_edge_weighted`].
+pub(crate) fn edge_weighted_spt<W>(g: &Graph, src: NodeId, weight: W) -> (Vec<f64>, Vec<u32>)
+where
+    W: Fn(NodeId, NodeId) -> f64,
+{
     let n = g.node_count();
     let mut cost = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
+    let mut parent = vec![NO_PARENT; n];
     let mut settled = vec![false; n];
-    let mut heap: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
+    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
     cost[src.index()] = 0.0;
-    heap.push(Reverse((
-        Key {
-            primary: 0.0,
-            secondary: 0.0,
-        },
-        src.index(),
-    )));
-    while let Some(Reverse((key, u))) = heap.pop() {
-        if settled[u] || key.primary != cost[u] {
+    heap.push(Reverse((0.0f64.to_bits(), src.index() as u32)));
+    while let Some(Reverse((bits, u))) = heap.pop() {
+        let u = u as usize;
+        if settled[u] || bits != cost[u].to_bits() {
             continue;
         }
         settled[u] = true;
@@ -1186,17 +1200,11 @@ where
             }
             let cand = cost[u] + weight(NodeId::new(u), v);
             let better = cand < cost[vi]
-                || (cand == cost[vi] && parent[vi].is_some_and(|p| NodeId::new(u) < p));
+                || (cand == cost[vi] && parent[vi] != NO_PARENT && (u as u32) < parent[vi]);
             if better {
                 cost[vi] = cand;
-                parent[vi] = Some(NodeId::new(u));
-                heap.push(Reverse((
-                    Key {
-                        primary: cand,
-                        secondary: 0.0,
-                    },
-                    vi,
-                )));
+                parent[vi] = u as u32;
+                heap.push(Reverse((cand.to_bits(), vi as u32)));
             }
         }
     }

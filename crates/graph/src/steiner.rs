@@ -14,13 +14,11 @@
 //!    subgraph,
 //! 4. prune non-terminal leaves.
 
-// Index loops below walk several parallel arrays at once; iterator
-// chains would obscure the lockstep structure.
-#![allow(clippy::needless_range_loop)]
+use std::cmp::Ordering;
+use std::fmt;
+use std::sync::OnceLock;
 
-use std::collections::BTreeSet;
-
-use crate::paths::dijkstra_edge_weighted;
+use crate::paths::{edge_weighted_spt, NO_PARENT};
 use crate::{mst, Graph, GraphError, NodeId};
 
 /// A Steiner tree: edges of the host graph connecting all terminals.
@@ -81,187 +79,201 @@ pub fn steiner_tree<W>(
 where
     W: Fn(NodeId, NodeId) -> f64,
 {
-    let uniq: BTreeSet<NodeId> = terminals.iter().copied().collect();
-    if uniq.is_empty() {
-        return Err(GraphError::NoTerminals);
-    }
-    for &t in &uniq {
-        if !g.contains_node(t) {
-            return Err(GraphError::NodeOutOfBounds {
-                node: t,
-                node_count: g.node_count(),
-            });
-        }
-    }
-    let terms: Vec<NodeId> = uniq.into_iter().collect();
-    if terms.len() == 1 {
-        return Ok(SteinerTree::trivial(terms));
-    }
-    let paths: Vec<(Vec<f64>, Vec<Option<NodeId>>)> = terms
-        .iter()
-        .map(|&t| dijkstra_edge_weighted(g, t, &weight))
-        .collect();
-    let views: Vec<&(Vec<f64>, Vec<Option<NodeId>>)> = paths.iter().collect();
-    tree_from_sssp(&weight, &terms, &views)
+    SptMemo::new(g.node_count()).tree(g, terminals, weight)
 }
 
-/// Reusable Steiner-tree solver over a fixed candidate-terminal set.
+/// Per-terminal shortest-path trees, each solved on first use.
 ///
 /// The metric-closure algorithm's only expensive ingredient is one
-/// shortest-path tree per terminal — and that tree depends solely on the
+/// shortest-path tree per terminal, and that tree depends solely on the
 /// graph and the edge weights, **not** on which other terminals are in
-/// play. The solver therefore runs the per-candidate Dijkstras once at
-/// construction and answers [`SteinerSolver::tree`] queries for any
-/// subset of the candidates with only the cheap closure-MST / expansion
-/// steps. A query returns bit-for-bit the same tree [`steiner_tree`]
-/// would (it runs the identical code on the identical shortest-path
-/// trees).
+/// play. A memo holds one cell per node; [`SptMemo::tree`] solves the
+/// tree of each terminal it has not met yet and reads the rest from
+/// their cells, so a caller that prices many terminal sets against the
+/// same graph and weights pays one Dijkstra per distinct terminal. An
+/// answer is bit-for-bit the tree [`steiner_tree`] returns: the same
+/// kernel runs on the same shortest-path trees, whatever order the
+/// queries come in. Cells fill through `&self`, so a shared memo stays
+/// `Sync`.
 ///
-/// The planners leverage this in their removal-improvement phase, which
-/// evaluates `|F|` candidate facility sets against the same weights.
+/// A memo is only as valid as its inputs: every query must pass the
+/// graph and the weight function the memo serves.
 ///
 /// # Example
 ///
 /// ```
-/// use peercache_graph::{builders, steiner::{steiner_tree, SteinerSolver}, NodeId};
+/// use peercache_graph::{builders, steiner::{steiner_tree, SptMemo}, NodeId};
 ///
 /// let g = builders::grid(3, 3);
-/// let cands = [NodeId::new(0), NodeId::new(2), NodeId::new(6), NodeId::new(8)];
-/// let solver = SteinerSolver::new(&g, &cands, |_, _| 1.0)?;
+/// let memo = SptMemo::new(g.node_count());
 /// let sub = [NodeId::new(0), NodeId::new(2), NodeId::new(6)];
-/// assert_eq!(solver.tree(&sub)?, steiner_tree(&g, &sub, |_, _| 1.0)?);
+/// assert_eq!(memo.tree(&g, &sub, |_, _| 1.0)?, steiner_tree(&g, &sub, |_, _| 1.0)?);
+/// assert_eq!(memo.solved(), 3);
 /// # Ok::<(), peercache_graph::GraphError>(())
 /// ```
-pub struct SteinerSolver<W> {
-    weight: W,
-    /// Sorted, deduplicated candidate terminals.
-    candidates: Vec<NodeId>,
-    /// One `(cost, parent)` shortest-path tree per candidate.
-    sssp: Vec<(Vec<f64>, Vec<Option<NodeId>>)>,
+#[derive(Clone)]
+pub struct SptMemo {
+    cells: Vec<OnceLock<Spt>>,
 }
 
-impl<W> SteinerSolver<W>
-where
-    W: Fn(NodeId, NodeId) -> f64,
-{
-    /// Precomputes shortest-path trees for every candidate terminal.
-    ///
-    /// Duplicate candidates are allowed and ignored.
+impl SptMemo {
+    /// An empty memo for a graph of `node_count` nodes.
+    pub fn new(node_count: usize) -> Self {
+        SptMemo {
+            cells: (0..node_count).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// [`steiner_tree`] over `terminals`, solving only the
+    /// shortest-path trees no earlier query needed.
     ///
     /// # Errors
     ///
-    /// * [`GraphError::NoTerminals`] if `candidates` is empty.
-    /// * [`GraphError::NodeOutOfBounds`] for unknown candidates.
-    pub fn new(g: &Graph, candidates: &[NodeId], weight: W) -> Result<Self, GraphError> {
-        let uniq: BTreeSet<NodeId> = candidates.iter().copied().collect();
-        if uniq.is_empty() {
+    /// As [`steiner_tree`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has more nodes than the memo was built for.
+    pub fn tree<W>(
+        &self,
+        g: &Graph,
+        terminals: &[NodeId],
+        weight: W,
+    ) -> Result<SteinerTree, GraphError>
+    where
+        W: Fn(NodeId, NodeId) -> f64,
+    {
+        let mut terms = terminals.to_vec();
+        terms.sort_unstable();
+        terms.dedup();
+        if terms.is_empty() {
             return Err(GraphError::NoTerminals);
         }
-        for &t in &uniq {
-            if !g.contains_node(t) {
-                return Err(GraphError::NodeOutOfBounds {
-                    node: t,
-                    node_count: g.node_count(),
-                });
-            }
-        }
-        let candidates: Vec<NodeId> = uniq.into_iter().collect();
-        let sssp = candidates
-            .iter()
-            .map(|&t| dijkstra_edge_weighted(g, t, &weight))
-            .collect();
-        Ok(SteinerSolver {
-            weight,
-            candidates,
-            sssp,
-        })
-    }
-
-    /// The sorted candidate set queries may draw terminals from.
-    pub fn candidates(&self) -> &[NodeId] {
-        &self.candidates
-    }
-
-    /// Computes the approximate Steiner tree over a subset of the
-    /// candidates, reusing the precomputed shortest-path trees.
-    ///
-    /// Duplicate terminals are allowed and ignored.
-    ///
-    /// # Errors
-    ///
-    /// * [`GraphError::NoTerminals`] if `terminals` is empty.
-    /// * [`GraphError::UnknownTerminal`] if a terminal was not given to
-    ///   [`SteinerSolver::new`].
-    /// * [`GraphError::Disconnected`] if some terminal cannot reach
-    ///   another.
-    pub fn tree(&self, terminals: &[NodeId]) -> Result<SteinerTree, GraphError> {
-        let uniq: BTreeSet<NodeId> = terminals.iter().copied().collect();
-        if uniq.is_empty() {
-            return Err(GraphError::NoTerminals);
-        }
-        let terms: Vec<NodeId> = uniq.into_iter().collect();
-        let mut views = Vec::with_capacity(terms.len());
-        for &t in &terms {
-            let slot = self
-                .candidates
-                .binary_search(&t)
-                .map_err(|_| GraphError::UnknownTerminal { node: t })?;
-            views.push(&self.sssp[slot]);
+        if let Some(&node) = terms.iter().find(|&&t| !g.contains_node(t)) {
+            return Err(GraphError::NodeOutOfBounds {
+                node,
+                node_count: g.node_count(),
+            });
         }
         if terms.len() == 1 {
             return Ok(SteinerTree::trivial(terms));
         }
-        tree_from_sssp(&self.weight, &terms, &views)
+        let views: Vec<&Spt> = terms
+            .iter()
+            .map(|&t| {
+                self.cells[t.index()].get_or_init(|| {
+                    let (cost, parent) = edge_weighted_spt(g, t, &weight);
+                    Spt { cost, parent }
+                })
+            })
+            .collect();
+        tree_from_sssp(&weight, &terms, &views)
+    }
+
+    /// How many shortest-path trees the memo has solved.
+    pub fn solved(&self) -> usize {
+        self.cells.iter().filter(|c| c.get().is_some()).count()
     }
 }
 
+impl fmt::Debug for SptMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SptMemo")
+            .field("nodes", &self.cells.len())
+            .field("solved", &self.solved())
+            .finish()
+    }
+}
+
+/// One terminal's shortest-path tree: edge-weighted `cost` from the
+/// root and the `parent` toward it ([`NO_PARENT`] at the root and at
+/// unreachable nodes).
+#[derive(Debug, Clone)]
+struct Spt {
+    cost: Vec<f64>,
+    parent: Vec<u32>,
+}
+
 /// Steps 1–4 of Kou–Markowsky–Berman given the per-terminal
-/// shortest-path trees (`sssp[i]` rooted at `terms[i]`); `terms` must be
+/// shortest-path trees (`spts[i]` rooted at `terms[i]`); `terms` must be
 /// sorted, deduplicated, and have at least two entries.
-fn tree_from_sssp<W>(
-    weight: &W,
-    terms: &[NodeId],
-    paths: &[&(Vec<f64>, Vec<Option<NodeId>>)],
-) -> Result<SteinerTree, GraphError>
+///
+/// Closure edge `(a, b)`, `a < b`, weighs `terms[b]`'s cost in
+/// `terms[a]`'s tree. Under the strict order `(weight, a, b)` the
+/// closure MST is unique, so the dense Prim below picks the edges
+/// Kruskal would; the expanded subgraph's MST is unique the same way,
+/// and leaf pruning ends in the same tree whatever order it removes
+/// leaves in. The cost sums the kept edges in ascending `(u, v)` order.
+fn tree_from_sssp<W>(weight: &W, terms: &[NodeId], spts: &[&Spt]) -> Result<SteinerTree, GraphError>
 where
     W: Fn(NodeId, NodeId) -> f64,
 {
+    let k = terms.len();
     // Step 1: metric closure restricted to terminals.
-    let mut closure_edges = Vec::new();
-    for a in 0..terms.len() {
-        for b in (a + 1)..terms.len() {
-            let d = paths[a].0[terms[b].index()];
-            if d.is_infinite() {
-                return Err(GraphError::Disconnected);
-            }
-            closure_edges.push((a, b, d));
+    let closure_edge = |x: usize, y: usize| {
+        let (a, b) = (x.min(y), x.max(y));
+        (spts[a].cost[terms[b].index()], a, b)
+    };
+    for a in 0..k {
+        if terms[a + 1..]
+            .iter()
+            .any(|t| spts[a].cost[t.index()].is_infinite())
+        {
+            return Err(GraphError::Disconnected);
         }
     }
 
-    // Step 2: MST of the closure.
-    let closure_mst = mst::kruskal(terms.len(), &closure_edges);
+    // Step 2: MST of the closure, by a dense Prim from terminal 0.
+    let precedes = |e: (f64, usize, usize), f: (f64, usize, usize)| {
+        e.0.total_cmp(&f.0).then(e.1.cmp(&f.1)).then(e.2.cmp(&f.2)) == Ordering::Less
+    };
+    let mut joined = vec![false; k];
+    joined[0] = true;
+    let mut lightest: Vec<(f64, usize, usize)> = (0..k).map(|v| closure_edge(0, v)).collect();
+    let mut closure_mst = Vec::with_capacity(k - 1);
+    for _ in 1..k {
+        let mut next: Option<usize> = None;
+        for v in (0..k).filter(|&v| !joined[v]) {
+            if next.is_none_or(|w| precedes(lightest[v], lightest[w])) {
+                next = Some(v);
+            }
+        }
+        let v = next.expect("an unjoined terminal remains");
+        joined[v] = true;
+        closure_mst.push((lightest[v].1, lightest[v].2));
+        for w in (0..k).filter(|&w| !joined[w]) {
+            let e = closure_edge(v, w);
+            if precedes(e, lightest[w]) {
+                lightest[w] = e;
+            }
+        }
+    }
 
     // Step 3: expand closure edges into real paths; collect subgraph.
-    let mut sub_nodes: BTreeSet<NodeId> = terms.iter().copied().collect();
-    let mut sub_edges: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-    for (a, b, _) in closure_mst {
+    let mut sub_nodes: Vec<NodeId> = terms.to_vec();
+    let mut sub_edges: Vec<(NodeId, NodeId)> = Vec::new();
+    for (a, b) in closure_mst {
         // Walk parents from terms[b] back to terms[a] in the tree rooted
         // at terms[a].
         let mut cur = terms[b];
         while cur != terms[a] {
-            let prev = paths[a].1[cur.index()].expect("finite distance implies a parent");
-            sub_edges.insert(ordered(prev, cur));
-            sub_nodes.insert(cur);
-            sub_nodes.insert(prev);
+            let p = spts[a].parent[cur.index()];
+            assert_ne!(p, NO_PARENT, "finite distance implies a parent");
+            let prev = NodeId::new(p as usize);
+            sub_edges.push(ordered(prev, cur));
+            sub_nodes.push(prev);
             cur = prev;
         }
     }
+    sub_nodes.sort_unstable();
+    sub_nodes.dedup();
+    sub_edges.sort_unstable();
+    sub_edges.dedup();
 
     // Step 4: MST of the expanded subgraph, then prune non-terminal
     // leaves repeatedly.
-    let node_list: Vec<NodeId> = sub_nodes.iter().copied().collect();
     let index_of = |n: NodeId| {
-        node_list
+        sub_nodes
             .binary_search(&n)
             .expect("node is in the subgraph")
     };
@@ -269,52 +281,53 @@ where
         .iter()
         .map(|&(u, v)| (index_of(u), index_of(v), weight(u, v)))
         .collect();
-    let sub_mst = mst::kruskal(node_list.len(), &weighted);
+    let sub_mst = mst::kruskal(sub_nodes.len(), &weighted);
 
-    let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); node_list.len()];
+    // A leaf's one remaining neighbour is the XOR of its neighbours
+    // still attached.
+    let m = sub_nodes.len();
+    let mut degree = vec![0u32; m];
+    let mut attached = vec![0usize; m];
     for &(u, v, _) in &sub_mst {
-        adj[u].insert(v);
-        adj[v].insert(u);
+        degree[u] += 1;
+        degree[v] += 1;
+        attached[u] ^= v;
+        attached[v] ^= u;
     }
-    let is_terminal: Vec<bool> = node_list
-        .iter()
-        .map(|n| terms.binary_search(n).is_ok())
-        .collect();
-    let mut removed = vec![false; node_list.len()];
-    loop {
-        let mut pruned_any = false;
-        for v in 0..node_list.len() {
-            if !removed[v] && !is_terminal[v] && adj[v].len() <= 1 {
-                if let Some(&u) = adj[v].iter().next() {
-                    adj[u].remove(&v);
-                }
-                adj[v].clear();
-                removed[v] = true;
-                pruned_any = true;
-            }
+    let prunable =
+        |v: usize, degree: &[u32]| degree[v] <= 1 && terms.binary_search(&sub_nodes[v]).is_err();
+    let mut removed = vec![false; m];
+    let mut leaves: Vec<usize> = (0..m).filter(|&v| prunable(v, &degree)).collect();
+    while let Some(v) = leaves.pop() {
+        if removed[v] {
+            continue;
         }
-        if !pruned_any {
-            break;
+        removed[v] = true;
+        if degree[v] == 1 {
+            let u = attached[v];
+            degree[u] -= 1;
+            attached[u] ^= v;
+            if !removed[u] && prunable(u, &degree) {
+                leaves.push(u);
+            }
         }
     }
 
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut cost = 0.0;
-    for u in 0..node_list.len() {
-        for &v in &adj[u] {
-            if v > u {
-                let e = ordered(node_list[u], node_list[v]);
-                cost += weight(e.0, e.1);
-                edges.push(e);
-            }
-        }
-    }
-    edges.sort_unstable();
-    let nodes: Vec<NodeId> = node_list
+    let mut edges: Vec<(NodeId, NodeId)> = sub_mst
         .iter()
-        .enumerate()
-        .filter(|&(i, _)| !removed[i])
-        .map(|(_, &n)| n)
+        .filter(|&&(u, v, _)| !removed[u] && !removed[v])
+        .map(|&(u, v, _)| ordered(sub_nodes[u], sub_nodes[v]))
+        .collect();
+    edges.sort_unstable();
+    let mut cost = 0.0;
+    for &(u, v) in &edges {
+        cost += weight(u, v);
+    }
+    let nodes: Vec<NodeId> = sub_nodes
+        .iter()
+        .zip(&removed)
+        .filter(|&(_, &gone)| !gone)
+        .map(|(&n, _)| n)
         .collect();
     Ok(SteinerTree { edges, nodes, cost })
 }
@@ -460,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn solver_matches_one_shot_on_every_subset() {
+    fn memo_matches_one_shot_on_every_subset() {
         let g = builders::grid(4, 4);
         let weight = |u: NodeId, v: NodeId| 1.0 + ((u.index() * 7 + v.index() * 3) % 5) as f64;
         let cands = [
@@ -469,9 +482,9 @@ mod tests {
             NodeId::new(10),
             NodeId::new(15),
         ];
-        let solver = SteinerSolver::new(&g, &cands, weight).unwrap();
-        assert_eq!(solver.candidates(), &cands);
-        // Every non-empty subset of the candidates must agree bitwise.
+        let memo = SptMemo::new(g.node_count());
+        // Every non-empty subset of the candidates must agree bitwise,
+        // largest masks last so early queries leave cells unsolved.
         for mask in 1u32..16 {
             let subset: Vec<NodeId> = cands
                 .iter()
@@ -480,35 +493,45 @@ mod tests {
                 .map(|(_, &n)| n)
                 .collect();
             let fresh = steiner_tree(&g, &subset, weight).unwrap();
-            let cached = solver.tree(&subset).unwrap();
+            let cached = memo.tree(&g, &subset, weight).unwrap();
             assert_eq!(cached, fresh, "mask {mask:#b}");
             assert_eq!(cached.cost.to_bits(), fresh.cost.to_bits());
         }
+        assert_eq!(memo.solved(), cands.len());
     }
 
     #[test]
-    fn solver_rejects_unknown_terminals() {
+    fn memo_solves_each_terminal_once_and_skips_single_terminals() {
         let g = builders::grid(3, 3);
-        let solver = SteinerSolver::new(&g, &[NodeId::new(0), NodeId::new(8)], |_, _| 1.0).unwrap();
-        assert_eq!(
-            solver.tree(&[NodeId::new(0), NodeId::new(4)]),
-            Err(GraphError::UnknownTerminal {
-                node: NodeId::new(4)
-            })
-        );
-        assert_eq!(solver.tree(&[]), Err(GraphError::NoTerminals));
+        let memo = SptMemo::new(g.node_count());
+        memo.tree(&g, &[NodeId::new(4)], |_, _| 1.0).unwrap();
+        assert_eq!(memo.solved(), 0, "a one-terminal tree needs no search");
+        memo.tree(&g, &[NodeId::new(0), NodeId::new(8)], |_, _| 1.0)
+            .unwrap();
+        memo.tree(
+            &g,
+            &[NodeId::new(8), NodeId::new(0), NodeId::new(2)],
+            |_, _| 1.0,
+        )
+        .unwrap();
+        assert_eq!(memo.solved(), 3);
+        assert_eq!(format!("{memo:?}"), "SptMemo { nodes: 9, solved: 3 }");
     }
 
     #[test]
-    fn solver_requires_candidates_in_bounds() {
+    fn memo_reports_the_one_shot_errors() {
         let g = builders::path(3);
+        let memo = SptMemo::new(g.node_count());
+        assert_eq!(memo.tree(&g, &[], |_, _| 1.0), Err(GraphError::NoTerminals));
         assert!(matches!(
-            SteinerSolver::new(&g, &[NodeId::new(9)], |_, _| 1.0),
+            memo.tree(&g, &[NodeId::new(0), NodeId::new(9)], |_, _| 1.0),
             Err(GraphError::NodeOutOfBounds { .. })
         ));
+        let split = Graph::new(2);
+        let memo = SptMemo::new(split.node_count());
         assert_eq!(
-            SteinerSolver::new(&g, &[], |_, _| 1.0).err(),
-            Some(GraphError::NoTerminals)
+            memo.tree(&split, &[NodeId::new(0), NodeId::new(1)], |_, _| 1.0),
+            Err(GraphError::Disconnected)
         );
     }
 }

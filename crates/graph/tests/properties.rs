@@ -1,15 +1,19 @@
 //! Property-based tests of the graph substrate on randomized inputs.
 
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
+
 use proptest::prelude::*;
 
-use peercache_graph::mst::{kruskal, prim, UnionFind};
+use peercache_graph::mst::{self, kruskal, prim, UnionFind};
 use peercache_graph::oracle::LandmarkOracle;
 use peercache_graph::paths::{
     bfs_hops, dijkstra_edge_weighted, induced_rows, k_hop_neighborhood, AllPairsPaths, Parallelism,
     PathSelection,
 };
 use peercache_graph::regions::RegionPartition;
-use peercache_graph::{analysis, builders, components, steiner, Graph, NodeId};
+use peercache_graph::steiner::{SptMemo, SteinerTree};
+use peercache_graph::{analysis, builders, components, steiner, Graph, GraphError, NodeId};
 
 fn connected_graph() -> impl Strategy<Value = Graph> {
     (
@@ -31,6 +35,279 @@ fn graph_or_grid() -> impl Strategy<Value = Graph> {
         connected_graph(),
         (2usize..8, 2usize..8).prop_map(|(rows, cols)| builders::grid(rows, cols)),
     ]
+}
+
+/// Graphs for the Steiner kernel: grids (unit-cost ties everywhere),
+/// connected Erdős–Rényi and random geometric graphs, and two disjoint
+/// grids, whose cross terminals are disconnected.
+fn steiner_graph() -> impl Strategy<Value = Graph> {
+    prop_oneof![
+        (2usize..7, 2usize..7).prop_map(|(rows, cols)| builders::grid(rows, cols)),
+        connected_graph(),
+        (
+            8usize..40,
+            0u64..1000,
+            prop_oneof![Just(0.2f64), Just(0.35)]
+        )
+            .prop_map(|(n, seed, range)| {
+                use rand::SeedableRng;
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+                builders::random_geometric(n, range, &mut rng)
+            }),
+        (2usize..5, 2usize..5).prop_map(|(rows, cols)| {
+            let half = builders::grid(rows, cols);
+            let n = half.node_count();
+            let mut g = Graph::new(2 * n);
+            for (u, v) in half.edges() {
+                g.add_edge(u, v).unwrap();
+                g.add_edge(NodeId::new(u.index() + n), NodeId::new(v.index() + n))
+                    .unwrap();
+            }
+            g
+        }),
+    ]
+}
+
+/// The Steiner kernel as it stood before the flat rewrite, kept verbatim
+/// (with the `(cost, id)`-heap Dijkstra it ran on) as the reference the
+/// memo and the one-shot tree must match bit for bit.
+#[allow(clippy::needless_range_loop)]
+mod reference {
+    use super::*;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Key {
+        primary: f64,
+        secondary: f64,
+    }
+
+    impl Eq for Key {}
+
+    impl PartialOrd for Key {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Key {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.primary
+                .total_cmp(&other.primary)
+                .then(self.secondary.total_cmp(&other.secondary))
+        }
+    }
+
+    pub fn dijkstra_edge_weighted<W>(
+        g: &Graph,
+        src: NodeId,
+        weight: W,
+    ) -> (Vec<f64>, Vec<Option<NodeId>>)
+    where
+        W: Fn(NodeId, NodeId) -> f64,
+    {
+        let n = g.node_count();
+        let mut cost = vec![f64::INFINITY; n];
+        let mut parent: Vec<Option<NodeId>> = vec![None; n];
+        let mut settled = vec![false; n];
+        let mut heap: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
+        cost[src.index()] = 0.0;
+        heap.push(Reverse((
+            Key {
+                primary: 0.0,
+                secondary: 0.0,
+            },
+            src.index(),
+        )));
+        while let Some(Reverse((key, u))) = heap.pop() {
+            if settled[u] || key.primary != cost[u] {
+                continue;
+            }
+            settled[u] = true;
+            for v in g.neighbors(NodeId::new(u)) {
+                let vi = v.index();
+                if settled[vi] {
+                    continue;
+                }
+                let cand = cost[u] + weight(NodeId::new(u), v);
+                let better = cand < cost[vi]
+                    || (cand == cost[vi] && parent[vi].is_some_and(|p| NodeId::new(u) < p));
+                if better {
+                    cost[vi] = cand;
+                    parent[vi] = Some(NodeId::new(u));
+                    heap.push(Reverse((
+                        Key {
+                            primary: cand,
+                            secondary: 0.0,
+                        },
+                        vi,
+                    )));
+                }
+            }
+        }
+        (cost, parent)
+    }
+
+    pub fn steiner_tree<W>(
+        g: &Graph,
+        terminals: &[NodeId],
+        weight: W,
+    ) -> Result<SteinerTree, GraphError>
+    where
+        W: Fn(NodeId, NodeId) -> f64,
+    {
+        let uniq: BTreeSet<NodeId> = terminals.iter().copied().collect();
+        if uniq.is_empty() {
+            return Err(GraphError::NoTerminals);
+        }
+        for &t in &uniq {
+            if !g.contains_node(t) {
+                return Err(GraphError::NodeOutOfBounds {
+                    node: t,
+                    node_count: g.node_count(),
+                });
+            }
+        }
+        let terms: Vec<NodeId> = uniq.into_iter().collect();
+        if terms.len() == 1 {
+            return Ok(SteinerTree {
+                edges: Vec::new(),
+                nodes: terms,
+                cost: 0.0,
+            });
+        }
+        let paths: Vec<(Vec<f64>, Vec<Option<NodeId>>)> = terms
+            .iter()
+            .map(|&t| dijkstra_edge_weighted(g, t, &weight))
+            .collect();
+        let views: Vec<&(Vec<f64>, Vec<Option<NodeId>>)> = paths.iter().collect();
+        tree_from_sssp(&weight, &terms, &views)
+    }
+
+    fn tree_from_sssp<W>(
+        weight: &W,
+        terms: &[NodeId],
+        paths: &[&(Vec<f64>, Vec<Option<NodeId>>)],
+    ) -> Result<SteinerTree, GraphError>
+    where
+        W: Fn(NodeId, NodeId) -> f64,
+    {
+        // Step 1: metric closure restricted to terminals.
+        let mut closure_edges = Vec::new();
+        for a in 0..terms.len() {
+            for b in (a + 1)..terms.len() {
+                let d = paths[a].0[terms[b].index()];
+                if d.is_infinite() {
+                    return Err(GraphError::Disconnected);
+                }
+                closure_edges.push((a, b, d));
+            }
+        }
+
+        // Step 2: MST of the closure.
+        let closure_mst = mst::kruskal(terms.len(), &closure_edges);
+
+        // Step 3: expand closure edges into real paths; collect subgraph.
+        let mut sub_nodes: BTreeSet<NodeId> = terms.iter().copied().collect();
+        let mut sub_edges: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+        for (a, b, _) in closure_mst {
+            // Walk parents from terms[b] back to terms[a] in the tree rooted
+            // at terms[a].
+            let mut cur = terms[b];
+            while cur != terms[a] {
+                let prev = paths[a].1[cur.index()].expect("finite distance implies a parent");
+                sub_edges.insert(ordered(prev, cur));
+                sub_nodes.insert(cur);
+                sub_nodes.insert(prev);
+                cur = prev;
+            }
+        }
+
+        // Step 4: MST of the expanded subgraph, then prune non-terminal
+        // leaves repeatedly.
+        let node_list: Vec<NodeId> = sub_nodes.iter().copied().collect();
+        let index_of = |n: NodeId| {
+            node_list
+                .binary_search(&n)
+                .expect("node is in the subgraph")
+        };
+        let weighted: Vec<(usize, usize, f64)> = sub_edges
+            .iter()
+            .map(|&(u, v)| (index_of(u), index_of(v), weight(u, v)))
+            .collect();
+        let sub_mst = mst::kruskal(node_list.len(), &weighted);
+
+        let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); node_list.len()];
+        for &(u, v, _) in &sub_mst {
+            adj[u].insert(v);
+            adj[v].insert(u);
+        }
+        let is_terminal: Vec<bool> = node_list
+            .iter()
+            .map(|n| terms.binary_search(n).is_ok())
+            .collect();
+        let mut removed = vec![false; node_list.len()];
+        loop {
+            let mut pruned_any = false;
+            for v in 0..node_list.len() {
+                if !removed[v] && !is_terminal[v] && adj[v].len() <= 1 {
+                    if let Some(&u) = adj[v].iter().next() {
+                        adj[u].remove(&v);
+                    }
+                    adj[v].clear();
+                    removed[v] = true;
+                    pruned_any = true;
+                }
+            }
+            if !pruned_any {
+                break;
+            }
+        }
+
+        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut cost = 0.0;
+        for u in 0..node_list.len() {
+            for &v in &adj[u] {
+                if v > u {
+                    let e = ordered(node_list[u], node_list[v]);
+                    cost += weight(e.0, e.1);
+                    edges.push(e);
+                }
+            }
+        }
+        edges.sort_unstable();
+        let nodes: Vec<NodeId> = node_list
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !removed[i])
+            .map(|(_, &n)| n)
+            .collect();
+        Ok(SteinerTree { edges, nodes, cost })
+    }
+
+    fn ordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+        if a < b {
+            (a, b)
+        } else {
+            (b, a)
+        }
+    }
+}
+
+/// Bitwise equality of two Steiner answers: edges, nodes, the cost's
+/// bits, or the same error.
+fn same_tree(
+    a: &Result<SteinerTree, GraphError>,
+    b: &Result<SteinerTree, GraphError>,
+) -> Result<(), TestCaseError> {
+    match (a, b) {
+        (Ok(x), Ok(y)) => {
+            prop_assert_eq!(&x.edges, &y.edges);
+            prop_assert_eq!(&x.nodes, &y.nodes);
+            prop_assert_eq!(x.cost.to_bits(), y.cost.to_bits());
+        }
+        _ => prop_assert_eq!(a, b),
+    }
+    Ok(())
 }
 
 /// splitmix64: a fixed hash for seeded subset picks.
@@ -416,5 +693,62 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn flat_steiner_kernel_matches_the_reference_bit_for_bit(
+        g in steiner_graph(),
+        picks in prop::collection::vec(
+            (prop::collection::vec(0usize..64, 0..9), 0usize..8),
+            1..6,
+        ),
+        (modulus, a, b, symmetric) in (1usize..4, 0usize..5, 0usize..5, any::<bool>()),
+    ) {
+        // Small integer weights tie many closure edges; asymmetric ones
+        // make a pair's cost depend on which end's tree is read.
+        let weight = move |u: NodeId, v: NodeId| {
+            let (x, y) = if symmetric {
+                (u.index().min(v.index()), u.index().max(v.index()))
+            } else {
+                (u.index(), v.index())
+            };
+            1.0 + ((a * x + b * y) % modulus) as f64
+        };
+        let n = g.node_count();
+        // Picks repeat nodes freely; a pick of 7 past the end adds an
+        // out-of-bounds terminal.
+        let sets: Vec<Vec<NodeId>> = picks
+            .iter()
+            .map(|(nodes, extra)| {
+                let mut set: Vec<NodeId> = nodes.iter().map(|&i| NodeId::new(i % n)).collect();
+                if *extra == 7 {
+                    set.push(NodeId::new(n + 1));
+                }
+                set
+            })
+            .collect();
+        for &src in &[NodeId::new(0), NodeId::new(n - 1)] {
+            let (cost, parent) = dijkstra_edge_weighted(&g, src, weight);
+            let (ref_cost, ref_parent) = reference::dijkstra_edge_weighted(&g, src, weight);
+            prop_assert_eq!(parent, ref_parent);
+            let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&cost), bits(&ref_cost));
+        }
+        // One memo answers the sets in order, another in reverse: each
+        // must answer like a one-shot tree whatever it solved before.
+        let forward = SptMemo::new(n);
+        let backward = SptMemo::new(n);
+        for (set, back) in sets.iter().zip(sets.iter().rev()) {
+            let expected = reference::steiner_tree(&g, set, weight);
+            same_tree(&steiner::steiner_tree(&g, set, weight), &expected)?;
+            same_tree(&forward.tree(&g, set, weight), &expected)?;
+            let expected_back = reference::steiner_tree(&g, back, weight);
+            same_tree(&backward.tree(&g, back, weight), &expected_back)?;
+        }
+        prop_assert_eq!(forward.solved(), backward.solved());
     }
 }
