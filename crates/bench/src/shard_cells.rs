@@ -89,7 +89,7 @@ pub struct ShardRow {
     pub digest: u64,
     /// Deterministic span count (ticks + placed chunks).
     pub spans: u64,
-    /// Cross-shard events routed over the whole run.
+    /// Cross-shard events counted over the whole run.
     pub cross_shard_events: u64,
     /// Shards of the world's partition.
     pub shards: usize,

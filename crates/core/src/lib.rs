@@ -65,7 +65,6 @@ pub mod planner;
 pub mod replication;
 pub mod report;
 pub mod scoped;
-pub mod shard;
 pub mod sharded;
 #[cfg(feature = "strict-invariants")]
 pub mod strict;
@@ -75,6 +74,5 @@ pub mod world;
 pub use error::CoreError;
 pub use model::{ChunkId, Departure, Network, PartitionPolicy};
 pub use replication::ReplicationPolicy;
-pub use shard::{ArenaRow, CrossShardEvent, PlacementArena, ShardRouter, WorldShard};
 pub use sharded::{ShardConfig, ShardedWorld, TickReport};
 pub use world::{CacheWorld, PartitionEvent, WorldEvent};

@@ -1,15 +1,16 @@
 //! The region-sharded world: [`CacheWorld`](crate::CacheWorld)'s
-//! churn semantics re-hosted on shard-local state with deterministic
-//! cross-shard event routing — the concurrency refactor every later
-//! throughput number stands on.
+//! churn semantics on the scoped contention store, planned region by
+//! region.
 //!
 //! # Architecture
 //!
-//! Shard `r` *is* region `r` of the scoped store's
+//! A node's shard is its region of the scoped store's
 //! [`RegionPartition`](peercache_graph::regions::RegionPartition):
-//! every node is homed in exactly one shard, and all of its placement
-//! rows live in that shard's [`PlacementArena`](crate::shard::PlacementArena). A tick consumes a
-//! batch of [`WorldEvent`]s through a fixed pipeline:
+//! every node is homed in exactly one region, and a join re-grows the
+//! partition. Each live chunk's [`ShardChunk`] holds its
+//! `(client, provider)` rows in client order, each with the access cost
+//! it had when it was written. A tick consumes a batch of
+//! [`WorldEvent`]s through a fixed pipeline:
 //!
 //! 1. **Structural edits** — serial, in input order (joins, departures,
 //!    link flips, retirements). Per-event rejections (e.g. a departure
@@ -17,29 +18,48 @@
 //! 2. **Scoped refresh** — [`ScopedContention::update`] re-captures
 //!    exactly the stale blocks and the landmark oracle, which are
 //!    solved on their first read in a later phase; a join (new node
-//!    id) forces a full partition + shard rebuild instead.
+//!    id) re-grows the partition and rebuilds the store instead.
 //! 3. **Churn repair** — replacement-copy and orphan-reassignment
 //!    *proposals* are computed in parallel against the frozen post-
 //!    refresh state (slot-array fan-out, one pure task per item), then
 //!    merged serially in ascending item order with capacity re-checks.
 //! 4. **Arrivals** — each new chunk runs the hierarchical planner's
 //!    chunk step, `plan_scoped_chunk` (its per-region dual ascent fans
-//!    out in parallel), and commits it as arena rows and router events.
+//!    out in parallel), and commits its copies and rows.
 //! 5. **Tree rebuild** — one producer-rooted SPT refreshes every live
 //!    chunk's trunk dissemination tree.
-//! 6. **Telemetry + oracles** — per-shard gauges, the tick span, and
-//!    (under `strict-invariants`) a full self-audit.
+//! 6. **Telemetry + oracles** — gauges, the tick span, and (under
+//!    `strict-invariants`) a full self-audit.
+//!
+//! # Cross-shard events
+//!
+//! [`TickReport::cross_events`] counts the messages a deployment with
+//! one host per region would send between regions, at the point each
+//! is decided:
+//!
+//! - a link flip across a region boundary: 2, one to each side (a node
+//!   that joined earlier in the batch has no region yet, so its links
+//!   count nothing);
+//! - a retirement: one to every region but the producer's;
+//! - a newcomer adopted by the join rebuild: 1;
+//! - an arrival: 1 per row whose client, and 1 per copy whose holder,
+//!   is homed outside the producer's region;
+//! - a replacement copy: 1 when its holder is homed outside the lowest
+//!   region among the chunk's orphans;
+//! - an R-copy top-up: 1 when its holder is homed outside the
+//!   producer's region;
+//! - an orphan reassignment: 2 (handoff and assignment) when the client
+//!   is homed outside the departed provider's region.
 //!
 //! # Determinism
 //!
 //! Every parallel stage computes proposals into pre-indexed slots and
-//! is merged in a fixed order; cross-shard effects travel only through
-//! the [`ShardRouter`] and are drained in ascending `(shard, seq)`
-//! order at fixed pipeline points. No stage reads ambient time, thread
+//! is merged in a fixed order. No stage reads ambient time, thread
 //! ids, or iteration order of unordered containers, so **any thread
-//! count produces bit-for-bit the same state** — `state_digest` and
-//! the span count are replay-stable across `Parallelism` settings, and
-//! the determinism suite (`tests/shard_world.rs`) pins exactly that.
+//! count produces bit-for-bit the same state** — `state_digest`, the
+//! span count and the cross-shard count are replay-stable across
+//! `Parallelism` settings, and the determinism suite
+//! (`tests/shard_world.rs`) pins exactly that.
 
 use std::collections::BTreeMap;
 
@@ -59,7 +79,6 @@ use crate::scoped::{
     best_provider, fan_out, plan_scoped_chunk, trunk_tree, ScopedConfig, ScopedContention,
     StoreWork,
 };
-use crate::shard::{ArenaRow, CrossShardEvent, ShardRouter, WorldShard};
 use crate::world::WorldEvent;
 use crate::{ChunkId, CoreError, Network, PartitionPolicy};
 
@@ -72,22 +91,37 @@ pub struct ShardConfig {
     /// budget shared by every fan-out stage.
     pub approx: ApproxConfig,
     /// Region/halo geometry of the scoped store (and therefore of the
-    /// shards themselves).
+    /// shards themselves: a node's shard is its region).
     pub scoped: ScopedConfig,
 }
 
-/// A live chunk's shard-world record. Per-client assignment rows live
-/// in the shards' arenas, not here.
+/// A live chunk's shard-world record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardChunk {
     /// Nodes caching the chunk, sorted ascending.
     pub caches: Vec<NodeId>,
+    /// `(client, provider, access cost)` rows, one per interested
+    /// client in ascending client order. A row's cost is the one it had
+    /// when it was written: rows refresh when their chunk is planned or
+    /// their client is adopted or re-assigned, not when unrelated
+    /// contention moves.
+    pub rows: Vec<(NodeId, NodeId, f64)>,
     /// Trunk dissemination tree as `(child, parent)` pairs, ascending
     /// child order.
     pub tree_edges: Vec<(NodeId, NodeId)>,
     /// Summed edge cost of the trunk tree (unweighted; multiply by the
     /// dissemination weight for the objective term).
     pub tree_cost: f64,
+}
+
+impl ShardChunk {
+    /// Writes (or overwrites) `client`'s row, keeping client order.
+    fn set_row(&mut self, client: NodeId, provider: NodeId, cost: f64) {
+        match self.rows.binary_search_by_key(&client, |&(j, _, _)| j) {
+            Ok(at) => self.rows[at] = (client, provider, cost),
+            Err(at) => self.rows.insert(at, (client, provider, cost)),
+        }
+    }
 }
 
 /// What one [`ShardedWorld::tick`] did.
@@ -116,9 +150,10 @@ pub struct TickReport {
     pub copies_restored: Vec<(ChunkId, NodeId)>,
     /// Orphaned placement rows re-pointed at a surviving provider.
     pub orphans_reassigned: usize,
-    /// Cross-shard events routed during this tick.
+    /// Cross-shard events counted during this tick (see the module
+    /// docs' counting rule).
     pub cross_events: u64,
-    /// Whether a join forced a full partition + shard rebuild.
+    /// Whether a join forced a full partition + store rebuild.
     pub shards_rebuilt: bool,
 }
 
@@ -139,10 +174,8 @@ pub struct ShardedWorld {
     scoped: ScopedContention,
     /// Work of the scoped stores a join rebuild replaced.
     replaced_work: StoreWork,
-    shards: Vec<WorldShard>,
-    /// Home shard per node id (parallel to the node table).
-    shard_of: Vec<u32>,
-    router: ShardRouter,
+    /// Cross-shard events counted over the world's lifetime.
+    cross_events: u64,
     chunks: BTreeMap<ChunkId, ShardChunk>,
     next_chunk: usize,
     retention: Option<usize>,
@@ -154,8 +187,6 @@ pub struct ShardedWorld {
     /// sink is attached — the replay suites compare it across thread
     /// counts.
     span_count: u64,
-    /// High-water inbox depth observed at the most recent drain.
-    max_queue_depth: usize,
 }
 
 impl ShardedWorld {
@@ -181,16 +212,13 @@ impl ShardedWorld {
             cfg.approx.selection,
             cfg.approx.parallelism,
         )?;
-        let (shards, shard_of) = shards_of(&scoped);
-        obs::gauge("world.shard_count").set(shards.len() as i64);
+        obs::gauge("world.shard_count").set(scoped.partition().region_count() as i64);
         Ok(ShardedWorld {
             net,
             cfg,
             scoped,
             replaced_work: StoreWork::default(),
-            shards,
-            shard_of,
-            router: ShardRouter::new(),
+            cross_events: 0,
             chunks: BTreeMap::new(),
             next_chunk: 0,
             retention: None,
@@ -198,7 +226,6 @@ impl ShardedWorld {
             events_applied: 0,
             events_rejected: 0,
             span_count: 0,
-            max_queue_depth: 0,
         })
     }
 
@@ -225,23 +252,19 @@ impl ShardedWorld {
         &self.scoped
     }
 
-    /// The shards, in region order.
-    pub fn shards(&self) -> &[WorldShard] {
-        &self.shards
-    }
-
     /// Number of shards (== regions of the current partition).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.scoped.partition().region_count()
     }
 
-    /// The home shard of `node`.
+    /// The home shard of `node`: its region in the current partition.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is out of bounds.
+    /// Panics if `node` is out of bounds or joined after the partition
+    /// was last grown.
     pub fn shard_of(&self, node: NodeId) -> usize {
-        self.shard_of[node.index()] as usize
+        self.scoped.partition().region_of(node)
     }
 
     /// Live chunk ids, ascending (== arrival order).
@@ -269,9 +292,9 @@ impl ShardedWorld {
         self.events_rejected
     }
 
-    /// Cross-shard events routed over the world's lifetime.
+    /// Cross-shard events counted over the world's lifetime.
     pub fn cross_shard_events(&self) -> u64 {
-        self.router.total_routed()
+        self.cross_events
     }
 
     /// Deterministic span count (one per tick, one per placed chunk),
@@ -298,21 +321,13 @@ impl ShardedWorld {
     }
 
     /// Reconstructs a [`ChunkPlacement`] view of one live chunk from
-    /// the shard state (assignment rows gathered from the arenas in
-    /// client order).
+    /// its record. The access term sums the rows in (region, client)
+    /// order.
     pub fn placement(&self, chunk: ChunkId) -> Option<ChunkPlacement> {
         let sc = self.chunks.get(&chunk)?;
-        let mut assignment: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut access = 0.0f64;
-        for shard in &self.shards {
-            for row in shard.arena().rows() {
-                if row.chunk == chunk {
-                    assignment.push((row.client, row.provider));
-                    access += f64::from_bits(row.cost_bits);
-                }
-            }
-        }
-        assignment.sort_unstable_by_key(|&(j, _)| j);
+        let mut by_region: Vec<&(NodeId, NodeId, f64)> = sc.rows.iter().collect();
+        by_region.sort_by_key(|&&(j, _, _)| self.shard_of(j));
+        let access = by_region.iter().fold(0.0f64, |sum, &&(_, _, c)| sum + c);
         let w = self.weights();
         let fairness: f64 = sc
             .caches
@@ -322,7 +337,7 @@ impl ShardedWorld {
         Some(ChunkPlacement {
             chunk,
             caches: sc.caches.clone(),
-            assignment,
+            assignment: sc.rows.iter().map(|&(j, p, _)| (j, p)).collect(),
             tree_edges: sc.tree_edges.clone(),
             costs: SetCosts {
                 fairness,
@@ -364,7 +379,7 @@ impl ShardedWorld {
         let mut touched: Vec<NodeId> = Vec::new();
         let mut departures: Vec<DepartureRec> = Vec::new();
         let mut arrivals = 0usize;
-        let routed_before = self.router.total_routed();
+        let counted_before = self.cross_events;
         let solved_before = self.store_work().blocks_solved;
 
         // Phase 1: structural edits, serial in input order.
@@ -396,8 +411,6 @@ impl ShardedWorld {
                                 }
                             }
                         }
-                        let home = self.shard_of[node.index()] as usize;
-                        self.shards[home].arena_mut().clear_replicas(*node);
                         report.departed.push(*node);
                         departures.push(DepartureRec {
                             node: *node,
@@ -409,7 +422,7 @@ impl ShardedWorld {
                 WorldEvent::LinkUp(u, v) => match self.net.add_link(*u, *v) {
                     Ok(true) => {
                         touched.extend([*u, *v]);
-                        self.route_halo_link(*u, *v, true);
+                        self.count_halo_link(*u, *v, &report.joined);
                         report.links_added += 1;
                     }
                     Ok(false) => {}
@@ -418,7 +431,7 @@ impl ShardedWorld {
                 WorldEvent::LinkDown(u, v) => match self.net.remove_link(*u, *v) {
                     Ok(true) => {
                         touched.extend([*u, *v]);
-                        self.route_halo_link(*u, *v, false);
+                        self.count_halo_link(*u, *v, &report.joined);
                         report.links_removed += 1;
                     }
                     Ok(false) => {}
@@ -426,15 +439,13 @@ impl ShardedWorld {
                 },
             }
         }
-        self.drain_cross();
 
         // Phase 2: scoped-store refresh. A join grows the node table,
-        // which the retained partition cannot absorb — rebuild the
-        // partition, the shards, and every arena under the new homes.
+        // which the retained partition cannot absorb — re-grow the
+        // partition and rebuild the store.
         if !report.joined.is_empty() {
             self.rebuild_after_join(&report.joined)?;
             report.shards_rebuilt = true;
-            self.drain_cross();
         } else if !touched.is_empty() {
             touched.push(self.net.producer());
             touched.sort_unstable();
@@ -446,7 +457,6 @@ impl ShardedWorld {
         // Phase 3: churn repair (parallel proposals, serial merge).
         if !departures.is_empty() {
             self.repair(&departures, &mut report)?;
-            self.drain_cross();
         }
 
         // Phase 4: arrivals.
@@ -454,7 +464,6 @@ impl ShardedWorld {
             let placed = self.place_next_chunk(&mut report)?;
             report.placed.push(placed);
         }
-        self.drain_cross();
 
         // Phase 5: one SPT refreshes every live trunk tree after any
         // state change (cheap: live chunks are bounded by retention).
@@ -471,13 +480,11 @@ impl ShardedWorld {
         let applied = events.len() - report.rejected;
         self.events_applied += applied as u64;
         self.events_rejected += report.rejected as u64;
-        report.cross_events = self.router.total_routed() - routed_before;
-        obs::gauge("world.shard_count").set(self.shards.len() as i64);
+        report.cross_events = self.cross_events - counted_before;
+        obs::gauge("world.shard_count").set(self.shard_count() as i64);
         obs::counter("world.cross_shard_events").add(report.cross_events);
         let replicas: usize = self.chunks.values().map(|sc| sc.caches.len()).sum();
         obs::gauge("world.replicas").set(replicas as i64);
-        obs::gauge("shard.queue_depth").set(self.max_queue_depth as i64);
-        self.max_queue_depth = 0;
         if span.is_recording() {
             span.add_field("applied", obs::Value::from(applied));
             span.add_field("rejected", obs::Value::from(report.rejected));
@@ -491,56 +498,37 @@ impl ShardedWorld {
         Ok(report)
     }
 
-    /// Routes the halo-link notification to both endpoint shards when
-    /// the link crosses a shard boundary.
-    fn route_halo_link(&mut self, u: NodeId, v: NodeId, up: bool) {
-        let (su, sv) = (self.shard_of[u.index()], self.shard_of[v.index()]);
-        if su != sv {
-            self.router.send(su, CrossShardEvent::HaloLink { u, v, up });
-            self.router.send(sv, CrossShardEvent::HaloLink { u, v, up });
+    /// Counts the halo-link notices of a link flip that crosses a
+    /// region boundary, one to each side. A node in `joined` has no
+    /// region until phase 2 re-grows the partition, which counts its
+    /// adoption, so its links count nothing.
+    fn count_halo_link(&mut self, u: NodeId, v: NodeId, joined: &[NodeId]) {
+        if joined.contains(&u) || joined.contains(&v) {
+            return;
+        }
+        if self.shard_of(u) != self.shard_of(v) {
+            self.cross_events += 2;
         }
     }
 
-    /// Retires `chunk`: evicts every copy, drops all assignment rows.
-    /// The producer's home shard owns chunk lifecycle; rows elsewhere
-    /// are dropped through routed [`CrossShardEvent::Retire`] events.
+    /// Retires `chunk`: evicts every copy and drops its rows. The
+    /// producer's region owns chunk lifecycle and notifies every other
+    /// region.
     fn retire(&mut self, chunk: ChunkId, touched: &mut Vec<NodeId>, report: &mut TickReport) {
         let Some(sc) = self.chunks.remove(&chunk) else {
             return;
         };
         for &holder in &sc.caches {
             self.net.uncache(holder, chunk);
-            let home = self.shard_of[holder.index()] as usize;
-            self.shards[home].arena_mut().unpin_replica(holder);
             touched.push(holder);
         }
-        let owner = self.shard_of[self.net.producer().index()];
-        for s in 0..self.shards.len() as u32 {
-            if s == owner {
-                self.shards[s as usize].arena_mut().remove_chunk(chunk);
-            } else {
-                self.router.send(s, CrossShardEvent::Retire { chunk });
-            }
-        }
+        self.cross_events += self.shard_count().saturating_sub(1) as u64;
         report.retired.push(chunk);
     }
 
-    /// Delivers pending router traffic and drains every inbox in
-    /// ascending shard order, tracking the high-water queue depth.
-    fn drain_cross(&mut self) {
-        if self.router.pending() == 0 {
-            return;
-        }
-        self.router.flush(&mut self.shards);
-        for shard in &mut self.shards {
-            self.max_queue_depth = self.max_queue_depth.max(shard.queue_depth());
-            shard.drain_inbox();
-        }
-    }
-
-    /// Full rebuild after a join: the node table grew, so the
-    /// partition, the shards, and every arena row are re-homed; the
-    /// newcomers get assignment rows for every live chunk.
+    /// Full rebuild after a join: the node table grew, so the partition
+    /// and the store are rebuilt; each newcomer is adopted by its new
+    /// region and gets a row for every live chunk it wants.
     fn rebuild_after_join(&mut self, joined: &[NodeId]) -> Result<(), CoreError> {
         self.replaced_work += self.scoped.work();
         self.scoped = ScopedContention::new(
@@ -549,57 +537,24 @@ impl ShardedWorld {
             self.cfg.approx.selection,
             self.parallelism(),
         )?;
-        // Carry every live row across the re-homing. Clients are unique
-        // across shards, so concatenation in shard order is a
-        // deterministic, disjoint union.
-        let mut rows: Vec<ArenaRow> = Vec::new();
-        for shard in &self.shards {
-            rows.extend(shard.arena().rows());
-        }
-        let (shards, shard_of) = shards_of(&self.scoped);
-        self.shards = shards;
-        self.shard_of = shard_of;
-        for row in rows {
-            let home = self.shard_of[row.client.index()] as usize;
-            self.shards[home]
-                .arena_mut()
-                .set(row.client, row.chunk, row.provider, row.cost_bits);
-        }
-        // The fresh arenas start with zero replica pins; re-pin every
-        // live copy under the new homes.
-        for sc in self.chunks.values() {
-            for &holder in &sc.caches {
-                let home = self.shard_of[holder.index()] as usize;
-                self.shards[home].arena_mut().pin_replica(holder);
-            }
-        }
-        // Adoption notices + rows for the newcomers' demand. The
-        // newcomer's home shard owns the adoption; its rows are local
-        // writes there.
+        self.cross_events += joined.len() as u64;
         let w = self.weights();
         let producer = self.net.producer();
-        for &node in joined {
-            let home = self.shard_of[node.index()];
-            self.router.send(home, CrossShardEvent::Adopt { node });
-        }
-        let live: Vec<ChunkId> = self.chunks.keys().copied().collect();
-        for chunk in live {
-            let caches = self.chunks[&chunk].caches.clone();
+        let (net, scoped) = (&self.net, &self.scoped);
+        for (&chunk, sc) in &mut self.chunks {
             for &node in joined {
-                if !self.net.is_interested(node, chunk) {
+                if !net.is_interested(node, chunk) {
                     continue;
                 }
-                let r = self.scoped.partition().region_of(node);
-                let options: Vec<NodeId> = caches
+                let r = scoped.partition().region_of(node);
+                let options: Vec<NodeId> = sc
+                    .caches
                     .iter()
                     .copied()
-                    .filter(|i| self.scoped.region_cols(r).binary_search(i).is_ok())
+                    .filter(|i| scoped.region_cols(r).binary_search(i).is_ok())
                     .collect();
-                let (p, c) = best_provider(&self.scoped, w, producer, &options, node, None);
-                let home = self.shard_of[node.index()] as usize;
-                self.shards[home]
-                    .arena_mut()
-                    .set(node, chunk, p, c.to_bits());
+                let (p, c) = best_provider(scoped, w, producer, &options, node, None);
+                sc.set_row(node, p, c);
             }
         }
         Ok(())
@@ -619,26 +574,24 @@ impl ShardedWorld {
         gone.sort_unstable();
         gone.dedup();
 
-        // (a) Orphan collection: rows whose provider departed, scanned
-        // in shard/slot order; rows *of* departed clients are cleared
-        // outright (their demand vanished with them).
+        // (a) Orphan collection: rows whose provider departed, per
+        // chunk in (region, client) order, the order `propose` sums
+        // over. Rows *of* departed clients are dropped outright (their
+        // demand vanished with them).
         let mut orphans: BTreeMap<ChunkId, Vec<(NodeId, NodeId)>> = BTreeMap::new();
-        for shard in &self.shards {
-            for row in shard.arena().rows() {
-                if gone.binary_search(&row.client).is_ok() {
-                    continue;
-                }
-                if gone.binary_search(&row.provider).is_ok() {
-                    orphans
-                        .entry(row.chunk)
-                        .or_default()
-                        .push((row.client, row.provider));
-                }
+        let part = self.scoped.partition();
+        for (&chunk, sc) in &mut self.chunks {
+            sc.rows.retain(|&(j, _, _)| gone.binary_search(&j).is_err());
+            let mut orphaned: Vec<(NodeId, NodeId)> = sc
+                .rows
+                .iter()
+                .filter(|&&(_, p, _)| gone.binary_search(&p).is_ok())
+                .map(|&(j, p, _)| (j, p))
+                .collect();
+            if !orphaned.is_empty() {
+                orphaned.sort_by_key(|&(j, _)| part.region_of(j));
+                orphans.insert(chunk, orphaned);
             }
-        }
-        for &d in &gone {
-            let home = self.shard_of[d.index()] as usize;
-            self.shards[home].arena_mut().clear_client(d);
         }
 
         // (b) Replacement-copy proposals: one per live chunk that lost
@@ -693,9 +646,9 @@ impl ShardedWorld {
 
         // (c) Serial merge in chunk order: re-check capacity (an
         // earlier chunk's commit may have taken the last slot), commit
-        // the copy, and route the remote-copy notice when the new
-        // holder is homed outside the deciding shard (the lowest
-        // orphan's home — the demand representative).
+        // the copy, and count the remote-copy notice when the new
+        // holder is homed outside the deciding region (the lowest
+        // orphan region — the demand representative).
         let mut dirty: Vec<NodeId> = Vec::new();
         for (&chunk, candidate) in lost.iter().zip(&proposals) {
             let Some(i) = candidate else { continue };
@@ -708,19 +661,15 @@ impl ShardedWorld {
                     sc.caches.insert(at, *i);
                 }
             }
-            let home = self.shard_of[i.index()] as usize;
-            self.shards[home].arena_mut().pin_replica(*i);
             dirty.push(*i);
             report.copies_restored.push((chunk, *i));
             let decider = orphans[&chunk]
                 .iter()
-                .map(|&(j, _)| self.shard_of[j.index()])
+                .map(|&(j, _)| self.shard_of(j))
                 .min()
-                .unwrap_or(self.shard_of[producer.index()]);
-            let holder_home = self.shard_of[i.index()];
-            if holder_home != decider {
-                self.router
-                    .send(holder_home, CrossShardEvent::RemoteCopy { chunk, node: *i });
+                .unwrap_or(self.shard_of(producer));
+            if self.shard_of(*i) != decider {
+                self.cross_events += 1;
             }
         }
         // (c2) R-copy refill, serial in chunk order (a no-op for the
@@ -737,7 +686,7 @@ impl ShardedWorld {
                 .collect();
             deficit.sort_unstable();
             deficit.dedup();
-            let decider = self.shard_of[producer.index()];
+            let decider = self.shard_of(producer);
             for chunk in deficit {
                 let holders = self.chunks[&chunk].caches.clone();
                 let extra = top_up_targets(
@@ -755,13 +704,10 @@ impl ShardedWorld {
                             sc.caches.insert(at, i);
                         }
                     }
-                    let home = self.shard_of[i.index()];
-                    self.shards[home as usize].arena_mut().pin_replica(i);
                     dirty.push(i);
                     report.copies_restored.push((chunk, i));
-                    if home != decider {
-                        self.router
-                            .send(home, CrossShardEvent::RemoteCopy { chunk, node: i });
+                    if self.shard_of(i) != decider {
+                        self.cross_events += 1;
                     }
                 }
             }
@@ -775,8 +721,8 @@ impl ShardedWorld {
 
         // (d) Orphan reassignment: one pure proposal per orphaned row
         // against the post-repair store, merged in (chunk, client)
-        // order. The old provider's home shard owns the decision; rows
-        // of clients homed elsewhere travel as OrphanHandoff + Assign.
+        // order. The old provider's region owns the decision; a client
+        // homed elsewhere costs a handoff and an assignment notice.
         let mut items: Vec<(ChunkId, NodeId, NodeId)> = Vec::new();
         for (&chunk, rows) in &orphans {
             if !self.chunks.contains_key(&chunk) {
@@ -789,7 +735,7 @@ impl ShardedWorld {
             }
         }
         items.sort_unstable_by_key(|&(c, j, _)| (c, j));
-        let reassign = |&(chunk, j, _old): &(ChunkId, NodeId, NodeId)| -> (NodeId, u64) {
+        let reassign = |&(chunk, j, _old): &(ChunkId, NodeId, NodeId)| -> (NodeId, f64) {
             let caches = &self.chunks[&chunk].caches;
             let r = self.scoped.partition().region_of(j);
             let options: Vec<NodeId> = caches
@@ -797,29 +743,15 @@ impl ShardedWorld {
                 .copied()
                 .filter(|i| self.scoped.region_cols(r).binary_search(i).is_ok())
                 .collect();
-            let (p, c) = best_provider(&self.scoped, w, producer, &options, j, None);
-            (p, c.to_bits())
+            best_provider(&self.scoped, w, producer, &options, j, None)
         };
         let assignments = fan_out(&items, self.parallelism(), reassign);
-        for (&(chunk, j, old), &(p, cost_bits)) in items.iter().zip(&assignments) {
-            let decider = self.shard_of[old.index()];
-            let home = self.shard_of[j.index()];
-            if home == decider {
-                self.shards[home as usize]
-                    .arena_mut()
-                    .set(j, chunk, p, cost_bits);
-            } else {
-                self.router
-                    .send(home, CrossShardEvent::OrphanHandoff { chunk, client: j });
-                self.router.send(
-                    home,
-                    CrossShardEvent::Assign {
-                        chunk,
-                        client: j,
-                        provider: p,
-                        cost_bits,
-                    },
-                );
+        for (&(chunk, j, old), &(p, cost)) in items.iter().zip(&assignments) {
+            if self.shard_of(j) != self.shard_of(old) {
+                self.cross_events += 2;
+            }
+            if let Some(sc) = self.chunks.get_mut(&chunk) {
+                sc.set_row(j, p, cost);
             }
             report.orphans_reassigned += 1;
         }
@@ -827,9 +759,8 @@ impl ShardedWorld {
     }
 
     /// Places the next arriving chunk through the scoped chunk step Hier
-    /// runs ([`plan_scoped_chunk`]); the producer's home shard owns the
-    /// decision, so rows and copies homed elsewhere travel as Assign /
-    /// RemoteCopy events.
+    /// runs ([`plan_scoped_chunk`]); the producer's region owns the
+    /// decision, so each row and copy homed elsewhere is one notice.
     fn place_next_chunk(&mut self, report: &mut TickReport) -> Result<ChunkId, CoreError> {
         if let Some(cap) = self.retention {
             while self.chunks.len() >= cap {
@@ -838,7 +769,6 @@ impl ShardedWorld {
                 };
                 let mut touched = Vec::new();
                 self.retire(oldest, &mut touched, report);
-                self.drain_cross();
                 if !touched.is_empty() {
                     touched.push(self.net.producer());
                     touched.sort_unstable();
@@ -856,38 +786,17 @@ impl ShardedWorld {
             plan_scoped_chunk(&self.net, &self.scoped, &self.cfg.approx, chunk, &mut span)?;
         for &i in &cp.caches {
             self.net.cache(i, chunk)?;
-            let home = self.shard_of[i.index()] as usize;
-            self.shards[home].arena_mut().pin_replica(i);
         }
-        // Commit rows and copies, shard by shard: the producer's home
-        // shard writes locally, everything else goes over the router.
         let producer = self.net.producer();
-        let decider = self.shard_of[producer.index()];
-        for (&(j, p), &cost) in cp.assignment.iter().zip(&access) {
-            let home = self.shard_of[j.index()];
-            if home == decider {
-                self.shards[home as usize]
-                    .arena_mut()
-                    .set(j, chunk, p, cost.to_bits());
-            } else {
-                self.router.send(
-                    home,
-                    CrossShardEvent::Assign {
-                        chunk,
-                        client: j,
-                        provider: p,
-                        cost_bits: cost.to_bits(),
-                    },
-                );
-            }
-        }
-        for &i in &cp.caches {
-            let home = self.shard_of[i.index()];
-            if home != decider {
-                self.router
-                    .send(home, CrossShardEvent::RemoteCopy { chunk, node: i });
-            }
-        }
+        let decider = self.shard_of(producer);
+        let remote = cp
+            .assignment
+            .iter()
+            .map(|&(j, _)| j)
+            .chain(cp.caches.iter().copied())
+            .filter(|&n| self.shard_of(n) != decider)
+            .count();
+        self.cross_events += remote as u64;
         let mut dirty = cp.caches.clone();
         dirty.push(producer);
         dirty.sort_unstable();
@@ -895,6 +804,12 @@ impl ShardedWorld {
         span.field("audience", cp.assignment.len());
         finish_chunk_span(span, &cp);
         let sc = ShardChunk {
+            rows: cp
+                .assignment
+                .iter()
+                .zip(access)
+                .map(|(&(j, p), c)| (j, p, c))
+                .collect(),
             caches: cp.caches,
             tree_edges: cp.tree_edges,
             tree_cost,
@@ -923,7 +838,7 @@ impl ShardedWorld {
 
     /// A deterministic 64-bit digest of the complete world state:
     /// network (activity, capacity, caches, battery), live chunks
-    /// (caches, trees, costs), and every arena row in shard/slot/chunk
+    /// (caches, trees, costs), and every row in (region, client, chunk)
     /// order. Bit-for-bit identical states — which the determinism
     /// contract guarantees across thread counts — digest identically.
     pub fn state_digest(&self) -> u64 {
@@ -953,46 +868,35 @@ impl ShardedWorld {
             }
             mix(sc.tree_cost.to_bits());
         }
-        mix(self.shards.len() as u64);
-        for shard in &self.shards {
-            for row in shard.arena().rows() {
-                mix(row.client.index() as u64);
-                mix(row.chunk.index() as u64);
-                mix(row.provider.index() as u64);
-                mix(row.cost_bits);
+        let part = self.scoped.partition();
+        mix(part.region_count() as u64);
+        for r in 0..part.region_count() {
+            for &client in part.region(r) {
+                for (&chunk, sc) in &self.chunks {
+                    if let Ok(at) = sc.rows.binary_search_by_key(&client, |&(j, _, _)| j) {
+                        let (_, provider, cost) = sc.rows[at];
+                        mix(client.index() as u64);
+                        mix(chunk.index() as u64);
+                        mix(provider.index() as u64);
+                        mix(cost.to_bits());
+                    }
+                }
             }
-            mix(u64::MAX); // shard terminator
+            mix(u64::MAX); // region terminator
         }
         h
     }
 
     /// Structural self-audit: recorded caches are exactly the network's
-    /// holders, every interested client of every live chunk has exactly
-    /// one arena row homed in its shard pointing at a provider that can
-    /// serve it, trees use existing links and reach the producer, no
-    /// arena holds rows for foreign clients, and the shard map matches
-    /// the partition.
+    /// holders, trees use existing links, each chunk's rows cover
+    /// exactly its interested clients in client order with providers
+    /// that can serve them, and no node is over capacity.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] describing the first violation.
     pub fn validate(&self) -> Result<(), CoreError> {
         let fail = |msg: String| Err(CoreError::InvalidParameter(msg));
-        // Shard map mirrors the partition; members partition the nodes.
-        if self.shards.len() != self.scoped.partition().region_count() {
-            return fail("shard count diverged from the region count".into());
-        }
-        for (r, shard) in self.shards.iter().enumerate() {
-            if shard.members() != self.scoped.partition().region(r) {
-                return fail(format!("shard {r} members diverged from region {r}"));
-            }
-            for &m in shard.members() {
-                if self.shard_of[m.index()] as usize != r {
-                    return fail(format!("node {m} home-shard index diverged"));
-                }
-            }
-        }
-        // Chunk records match the network's holder sets.
         for (&chunk, sc) in &self.chunks {
             let holders = self.net.holders(chunk);
             if sc.caches != holders {
@@ -1008,69 +912,25 @@ impl ShardedWorld {
                     ));
                 }
             }
-        }
-        // Arena rows: every row well-formed, every interested client
-        // covered exactly once, in its home shard.
-        let live: Vec<ChunkId> = self.chunks.keys().copied().collect();
-        let mut seen: BTreeMap<(ChunkId, NodeId), NodeId> = BTreeMap::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            for row in shard.arena().rows() {
-                if self.shard_of[row.client.index()] as usize != s {
+            let clients: Vec<NodeId> = sc.rows.iter().map(|&(j, _, _)| j).collect();
+            let interested = self.net.interested_clients(chunk);
+            if clients != interested {
+                return fail(format!(
+                    "chunk {chunk} rows cover {clients:?}, interested clients are {interested:?}"
+                ));
+            }
+            for &(j, p, _) in &sc.rows {
+                if !self.net.can_serve(p, chunk) {
                     return fail(format!(
-                        "row for client {} homed in wrong shard",
-                        row.client
-                    ));
-                }
-                if !self.net.is_active(row.client) {
-                    return fail(format!("row for inactive client {}", row.client));
-                }
-                if live.binary_search(&row.chunk).is_err() {
-                    return fail(format!("row for dead chunk {}", row.chunk));
-                }
-                if !self.net.can_serve(row.provider, row.chunk) {
-                    return fail(format!(
-                        "client {} assigned to {} which cannot serve {}",
-                        row.client, row.provider, row.chunk
-                    ));
-                }
-                if seen.insert((row.chunk, row.client), row.provider).is_some() {
-                    return fail(format!(
-                        "duplicate row for client {} chunk {}",
-                        row.client, row.chunk
+                        "client {j} assigned to {p} which cannot serve {chunk}"
                     ));
                 }
             }
         }
-        for &chunk in &live {
-            for j in self.net.interested_clients(chunk) {
-                if !seen.contains_key(&(chunk, j)) {
-                    return fail(format!("client {j} has no row for live chunk {chunk}"));
-                }
-            }
-        }
-        // Capacity.
         for u in 0..self.net.node_count() {
             let node = NodeId::new(u);
             if self.net.used(node) > self.net.capacity(node) {
                 return fail(format!("node {node} over capacity"));
-            }
-        }
-        // Replica-load pins mirror the live copies each member hosts.
-        let mut hosted = vec![0u32; self.net.node_count()];
-        for sc in self.chunks.values() {
-            for &holder in &sc.caches {
-                hosted[holder.index()] += 1;
-            }
-        }
-        for shard in &self.shards {
-            for &m in shard.members() {
-                let pinned = shard.arena().replica_load(m);
-                if pinned != hosted[m.index()] {
-                    return fail(format!(
-                        "node {m} replica pins {pinned} != live copies hosted {}",
-                        hosted[m.index()]
-                    ));
-                }
             }
         }
         Ok(())
@@ -1090,25 +950,6 @@ impl ShardedWorld {
         }
         self.scoped.strict_verify(&self.net);
     }
-}
-
-/// Builds the shard set (shard `r` == region `r`) and the node → shard
-/// map from the scoped store's partition.
-fn shards_of(scoped: &ScopedContention) -> (Vec<WorldShard>, Vec<u32>) {
-    let p = scoped.partition();
-    let mut shards = Vec::with_capacity(p.region_count());
-    let mut shard_of = Vec::new();
-    for r in 0..p.region_count() {
-        shards.push(WorldShard::new(r as u32, p.region(r).to_vec()));
-    }
-    let n: usize = (0..p.region_count()).map(|r| p.region(r).len()).sum();
-    shard_of.resize(n, 0u32);
-    for (r, shard) in shards.iter().enumerate() {
-        for &m in shard.members() {
-            shard_of[m.index()] = r as u32;
-        }
-    }
-    (shards, shard_of)
 }
 
 #[cfg(test)]
@@ -1135,11 +976,11 @@ mod tests {
         let world = grid_world(8, 3);
         assert!(world.shard_count() > 1);
         let mut seen = vec![false; world.network().node_count()];
-        for shard in world.shards() {
-            for &m in shard.members() {
+        for r in 0..world.shard_count() {
+            for &m in world.scoped().partition().region(r) {
                 assert!(!seen[m.index()], "node homed twice");
                 seen[m.index()] = true;
-                assert_eq!(world.shard_of(m), shard.id() as usize);
+                assert_eq!(world.shard_of(m), r);
             }
         }
         assert!(seen.iter().all(|&s| s));
@@ -1151,9 +992,9 @@ mod tests {
         let report = world.apply(WorldEvent::ChunkArrived).unwrap();
         assert_eq!(report.placed, vec![ChunkId::new(0)]);
         world.validate().unwrap();
-        let rows: usize = world.shards().iter().map(|s| s.arena().len()).sum();
+        let rows = world.chunk(ChunkId::new(0)).unwrap().rows.len();
         assert_eq!(rows, world.network().node_count() - 1);
-        // Multi-shard worlds route at least some assignments remotely.
+        // Multi-shard worlds count at least some assignments remotely.
         assert!(world.cross_shard_events() > 0);
         let p = world.placement(ChunkId::new(0)).unwrap();
         assert_eq!(p.assignment.len(), rows);
@@ -1176,9 +1017,10 @@ mod tests {
         assert_eq!(report.departed, vec![victim]);
         world.validate().unwrap();
         // The departed client holds no rows anywhere.
-        for shard in world.shards() {
-            assert!(shard.arena().rows().iter().all(|r| r.client != victim));
-            assert!(shard.arena().rows().iter().all(|r| r.provider != victim));
+        for chunk in world.live_chunks() {
+            let rows = &world.chunk(chunk).unwrap().rows;
+            assert!(rows.iter().all(|&(j, _, _)| j != victim));
+            assert!(rows.iter().all(|&(_, p, _)| p != victim));
         }
     }
 
@@ -1199,11 +1041,35 @@ mod tests {
         assert_eq!(newcomer.index(), before);
         world.validate().unwrap();
         // Newcomer has a row for the live chunk.
-        let home = world.shard_of(newcomer);
-        assert!(world.shards()[home]
-            .arena()
-            .get(newcomer, ChunkId::new(0))
-            .is_some());
+        let rows = &world.chunk(ChunkId::new(0)).unwrap().rows;
+        assert!(rows.iter().any(|&(j, _, _)| j == newcomer));
+    }
+
+    /// A node that joined earlier in a batch has no region until phase 2
+    /// re-grows the partition, so a batch may link or depart it without
+    /// failing; phase 2 counts its adoption and nothing else crosses.
+    #[test]
+    fn a_batch_can_link_or_depart_the_node_it_joined() {
+        let newcomer = NodeId::new(36);
+        for second in [
+            WorldEvent::LinkUp(newcomer, NodeId::new(30)),
+            WorldEvent::NodeDeparted(newcomer),
+        ] {
+            let mut world = grid_world(6, 3);
+            world.apply(WorldEvent::ChunkArrived).unwrap();
+            let join = WorldEvent::NodeJoined {
+                neighbors: vec![NodeId::new(1), NodeId::new(2)],
+                capacity: 2,
+            };
+            let report = world.tick(&[join, second.clone()]).unwrap();
+            assert_eq!(report.joined, vec![newcomer], "{second:?}");
+            assert_eq!(report.rejected, 0, "{second:?}");
+            assert_eq!(report.cross_events, 1, "{second:?}: the adoption alone");
+            world.validate().unwrap();
+            let report = world.apply(WorldEvent::ChunkArrived).unwrap();
+            assert_eq!(report.rejected, 0, "{second:?}");
+            world.validate().unwrap();
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! | N1 | no direct `==`/`!=` on cost-valued f64 | `core`, `dist`, `graph` (helpers in `core::costs` exempt) |
 //! | O1 | `obs::span!`/`event!`/counter/gauge/histogram/`TimeSeries` names must be string literals registered in `obs::names`; registered names must also be emitted somewhere | everywhere except `obs`, `lint` |
 //! | S1 | no `AllPairsPaths::compute`/`compute_with` call sites | everywhere except `graph::paths`, `graph::oracle`, `core::costs` |
-//! | R1 | no `arena_mut(...)`/`apply_cross(...)` call sites (shard state mutates only via `CrossShardEvent`s through the router) | everywhere except `core::shard`, `core::sharded` |
 //! | U1 | a non-test `pub fn` must be named somewhere besides its own definition and its own file's tests; never waivable ([`unreferenced_pub_fns`]) | `crates/*/src` |
 //!
 //! Semantic rules (`--deep` pass: item parser + call graph + dataflow,
@@ -23,8 +22,8 @@
 //!
 //! | Rule | Statement | Scope |
 //! |------|-----------|-------|
-//! | T1 | hash-order / ambient-time / thread-identity taint must not reach ordering-sensitive sinks (`state_digest`, JSONL emission, cross-shard merge) across function boundaries; injected clocks and sort/BTree sanitizers cut the flow | sinks everywhere except `bench`, `lint` |
-//! | C1 | closures under a thread fan-out must not capture outer `&mut` state, mutate shard state, or reach observability emission outside `obs::with_quiet` | everywhere except `obs`, `bench`, `lint` |
+//! | T1 | hash-order / ambient-time / thread-identity taint must not reach ordering-sensitive sinks (`state_digest`, JSONL emission) across function boundaries; injected clocks and sort/BTree sanitizers cut the flow | sinks everywhere except `bench`, `lint` |
+//! | C1 | closures under a thread fan-out must not capture outer `&mut` state or reach observability emission outside `obs::with_quiet` | everywhere except `obs`, `bench`, `lint` |
 //! | A1 | raw `+`/`*`/`<<` on integers in the downward call closure of any digest function must be `wrapping_*`/`checked_*` | `core`, `dist`, `graph` |
 //!
 //! The pass is dependency-free (no `syn`, no network): comments, strings,

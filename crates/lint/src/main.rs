@@ -30,9 +30,7 @@ use peercache_lint::{
 };
 
 /// All rule identifiers, for stable JSON report ordering.
-const ALL_RULES: &[&str] = &[
-    "D1", "D2", "P1", "N1", "O1", "S1", "R1", "U1", "T1", "C1", "A1",
-];
+const ALL_RULES: &[&str] = &["D1", "D2", "P1", "N1", "O1", "S1", "U1", "T1", "C1", "A1"];
 
 struct Args {
     deep: bool,

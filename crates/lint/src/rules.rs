@@ -1,4 +1,4 @@
-//! Domain rules D1/D2/P1/N1/O1/S1/R1 over the token stream.
+//! Domain rules D1/D2/P1/N1/O1/S1 over the token stream.
 //!
 //! Each rule is scoped by crate name or file path; scope decisions are
 //! documented on the rule itself. All rules skip test-only regions
@@ -11,7 +11,7 @@ use crate::lexer::{Tok, TokKind};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Rule identifier: `"D1"`, `"D2"`, `"P1"`, `"N1"`, `"O1"`, `"S1"`,
-    /// `"R1"`, or one of the semantic rules `"T1"` / `"C1"` / `"A1"`.
+    /// `"U1"`, or one of the semantic rules `"T1"` / `"C1"` / `"A1"`.
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: String,
@@ -67,14 +67,6 @@ const S1_ALLOWED_FILES: &[&str] = &[
     "crates/graph/src/oracle.rs",
     "crates/core/src/costs.rs",
 ];
-/// The only files allowed to mutate shard-local state directly (rule
-/// R1): the shard data structures themselves and the sharded world's
-/// deterministic merge phases. Anywhere else, `arena_mut(...)` /
-/// `apply_cross(...)` call sites are a shard-isolation breach — state
-/// that should have traveled through the `ShardRouter` being written
-/// from outside the owning shard's serial merge, which is exactly the
-/// nondeterminism the sharded pipeline's replay guarantee forbids.
-const R1_ALLOWED_FILES: &[&str] = &["crates/core/src/shard.rs", "crates/core/src/sharded.rs"];
 
 /// The closed vocabulary of observability names for rule O1, built from
 /// the string literals in `crates/obs/src/names.rs`.
@@ -159,7 +151,6 @@ pub fn check_tokens(
     let n1 = N1_CRATES.contains(&crate_name) && rel_path != N1_EXEMPT_FILE;
     let o1 = registry.filter(|_| !O1_EXEMPT_CRATES.contains(&crate_name));
     let s1 = crate_name != "lint" && !S1_ALLOWED_FILES.contains(&rel_path);
-    let r1 = crate_name != "lint" && !R1_ALLOWED_FILES.contains(&rel_path);
 
     for (i, tok) in toks.iter().enumerate() {
         if in_test[i] {
@@ -217,20 +208,6 @@ pub fn check_tokens(
                             ),
                         );
                     }
-                }
-                if r1
-                    && (id == "arena_mut" || id == "apply_cross")
-                    && matches!(toks.get(i + 1), Some(t) if t.kind == TokKind::Punct('('))
-                {
-                    push(
-                        "R1",
-                        tok.line,
-                        format!(
-                            "`{id}(...)` outside the shard modules; cross-shard state must \
-                             travel as typed `CrossShardEvent`s through the `ShardRouter` \
-                             and be applied in the owning shard's deterministic merge"
-                        ),
-                    );
                 }
                 if s1 && id == "AllPairsPaths" && s1_is_compute_call(toks, i) {
                     push(

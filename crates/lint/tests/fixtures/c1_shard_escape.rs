@@ -21,14 +21,3 @@ pub fn leaky_fan_out(items: &[u32], acc: &mut Vec<u64>, task: impl Fn(u32) -> u6
         }
     });
 }
-
-/// Direct shard mutation from a worker thread.
-pub fn mutating_fan_out(shard: &mut WorldShard, items: &[u32]) {
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            for &item in items {
-                shard.arena_mut().retire(item);
-            }
-        });
-    });
-}

@@ -183,33 +183,6 @@ re_audit_after = "PR 14"
 }
 
 #[test]
-fn r1_fires_on_shard_mutation_outside_the_shard_modules() {
-    let v = lint_source(
-        "core",
-        "crates/core/src/world.rs",
-        &fixture("r1_shard_mutation.rs"),
-    );
-    assert_eq!(rules_fired(&v), ["R1"]);
-    assert_eq!(
-        v.len(),
-        2,
-        "arena_mut and apply_cross call sites; bare identifiers and \
-         cfg(test) regions stay quiet: {v:#?}"
-    );
-}
-
-#[test]
-fn r1_exempts_the_shard_modules() {
-    for path in ["crates/core/src/shard.rs", "crates/core/src/sharded.rs"] {
-        let v = lint_source("core", path, &fixture("r1_shard_mutation.rs"));
-        assert!(
-            !v.iter().any(|x| x.rule == "R1"),
-            "R1 must not fire in {path}: {v:#?}"
-        );
-    }
-}
-
-#[test]
 fn clean_code_passes_everywhere() {
     for (crate_name, path) in [
         ("core", "crates/core/src/world.rs"),

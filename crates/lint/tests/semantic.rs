@@ -118,11 +118,10 @@ fn c1_fires_on_every_escape_vector() {
         "obs::counter",    // direct emission from a worker
         "emit_progress",   // resolved call reaching emission
         "caller-supplied", // unresolvable Fn-param call
-        "arena_mut",       // direct shard mutation
     ] {
         assert!(messages.contains(vector), "missing {vector}: {v:#?}");
     }
-    assert!(v.len() >= 5, "every escape vector fires once: {v:#?}");
+    assert!(v.len() >= 4, "every escape vector fires once: {v:#?}");
 }
 
 #[test]

@@ -63,7 +63,6 @@ pub const REGISTERED_NAMES: &[&str] = &[
     "repro.figure",
     "repro.perf",
     "repro.trace",
-    "shard.queue_depth",
     "sim.in_flight",
     "sim.queue_depth",
     "sim.unsettled_clients",

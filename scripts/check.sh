@@ -17,7 +17,7 @@ run() {
 }
 
 run cargo fmt --all --check
-# Domain rules first (D1/D2/P1/N1/O1/S1/R1/U1, see DESIGN.md §11): fails
+# Domain rules first (D1/D2/P1/N1/O1/S1/U1, see DESIGN.md §11): fails
 # on any unwaived violation or stale entry in lint-waivers.toml; U1
 # (unreferenced `pub fn`) admits no waiver.
 run cargo run -p peercache-lint --quiet

@@ -42,7 +42,7 @@
 
 pub use peercache_core::{
     approx, baselines, costs, exact, instance, metrics, placement, planner, replication, report,
-    scoped, shard, sharded, workload, world, ChunkId, CoreError, Network, PartitionPolicy,
+    scoped, sharded, workload, world, ChunkId, CoreError, Network, PartitionPolicy,
 };
 pub use peercache_dist as dist;
 pub use peercache_graph as graph;
@@ -68,7 +68,6 @@ pub mod prelude {
     pub use crate::planner::CachePlanner;
     pub use crate::replication::ReplicationPolicy;
     pub use crate::scoped::ScopedConfig;
-    pub use crate::shard::CrossShardEvent;
     pub use crate::sharded::{ShardConfig, ShardedWorld, TickReport};
     pub use crate::workload::{paper_grid, paper_random, ScenarioBuilder, Topology};
     pub use crate::world::{CacheWorld, EventOutcome, PartitionEvent, WorldEvent};

@@ -165,15 +165,13 @@ fn greedy_baselines_equal_a_fresh_matrix_recommit() {
 /// `(client, provider, cost bits)` rows the sharded world holds for
 /// `chunk`, in client order.
 fn shard_rows(world: &ShardedWorld, chunk: ChunkId) -> Vec<(NodeId, NodeId, u64)> {
-    let mut rows: Vec<(NodeId, NodeId, u64)> = world
-        .shards()
+    world
+        .chunk(chunk)
+        .expect("chunk is live")
+        .rows
         .iter()
-        .flat_map(|s| s.arena().rows())
-        .filter(|r| r.chunk == chunk)
-        .map(|r| (r.client, r.provider, r.cost_bits))
-        .collect();
-    rows.sort_unstable_by_key(|&(client, _, _)| client);
-    rows
+        .map(|&(client, provider, cost)| (client, provider, cost.to_bits()))
+        .collect()
 }
 
 #[test]

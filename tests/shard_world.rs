@@ -2,7 +2,8 @@
 //! seeded churn trace (arrivals, retirements, departures, joins, link
 //! flaps) must drive [`ShardedWorld`] to a **byte-identical state
 //! digest** — and identical per-tick reports, span counts, and
-//! cross-shard routing totals — under every [`Parallelism`] setting.
+//! cross-shard event totals — under every [`Parallelism`] setting.
+//! The digests and cross-shard totals of the traces are pinned.
 //! The thread knob is pure wall-clock; any divergence is a scheduling
 //! leak in the shard fan-out.
 //!
@@ -167,14 +168,28 @@ const RGG_DIGEST: u64 = 0x7b2d_4a4e_7cdf_b4c6;
 /// [`ShardedWorld::state_digest`] of the `0xDECADE` replay under `Auto`.
 const REPLAY_DIGEST: u64 = 0x731d_101c_752f_2328;
 
+/// [`ShardedWorld::cross_shard_events`] of the grid trace.
+const GRID_CROSS: u64 = 23214;
+
+/// [`ShardedWorld::cross_shard_events`] of the random geometric trace.
+const RGG_CROSS: u64 = 1412;
+
+/// [`ShardedWorld::cross_shard_events`] of the `0xDECADE` replay.
+const REPLAY_CROSS: u64 = 19227;
+
 /// Runs the trace under every [`settings`] entry and asserts each run
-/// equals the `Sequential` one and that its digest is `pinned`.
-fn assert_identical_runs(mut make_net: impl FnMut() -> Network, seed: u64, pinned: u64) {
+/// equals the `Sequential` one and that its digest and cross-shard
+/// total are `pinned`.
+fn assert_identical_runs(mut make_net: impl FnMut() -> Network, seed: u64, pinned: (u64, u64)) {
     let baseline = run_trace(make_net(), Parallelism::Sequential, seed);
     assert_eq!(
-        baseline.digest, pinned,
+        baseline.digest, pinned.0,
         "state digest {:#018x} moved from the pinned trace",
         baseline.digest
+    );
+    assert_eq!(
+        baseline.cross_events, pinned.1,
+        "cross-shard total moved from the pinned trace"
     );
     assert_eq!(
         baseline.applied + baseline.rejected,
@@ -194,7 +209,6 @@ fn assert_identical_runs(mut make_net: impl FnMut() -> Network, seed: u64, pinne
         baseline.reports.iter().any(|r| !r.joined.is_empty()),
         "trace must exercise joins"
     );
-    assert!(baseline.cross_events > 0, "trace must route across shards");
     for par in settings().into_iter().skip(1) {
         let run = run_trace(make_net(), par, seed);
         assert_eq!(
@@ -220,7 +234,7 @@ fn grid_churn_trace_is_byte_identical_across_thread_settings() {
     assert_identical_runs(
         || Network::new(builders::grid(14, 14), NodeId::new(0), 5).expect("grid network builds"),
         0x5EED_0001,
-        GRID_DIGEST,
+        (GRID_DIGEST, GRID_CROSS),
     );
 }
 
@@ -229,7 +243,7 @@ fn random_geometric_churn_trace_is_byte_identical_across_thread_settings() {
     assert_identical_runs(
         || paper_random(120, 7).expect("rgg network builds"),
         0x5EED_0002,
-        RGG_DIGEST,
+        (RGG_DIGEST, RGG_CROSS),
     );
 }
 
@@ -249,5 +263,9 @@ fn traces_replay_identically_across_runs() {
         a.digest, REPLAY_DIGEST,
         "state digest {:#018x} moved from the pinned trace",
         a.digest
+    );
+    assert_eq!(
+        a.cross_events, REPLAY_CROSS,
+        "cross-shard total moved from the pinned trace"
     );
 }
