@@ -23,7 +23,7 @@
 //! Costs reported per chunk use the same Contention Cost model as every
 //! other planner, so the figures compare like with like.
 
-use peercache_graph::paths::{AllPairsPaths, Parallelism, PathSelection};
+use peercache_graph::paths::{induced_rows, Parallelism, PathSelection};
 use peercache_graph::{components, NodeId};
 
 use crate::costs::CostWeights;
@@ -97,39 +97,52 @@ impl GreedyBaselinePlanner {
 /// Greedily selects a caching set on (a component of) the topology.
 ///
 /// `component` lists the nodes of the currently active subgraph in
-/// original ids; the producer participates as a free pre-opened provider
-/// when it belongs to the component. Returns chosen nodes (never the
-/// producer), sorted.
+/// original ids, strictly ascending; the producer participates as a
+/// free pre-opened provider when it belongs to the component. Returns
+/// chosen nodes (never the producer), sorted.
 fn greedy_select(
     net: &Network,
     metric: BaselineMetric,
     lambda: f64,
     component: &[NodeId],
 ) -> Result<Vec<NodeId>, CoreError> {
-    let (sub, originals) = net.graph().induced_subgraph(component)?;
-    if sub.node_count() == 0 {
+    let size = component.len();
+    if size == 0 {
         return Ok(Vec::new());
     }
-    // Metric within the subgraph.
-    let node_costs: Vec<f64> = match metric {
-        // Hop counts come straight from path hops; node costs unused.
-        BaselineMetric::HopCount => vec![0.0; sub.node_count()],
-        BaselineMetric::StaticContention => sub.nodes().map(|k| sub.degree(k) as f64).collect(),
-    };
-    let paths = AllPairsPaths::compute(&sub, &node_costs, PathSelection::FewestHops)?;
+    // Metric within the subgraph the component induces: Cont's node
+    // cost is the degree inside it; Hopc reads hops only.
+    let g = net.graph();
+    let mut node_costs = vec![0.0; g.node_count()];
+    if metric == BaselineMetric::StaticContention {
+        for &k in component {
+            let inside = g
+                .neighbors(k)
+                .filter(|v| component.binary_search(v).is_ok());
+            node_costs[k.index()] = inside.count() as f64;
+        }
+    }
+    // Every member is a source: the greedy sweep reads every
+    // candidate-to-client pair.
+    let (costs, hops) = induced_rows(
+        g,
+        component,
+        component,
+        &node_costs,
+        PathSelection::FewestHops,
+    )?;
     let cost = |i: usize, j: usize| -> f64 {
         match metric {
-            BaselineMetric::HopCount => paths
-                .hops(NodeId::new(i), NodeId::new(j))
-                .map_or(f64::INFINITY, f64::from),
-            BaselineMetric::StaticContention => paths.cost(NodeId::new(i), NodeId::new(j)),
+            BaselineMetric::HopCount => match hops[i * size + j] {
+                u32::MAX => f64::INFINITY,
+                h => f64::from(h),
+            },
+            BaselineMetric::StaticContention => costs[i * size + j],
         }
     };
 
-    let producer_local = originals.iter().position(|&o| o == net.producer());
-    let clients: Vec<usize> = (0..sub.node_count())
-        .filter(|&i| Some(i) != producer_local)
-        .collect();
+    let producer_local = component.binary_search(&net.producer()).ok();
+    let clients: Vec<usize> = (0..size).filter(|&i| Some(i) != producer_local).collect();
     if clients.is_empty() {
         return Ok(Vec::new());
     }
@@ -154,7 +167,7 @@ fn greedy_select(
                     if current[idx].is_infinite() {
                         // Unreached clients value any provider highly but
                         // finitely: use the subgraph diameter surrogate.
-                        (sub.node_count() as f64) - c.min(sub.node_count() as f64)
+                        (size as f64) - c.min(size as f64)
                     } else {
                         (current[idx] - c).max(0.0)
                     }
@@ -178,7 +191,7 @@ fn greedy_select(
             _ => break,
         }
     }
-    let mut out: Vec<NodeId> = chosen_local.into_iter().map(|l| originals[l]).collect();
+    let mut out: Vec<NodeId> = chosen_local.into_iter().map(|l| component[l]).collect();
     out.sort_unstable();
     Ok(out)
 }

@@ -121,15 +121,16 @@ pub fn node_contention_terms(net: &Network) -> Vec<f64> {
 /// All-pairs Path Contention Costs for a caching state, plus the hop
 /// distances the Hop-Count baseline needs.
 ///
-/// A `ContentionMatrix` is a *snapshot* of one caching state. After the
-/// state changes it can either be recomputed from scratch
+/// A `ContentionMatrix` is a *snapshot* of one caching state and
+/// topology. After either changes it can be recomputed from scratch
 /// ([`ContentionMatrix::compute`]) or refreshed in place with
-/// [`ContentionMatrix::update`], which touches only the sources whose
-/// routes pass *through* a node whose term changed, and within such a
-/// row re-solves only the nodes routed below a changed node. A committed
-/// chunk's new caches and the producer lie on most rows' routes (on a
-/// 300-node random network or a 20×20 grid, on every row's), so the
-/// saving is within rows: about half of each row is re-solved.
+/// [`ContentionMatrix::update`]. After a cache commit the refresh
+/// touches only the sources whose routes pass *through* a node whose
+/// term changed, and within such a row re-solves only the nodes routed
+/// below a changed node. A committed chunk's new caches and the
+/// producer lie on most rows' routes (on a 300-node random network or a
+/// 20×20 grid, on every row's), so the saving is within rows: about
+/// half of each row is re-solved.
 #[derive(Debug, Clone)]
 pub struct ContentionMatrix {
     terms: Vec<f64>,
@@ -168,18 +169,21 @@ impl ContentionMatrix {
         Ok(ContentionMatrix { terms, paths })
     }
 
-    /// Refreshes the matrix in place after the network's caching state
-    /// changed, touching only the invalidated shortest-path sources
-    /// (see [`AllPairsPaths::update`]).
+    /// Refreshes the matrix in place, absorbing every change to the
+    /// network since its snapshot: cache commits and evictions, link
+    /// edits, departures and joins. The matrix finds the changes itself
+    /// by diffing the network's graph and recomputed per-node terms
+    /// against what it last solved on, and re-solves only the
+    /// invalidated shortest-path rows (see [`AllPairsPaths::update`]).
     ///
-    /// `dirty` is the caller's account of which nodes changed caching
-    /// state since the snapshot (for the planners: the committed
-    /// facilities plus the producer, whose term tracks the distinct
-    /// chunk population). It is cross-checked in debug builds — the
-    /// actual invalidation diffs the recomputed per-node terms, so a
-    /// stale `dirty` set can never produce a wrong matrix.
+    /// `dirty` is the caller's account of which nodes changed their
+    /// contention term since the snapshot (for the planners: the
+    /// committed facilities plus the producer, whose term tracks the
+    /// distinct chunk population; for a topology edit: every endpoint
+    /// whose degree moved). It is cross-checked in debug builds only, so
+    /// a stale `dirty` set can never produce a wrong matrix.
     ///
-    /// Returns the number of shortest-path sources refreshed or
+    /// Returns the number of shortest-path rows refreshed or
     /// recomputed. The result is byte-identical to a fresh
     /// [`ContentionMatrix::compute`] on the new state.
     ///
@@ -204,45 +208,6 @@ impl ContentionMatrix {
         );
         let _ = dirty;
         let recomputed = self.paths.update(net.graph(), &terms, parallelism)?;
-        self.terms = terms;
-        Ok(recomputed)
-    }
-
-    /// Refreshes the matrix in place after a **topology** change —
-    /// links or nodes added or removed — together with whatever node
-    /// terms moved with it (a departure drops the degree term of every
-    /// former neighbor, for instance).
-    ///
-    /// `removed_edges` / `added_edges` describe the net structural
-    /// difference since the snapshot; `net` must already be in its
-    /// post-churn state. Delegates to
-    /// [`AllPairsPaths::update_topology`], whose per-row invalidation
-    /// rules keep the recompute scoped to the sources the edit can
-    /// actually affect.
-    ///
-    /// Returns the number of shortest-path sources recomputed. The
-    /// result is byte-identical to a fresh
-    /// [`ContentionMatrix::compute`] on the new state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CoreError::Graph`] if an edit mentions a node the
-    /// graph does not know.
-    pub fn update_topology(
-        &mut self,
-        net: &Network,
-        removed_edges: &[(NodeId, NodeId)],
-        added_edges: &[(NodeId, NodeId)],
-        parallelism: Parallelism,
-    ) -> Result<usize, CoreError> {
-        let terms = node_contention_terms(net);
-        let recomputed = self.paths.update_topology(
-            net.graph(),
-            &terms,
-            removed_edges,
-            added_edges,
-            parallelism,
-        )?;
         self.terms = terms;
         Ok(recomputed)
     }
@@ -396,14 +361,9 @@ mod tests {
         net.cache(NodeId::new(1), ChunkId::new(0)).unwrap();
         let mut m = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
         let dep = net.deactivate_node(NodeId::new(8)).unwrap();
-        let removed: Vec<(NodeId, NodeId)> = dep
-            .former_neighbors
-            .iter()
-            .map(|&v| (NodeId::new(8), v))
-            .collect();
-        let redone = m
-            .update_topology(&net, &removed, &[], Parallelism::Sequential)
-            .unwrap();
+        let mut dirty = dep.former_neighbors;
+        dirty.push(NodeId::new(8));
+        let redone = m.update(&net, &dirty, Parallelism::Sequential).unwrap();
         assert!(redone <= net.node_count());
         let fresh = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
         assert_matrices_identical(&m, &fresh, &net);
@@ -416,24 +376,40 @@ mod tests {
     fn topology_update_after_link_churn_matches_fresh() {
         let mut net = net();
         let mut m = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
-        net.remove_link(NodeId::new(4), NodeId::new(5)).unwrap();
-        m.update_topology(
-            &net,
-            &[(NodeId::new(4), NodeId::new(5))],
-            &[],
-            Parallelism::Sequential,
-        )
-        .unwrap();
-        net.add_link(NodeId::new(0), NodeId::new(4)).unwrap();
-        m.update_topology(
-            &net,
-            &[],
-            &[(NodeId::new(0), NodeId::new(4))],
-            Parallelism::Sequential,
-        )
-        .unwrap();
+        let (n0, n4, n5) = (NodeId::new(0), NodeId::new(4), NodeId::new(5));
+        net.remove_link(n4, n5).unwrap();
+        m.update(&net, &[n4, n5], Parallelism::Sequential).unwrap();
+        net.add_link(n0, n4).unwrap();
+        m.update(&net, &[n0, n4], Parallelism::Sequential).unwrap();
         let fresh = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
         assert_matrices_identical(&m, &fresh, &net);
+    }
+
+    #[test]
+    fn a_degree_preserving_link_swap_matches_fresh() {
+        // On a 6x6 grid, links 0-1 and 14-15 go down and 0-14 and 1-15
+        // come up in one batch: every degree, hence every term, is
+        // unchanged, so only the graph diff can see the edit.
+        let mut net = Network::new(builders::grid(6, 6), NodeId::new(35), 5).unwrap();
+        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
+            let mut m = ContentionMatrix::compute(&net, selection).unwrap();
+            let before = node_contention_terms(&net);
+            let (down, up) = if selection == PathSelection::FewestHops {
+                ([(0, 1), (14, 15)], [(0, 14), (1, 15)])
+            } else {
+                ([(0, 14), (1, 15)], [(0, 1), (14, 15)])
+            };
+            for (u, v) in down {
+                assert!(net.remove_link(NodeId::new(u), NodeId::new(v)).unwrap());
+            }
+            for (u, v) in up {
+                assert!(net.add_link(NodeId::new(u), NodeId::new(v)).unwrap());
+            }
+            assert_eq!(node_contention_terms(&net), before);
+            assert!(m.update(&net, &[], Parallelism::Sequential).unwrap() > 0);
+            let fresh = ContentionMatrix::compute(&net, selection).unwrap();
+            assert_matrices_identical(&m, &fresh, &net);
+        }
     }
 
     #[test]

@@ -33,17 +33,20 @@
 //!    shortest-path-tree trunks instead of a full metric-closure
 //!    Steiner run.
 //!
-//! The incremental discipline mirrors the dense path: committing a
-//! chunk dirties only the new caches and the producer, so
-//! [`ScopedContention::update`] stales only the blocks whose demand
-//! ball contains a dirty node, plus the landmark oracle (its landmark
-//! selection stays fixed). Staling is lazy. The update captures what
-//! each solve will read: a block's ball, the subgraph the ball induces
-//! and the members' terms, and the graph and terms for the oracle. A
-//! block's rows are solved on its first lookup, and the oracle's
-//! sweeps on the first oracle read. A block staled again before any
-//! read is never solved. A read between a cache commit and the next
-//! update still sees the values of the update that staled the block.
+//! The incremental discipline mirrors the dense path: one
+//! [`ScopedContention::update`] absorbs every change since the last
+//! one, found by diffing the network against the store's own snapshot,
+//! and stales only the blocks whose demand ball contains a node whose
+//! term or neighbor list changed, plus the landmark oracle (its
+//! landmark selection stays fixed). Committing a chunk changes only the
+//! terms of the new caches and the producer. Staling is lazy. The
+//! update captures what each solve will read: a block's ball, the
+//! subgraph the ball induces and the members' terms, and the graph and
+//! terms for the oracle. A block's rows are solved on its first lookup,
+//! and the oracle's sweeps on the first oracle read. A block staled
+//! again before any read is never solved. A read between a cache commit
+//! and the next update still sees the values of the update that staled
+//! the block.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -53,7 +56,7 @@ use peercache_graph::paths::{
     dijkstra_edge_weighted, AllPairsPaths, InducedRows, Parallelism, PathSelection,
 };
 use peercache_graph::regions::RegionPartition;
-use peercache_graph::{Graph, NodeId};
+use peercache_graph::{Csr, Graph, NodeId};
 use peercache_obs as obs;
 
 use crate::approx::{dual_ascent_scoped, ApproxConfig};
@@ -93,21 +96,14 @@ impl Default for ScopedConfig {
 /// [`Parallelism`] setting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreWork {
-    /// Blocks [`ScopedContention::update`] captured for a re-solve.
+    /// Blocks [`ScopedContention::update`] re-captured over the
+    /// retained partition for a re-solve.
     pub blocks_staled: u64,
     /// Block row solves run, each on a block's first lookup.
     pub blocks_solved: u64,
     /// Landmark-oracle sweeps run, each on the first oracle read after
     /// a build or an update.
     pub oracle_refreshes: u64,
-}
-
-impl std::ops::AddAssign for StoreWork {
-    fn add_assign(&mut self, other: StoreWork) {
-        self.blocks_staled += other.blocks_staled;
-        self.blocks_solved += other.blocks_solved;
-        self.oracle_refreshes += other.oracle_refreshes;
-    }
 }
 
 /// A value solved from inputs captured up front, on its first read.
@@ -181,6 +177,9 @@ pub struct ScopedContention {
     landmarks: Vec<NodeId>,
     /// The oracle over the graph and terms of the last update.
     oracle: Deferred<(Graph, Vec<f64>), LandmarkOracle>,
+    /// The adjacency of the last update, which the next one diffs the
+    /// graph against.
+    adjacency: Csr,
     /// Work of the blocks and oracles an update replaced.
     retired: StoreWork,
 }
@@ -221,6 +220,7 @@ impl ScopedContention {
             partition,
             landmarks: LandmarkOracle::select(g, cfg.landmarks, cfg.seed),
             oracle: Deferred::new((g.clone(), terms.clone())),
+            adjacency: Csr::from_graph(g),
             terms,
             blocks,
             retired: StoreWork::default(),
@@ -328,39 +328,45 @@ impl ScopedContention {
         })
     }
 
-    /// Refreshes the store after the caching state or the topology
-    /// changed. It diffs the recomputed per-node terms bitwise against
-    /// the held ones and re-captures every block whose demand ball
-    /// contains a node whose term moved, plus the landmark oracle (its
-    /// selection stays fixed). Each capture records what its solve will
-    /// read; the solve runs on the first read. `dirty` is the caller's
-    /// account of the changed nodes, cross-checked in debug builds; the
-    /// invalidation itself rides on the term diff, so a stale set cannot
-    /// produce a wrong store. Include the producer when distinct-chunk
-    /// counts may have moved.
+    /// Refreshes the store, absorbing every change to the network since
+    /// its last update: cache commits and evictions, link edits,
+    /// departures and joins. The store finds them itself. It diffs the
+    /// recomputed per-node terms bitwise against the held ones and the
+    /// graph against the adjacency it last captured
+    /// ([`Csr::edge_diff`]), and re-captures every block whose columns
+    /// hold a node whose term *or neighbor list* changed, plus the
+    /// landmark oracle (its selection stays fixed). Each capture records
+    /// what its solve will read; the solve runs on the first read.
+    /// `dirty` is the caller's account of the changed nodes, cross-checked
+    /// in debug builds only, so a stale set cannot produce a wrong store.
+    /// Include the producer when distinct-chunk counts may have moved.
     ///
-    /// Why the same invalidation is sound for topology edits (links
-    /// added or removed, a node deactivated): the per-node contention
-    /// term is `w_k (1 + S(k))` with `w_k` the node's *degree*, so every
-    /// endpoint of a changed link (and every former neighbor of a
-    /// departed node, and the departed node itself) changes its term
-    /// bitwise. A block's values can only change if the edited edge
-    /// lies inside its induced ball subgraph — both endpoints in its
-    /// columns — and a ball can only *gain* a member through a new edge
-    /// whose nearer endpoint was already within `k-1` hops (hence
-    /// already a column). Either way the stale block holds an endpoint,
-    /// so the term diff catches it and the capture recomputes the ball
-    /// afresh.
+    /// Why the rule is sound: a block's values are a function of its
+    /// ball (region ∪ `k`-hop halo), the subgraph the ball induces and
+    /// the members' terms. A changed term inside the ball is caught
+    /// directly. An edge that entered or left the induced subgraph has
+    /// both endpoints in the ball, and both changed their neighbor
+    /// lists. The ball itself is a breadth-first search from the region
+    /// that expands only nodes within `k - 1` hops, all of them columns;
+    /// if none of them changed its neighbor list, the search runs as
+    /// before and yields the same ball. So a block with no changed
+    /// column equals a fresh capture over the retained partition. The
+    /// term alone is not enough: a node's term `w_k (1 + S(k))` reads
+    /// its *degree*, which one link edit always moves but a batch — one
+    /// link down and another up at the same node — can leave unchanged.
     ///
-    /// Returns the number of blocks staled.
+    /// A graph that grew ([`Network::join_node`]) has nodes the retained
+    /// partition has no region for, so the store re-grows itself: it
+    /// becomes [`ScopedContention::new`] on the network, with its
+    /// lifetime work counts carried over. A re-grow stales no block, as
+    /// a build does not.
+    ///
+    /// Returns the number of blocks captured: the stale blocks, or every
+    /// block of a re-grown store.
     ///
     /// # Errors
     ///
-    /// * [`CoreError::InvalidParameter`] if the graph's node count no
-    ///   longer matches the store ([`Network::join_node`] grew it): the
-    ///   region partition has no region for the newcomer, so the caller
-    ///   must rebuild with [`ScopedContention::new`].
-    /// * [`CoreError::Graph`] on internal failures.
+    /// Propagates [`CoreError::Graph`] on internal failures.
     pub fn update(
         &mut self,
         net: &Network,
@@ -368,20 +374,24 @@ impl ScopedContention {
         parallelism: Parallelism,
     ) -> Result<usize, CoreError> {
         if net.node_count() != self.terms.len() {
-            return Err(CoreError::InvalidParameter(format!(
-                "scoped store built for {} nodes cannot absorb a grown graph of {} — rebuild",
-                self.terms.len(),
-                net.node_count()
-            )));
+            let work = self.work();
+            *self = ScopedContention::new(net, self.cfg, self.selection, parallelism)?;
+            self.retired = work;
+            return Ok(self.blocks.len());
         }
+        let g = net.graph();
         let terms = node_contention_terms(net);
-        let changed: Vec<NodeId> = (0..terms.len())
-            .filter(|&k| terms[k].to_bits() != self.terms[k].to_bits())
-            .map(NodeId::new)
-            .collect();
+        let mut changed = self.adjacency.edge_diff(g).endpoints();
+        changed.extend(
+            (0..terms.len())
+                .filter(|&k| terms[k].to_bits() != self.terms[k].to_bits())
+                .map(NodeId::new),
+        );
+        changed.sort_unstable();
+        changed.dedup();
         debug_assert!(
             changed.iter().all(|c| dirty.contains(c)),
-            "a node outside the declared dirty set {dirty:?} changed its contention term"
+            "a node outside the declared dirty set {dirty:?} changed its term or neighbors"
         );
         let _ = dirty;
         if changed.is_empty() {
@@ -394,7 +404,6 @@ impl ScopedContention {
                     .any(|c| self.blocks[r].cols.binary_search(c).is_ok())
             })
             .collect();
-        let g = net.graph();
         let captured = capture_blocks(
             g,
             &self.partition,
@@ -411,6 +420,7 @@ impl ScopedContention {
         self.retired.blocks_staled += stale.len() as u64;
         self.retired.oracle_refreshes += u64::from(self.oracle.is_solved());
         self.oracle = Deferred::new((g.clone(), terms.clone()));
+        self.adjacency = Csr::from_graph(g);
         self.terms = terms;
         Ok(stale.len())
     }
@@ -1406,7 +1416,7 @@ mod tests {
     }
 
     #[test]
-    fn update_rejects_a_grown_graph() {
+    fn a_degree_preserving_link_batch_stales_the_blocks_it_reshapes() {
         let mut net = grid_net(6, 4);
         let mut scoped = ScopedContention::new(
             &net,
@@ -1415,13 +1425,64 @@ mod tests {
             Parallelism::Sequential,
         )
         .unwrap();
-        // The partition has no region for the newcomer, so the call must
-        // refuse and demand a rebuild.
-        net.join_node(&[NodeId::new(2)], 3).unwrap();
-        assert!(matches!(
-            scoped.update(&net, &[], Parallelism::Sequential),
-            Err(CoreError::InvalidParameter(_))
-        ));
+        let before = node_contention_terms(&net);
+        for (u, v) in [(0, 1), (14, 15)] {
+            assert!(net.remove_link(NodeId::new(u), NodeId::new(v)).unwrap());
+        }
+        for (u, v) in [(0, 14), (1, 15)] {
+            assert!(net.add_link(NodeId::new(u), NodeId::new(v)).unwrap());
+        }
+        // Every degree, hence every term, is unchanged: only the
+        // neighbor lists show the edit.
+        assert_eq!(node_contention_terms(&net), before);
+        let touched = [0, 1, 14, 15].map(NodeId::new);
+        let staled = scoped
+            .update(&net, &touched, Parallelism::Sequential)
+            .unwrap();
+        assert!(staled > 0, "the batch must stale the blocks around it");
+        assert_blocks_equal_a_retained_partition_rebuild(&scoped, &net);
+    }
+
+    #[test]
+    fn update_on_a_grown_graph_equals_a_fresh_build_and_keeps_the_work() {
+        let mut net = grid_net(6, 4);
+        let build = |net: &Network| {
+            ScopedContention::new(
+                net,
+                small_cfg(),
+                PathSelection::FewestHops,
+                Parallelism::Sequential,
+            )
+            .unwrap()
+        };
+        let mut scoped = build(&net);
+        net.cache(NodeId::new(3), ChunkId::new(0)).unwrap();
+        let dirty = [NodeId::new(3), net.producer()];
+        scoped
+            .update(&net, &dirty, Parallelism::Sequential)
+            .unwrap();
+        all_costs(&scoped, &net);
+        let before = scoped.work();
+        assert!(before.blocks_staled > 0 && before.blocks_solved > 0);
+        assert!(before.oracle_refreshes > 0);
+        // The retained partition has no region for the newcomer, so the
+        // store re-grows: a build's blocks, nothing staled or solved.
+        let node = net.join_node(&[NodeId::new(2)], 3).unwrap();
+        let captured = scoped
+            .update(&net, &[NodeId::new(2), node], Parallelism::Sequential)
+            .unwrap();
+        let fresh = build(&net);
+        assert_eq!(captured, fresh.partition().region_count());
+        assert_eq!(scoped.partition(), fresh.partition());
+        assert_eq!(scoped.work(), before);
+        assert_eq!(all_costs(&scoped, &net), all_costs(&fresh, &net));
+        let read = fresh.work();
+        let total = StoreWork {
+            blocks_staled: before.blocks_staled,
+            blocks_solved: before.blocks_solved + read.blocks_solved,
+            oracle_refreshes: before.oracle_refreshes + read.oracle_refreshes,
+        };
+        assert_eq!(scoped.work(), total);
     }
 
     /// Every pair's [`ScopedContention::cost`] bit pattern, row-major.

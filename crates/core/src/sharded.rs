@@ -15,10 +15,12 @@
 //! 1. **Structural edits** — serial, in input order (joins, departures,
 //!    link flips, retirements). Per-event rejections (e.g. a departure
 //!    the Reject partition policy refuses) are counted, not fatal.
-//! 2. **Scoped refresh** — [`ScopedContention::update`] re-captures
-//!    exactly the stale blocks and the landmark oracle, which are
-//!    solved on their first read in a later phase; a join (new node
-//!    id) re-grows the partition and rebuilds the store instead.
+//! 2. **Scoped refresh** — one [`ScopedContention::update`] absorbs the
+//!    batch: it diffs the network against the store's snapshot and
+//!    re-captures exactly the stale blocks and the landmark oracle,
+//!    which are solved on their first read in a later phase. After a
+//!    join (new node id) the store re-grows its partition instead, and
+//!    each newcomer is adopted by its new region.
 //! 3. **Churn repair** — replacement-copy and orphan-reassignment
 //!    *proposals* are computed in parallel against the frozen post-
 //!    refresh state (slot-array fan-out, one pure task per item), then
@@ -41,7 +43,7 @@
 //!   that joined earlier in the batch has no region yet, so its links
 //!   count nothing);
 //! - a retirement: one to every region but the producer's;
-//! - a newcomer adopted by the join rebuild: 1;
+//! - a newcomer adopted after a join: 1;
 //! - an arrival: 1 per row whose client, and 1 per copy whose holder,
 //!   is homed outside the producer's region;
 //! - a replacement copy: 1 when its holder is homed outside the lowest
@@ -153,7 +155,7 @@ pub struct TickReport {
     /// Cross-shard events counted during this tick (see the module
     /// docs' counting rule).
     pub cross_events: u64,
-    /// Whether a join forced a full partition + store rebuild.
+    /// Whether a join made the scoped store re-grow its partition.
     pub shards_rebuilt: bool,
 }
 
@@ -172,8 +174,6 @@ pub struct ShardedWorld {
     net: Network,
     cfg: ShardConfig,
     scoped: ScopedContention,
-    /// Work of the scoped stores a join rebuild replaced.
-    replaced_work: StoreWork,
     /// Cross-shard events counted over the world's lifetime.
     cross_events: u64,
     chunks: BTreeMap<ChunkId, ShardChunk>,
@@ -217,7 +217,6 @@ impl ShardedWorld {
             net,
             cfg,
             scoped,
-            replaced_work: StoreWork::default(),
             cross_events: 0,
             chunks: BTreeMap::new(),
             next_chunk: 0,
@@ -303,13 +302,11 @@ impl ShardedWorld {
         self.span_count
     }
 
-    /// The scoped stores' work over the world's lifetime (the current
-    /// store's plus that of every store a join rebuild replaced),
-    /// identical across thread counts for the same event trace.
+    /// The scoped store's work over the world's lifetime, re-grows
+    /// included, identical across thread counts for the same event
+    /// trace.
     pub fn store_work(&self) -> StoreWork {
-        let mut work = self.replaced_work;
-        work += self.scoped.work();
-        work
+        self.scoped.work()
     }
 
     fn parallelism(&self) -> Parallelism {
@@ -441,17 +438,18 @@ impl ShardedWorld {
         }
 
         // Phase 2: scoped-store refresh. A join grows the node table,
-        // which the retained partition cannot absorb — re-grow the
-        // partition and rebuild the store.
-        if !report.joined.is_empty() {
-            self.rebuild_after_join(&report.joined)?;
-            report.shards_rebuilt = true;
-        } else if !touched.is_empty() {
+        // which the retained partition cannot absorb, so the store
+        // re-grows its partition; the newcomers are then adopted.
+        if !touched.is_empty() || !report.joined.is_empty() {
             touched.push(self.net.producer());
             touched.sort_unstable();
             touched.dedup();
             self.scoped
                 .update(&self.net, &touched, self.parallelism())?;
+        }
+        if !report.joined.is_empty() {
+            self.adopt_joined(&report.joined);
+            report.shards_rebuilt = true;
         }
 
         // Phase 3: churn repair (parallel proposals, serial merge).
@@ -526,17 +524,9 @@ impl ShardedWorld {
         report.retired.push(chunk);
     }
 
-    /// Full rebuild after a join: the node table grew, so the partition
-    /// and the store are rebuilt; each newcomer is adopted by its new
-    /// region and gets a row for every live chunk it wants.
-    fn rebuild_after_join(&mut self, joined: &[NodeId]) -> Result<(), CoreError> {
-        self.replaced_work += self.scoped.work();
-        self.scoped = ScopedContention::new(
-            &self.net,
-            self.cfg.scoped,
-            self.cfg.approx.selection,
-            self.parallelism(),
-        )?;
+    /// Adopts each newcomer into its region of the re-grown partition
+    /// and gives it a row for every live chunk it wants.
+    fn adopt_joined(&mut self, joined: &[NodeId]) {
         self.cross_events += joined.len() as u64;
         let w = self.weights();
         let producer = self.net.producer();
@@ -557,7 +547,6 @@ impl ShardedWorld {
                 sc.set_row(node, p, c);
             }
         }
-        Ok(())
     }
 
     /// Churn repair: replacement-copy proposals per lost chunk and

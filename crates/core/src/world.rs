@@ -18,9 +18,9 @@
 //!   the surviving holders and the Steiner tree kept (re-priced) or
 //!   rebuilt, with no copy movement;
 //! * everything else is left alone — the contention snapshot itself is
-//!   refreshed through the structural dirty-set rules of
-//!   [`peercache_graph::paths::AllPairsPaths::update_topology`], so the
-//!   all-pairs recompute is scoped too.
+//!   refreshed by [`ContentionMatrix::update`], which diffs the network
+//!   against its own snapshot and re-solves only the rows the change can
+//!   affect, so the all-pairs recompute is scoped too.
 //!
 //! Full replanning survives as the oracle: [`CacheWorld::repair_vs_replan`]
 //! re-places every live chunk from scratch on a copy of the network and
@@ -620,7 +620,9 @@ impl CacheWorld {
         for &node in &holders {
             self.net.uncache(node, chunk);
         }
-        if !holders.is_empty() && self.refresh_matrix().is_err() {
+        let mut dirty = holders.clone();
+        dirty.push(self.net.producer());
+        if !holders.is_empty() && self.refresh_matrix(&dirty).is_err() {
             // Cannot happen on a well-formed network; recompute lazily
             // rather than serving a stale snapshot.
             self.matrix = None;
@@ -816,7 +818,9 @@ impl CacheWorld {
     ) -> Result<(NodeId, Vec<ChunkId>), CoreError> {
         let node = self.net.join_node(neighbors, capacity)?;
         // Node count changed: the snapshot rebuilds wholesale.
-        self.update_matrix_topology(&[], &[])?;
+        let mut dirty = neighbors.to_vec();
+        dirty.push(node);
+        self.refresh_matrix(&dirty)?;
         let live = self.live.clone();
         self.rederive(&live, &[])?;
         obs::event!(
@@ -832,9 +836,9 @@ impl CacheWorld {
         let start = MonotonicClock::System.now_us();
         let mut span = obs::span!("world.repair", node = node.index());
         let dep = self.net.deactivate_node(node)?;
-        let removed: Vec<(NodeId, NodeId)> =
-            dep.former_neighbors.iter().map(|&v| (node, v)).collect();
-        let apsp_rows = self.update_matrix_topology(&removed, &[])?;
+        let mut dirty = dep.former_neighbors.clone();
+        dirty.extend([node, self.net.producer()]);
+        let apsp_rows = self.refresh_matrix(&dirty)?;
 
         // Classify the fallout before mutating anything, so records
         // are re-derived after every repair has settled the snapshot.
@@ -900,7 +904,7 @@ impl CacheWorld {
     fn link_up(&mut self, u: NodeId, v: NodeId) -> Result<bool, CoreError> {
         let added = self.net.add_link(u, v)?;
         if added {
-            self.update_matrix_topology(&[], &[(u, v)])?;
+            self.refresh_matrix(&[u, v])?;
             obs::event!("world.link_up", u = u.index(), v = v.index());
         }
         Ok(added)
@@ -910,7 +914,7 @@ impl CacheWorld {
         let removed = self.net.remove_link(u, v)?;
         let mut refreshed = Vec::new();
         if removed {
-            self.update_matrix_topology(&[(u, v)], &[])?;
+            self.refresh_matrix(&[u, v])?;
             refreshed = self
                 .live
                 .iter()
@@ -1109,25 +1113,16 @@ impl CacheWorld {
         }
     }
 
-    /// Incrementally refreshes the snapshot after a structural edit;
-    /// returns the number of shortest-path sources recomputed.
-    fn update_matrix_topology(
-        &mut self,
-        removed: &[(NodeId, NodeId)],
-        added: &[(NodeId, NodeId)],
-    ) -> Result<usize, CoreError> {
+    /// Absorbs every change since the snapshot into it; `dirty` lists
+    /// the nodes whose contention term may have moved, for
+    /// [`ContentionMatrix::update`]'s debug cross-check. Returns the
+    /// number of shortest-path rows re-solved.
+    fn refresh_matrix(&mut self, dirty: &[NodeId]) -> Result<usize, CoreError> {
         match self.matrix.as_mut() {
-            Some(m) => m.update_topology(&self.net, removed, added, self.config.parallelism),
+            Some(m) => m.update(&self.net, dirty, self.config.parallelism),
             // No snapshot yet: nothing to invalidate, built lazily.
             None => Ok(0),
         }
-    }
-
-    /// Absorbs pure caching-state (node-term) changes into the
-    /// snapshot — an empty structural edit, so only the cost-change
-    /// dirty rules fire.
-    fn refresh_matrix(&mut self) -> Result<usize, CoreError> {
-        self.update_matrix_topology(&[], &[])
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property tests for the incremental contention recompute: after any
-//! sequence of caching operations (S(k) bumps), refreshing a carried
-//! [`ContentionMatrix`] with [`ContentionMatrix::update`] must be
-//! bitwise identical to computing a fresh matrix from the new state,
+//! sequence of cache commits, departures and link flips, refreshing a
+//! carried [`ContentionMatrix`] with [`ContentionMatrix::update`] must
+//! be bitwise identical to computing a fresh matrix from the new state,
 //! and the threaded refresh bitwise identical to the sequential one.
 
 use proptest::prelude::*;
@@ -56,11 +56,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn update_after_cache_ops_matches_fresh_compute(
+    fn update_after_commits_departures_and_link_flips_matches_fresh_compute(
         net in network(),
         ops in prop::collection::vec(
-            prop::collection::vec((0usize..64, 0usize..16), 1..17),
-            1..4,
+            (
+                prop::collection::vec((0usize..64, 0usize..16), 1..17),
+                0usize..3,
+                0usize..64,
+                0usize..64,
+            ),
+            1..5,
         ),
     ) {
         let n = net.node_count();
@@ -72,7 +77,7 @@ proptest! {
                 ContentionMatrix::compute_with(&net, selection, Parallelism::Sequential).unwrap();
             let mut threaded = incremental.clone();
             let mut net = net.clone();
-            for batch in &ops {
+            for (batch, topology, a, b) in &ops {
                 // Apply a batch of cache commits, recording which nodes
                 // changed state (plus the producer, whose term follows
                 // the distinct-chunk population).
@@ -83,6 +88,29 @@ proptest! {
                     if !net.is_cached(node, chunk) && net.cache(node, chunk).is_ok() {
                         dirty.push(node);
                     }
+                }
+                // Then, in the same refresh, a departure or a link flip
+                // (either may be refused, e.g. when it would disconnect
+                // the network).
+                let (a, b) = (NodeId::new(a % n), NodeId::new(b % n));
+                match topology {
+                    1 => {
+                        if let Ok(dep) = net.deactivate_node(a) {
+                            dirty.push(a);
+                            dirty.extend(dep.former_neighbors);
+                        }
+                    }
+                    2 if a != b => {
+                        let flipped = if net.graph().contains_edge(a, b) {
+                            net.remove_link(a, b)
+                        } else {
+                            net.add_link(a, b)
+                        };
+                        if flipped.is_ok_and(|f| f) {
+                            dirty.extend([a, b]);
+                        }
+                    }
+                    _ => {}
                 }
                 let redone = incremental
                     .update(&net, &dirty, Parallelism::Sequential)

@@ -39,6 +39,7 @@
 
 use peercache_core::{ChunkId, Network};
 use peercache_graph::paths::bfs_hops;
+use peercache_graph::regions::splitmix64;
 use peercache_graph::NodeId;
 
 use crate::chaos::{ChaosState, FaultPlan, FaultStats, SendFate};
@@ -462,15 +463,6 @@ struct Tally {
     depositions: u64,
     first_deposition: Option<Tick>,
     elections: Vec<(Tick, NodeId)>,
-}
-
-/// SplitMix64 — a pure hash used for deterministic retry jitter; keyed
-/// entirely by protocol state, so it introduces no ambient randomness.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Exponential backoff with keyed jitter: `base << (attempt-1)` plus a

@@ -398,6 +398,64 @@ impl Csr {
         Csr { offsets, targets }
     }
 
+    /// The undirected edges on which `g` differs from this snapshot —
+    /// what a store solved on the snapshot must absorb. Each edge is
+    /// listed once as `(u, v)` with `u < v`, ascending. A node `g` has
+    /// beyond the snapshot has an empty snapshot list, so its links
+    /// count as added. Costs one pass over both adjacencies.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use peercache_graph::{builders, Csr, NodeId};
+    ///
+    /// let mut g = builders::path(3); // 0 - 1 - 2
+    /// let csr = Csr::from_graph(&g);
+    /// g.remove_edge(NodeId::new(0), NodeId::new(1))?;
+    /// g.add_edge(NodeId::new(0), NodeId::new(2))?;
+    /// let diff = csr.edge_diff(&g);
+    /// assert_eq!(diff.removed, [(NodeId::new(0), NodeId::new(1))]);
+    /// assert_eq!(diff.added, [(NodeId::new(0), NodeId::new(2))]);
+    /// assert_eq!(diff.endpoints(), [NodeId::new(0), NodeId::new(1), NodeId::new(2)]);
+    /// # Ok::<(), peercache_graph::GraphError>(())
+    /// ```
+    pub fn edge_diff(&self, g: &Graph) -> EdgeDiff {
+        let mut diff = EdgeDiff::default();
+        for u in 0..self.node_count().max(g.node_count()) {
+            let old = if u < self.node_count() {
+                self.neighbors(u)
+            } else {
+                &[]
+            };
+            let new = g.adjacency.get(u).map_or(&[][..], Vec::as_slice);
+            // Merge the two ascending lists; an exhausted list reads as
+            // `usize::MAX`, above every id.
+            let (mut i, mut j) = (0, 0);
+            while i < old.len() || j < new.len() {
+                let a = old.get(i).map_or(usize::MAX, |&v| v as usize);
+                let b = new.get(j).map_or(usize::MAX, |v| v.index());
+                let (list, v) = match a.cmp(&b) {
+                    std::cmp::Ordering::Equal => {
+                        (i, j) = (i + 1, j + 1);
+                        continue;
+                    }
+                    std::cmp::Ordering::Less => {
+                        i += 1;
+                        (&mut diff.removed, a)
+                    }
+                    std::cmp::Ordering::Greater => {
+                        j += 1;
+                        (&mut diff.added, b)
+                    }
+                };
+                if u < v {
+                    list.push((NodeId::new(u), NodeId::new(v)));
+                }
+            }
+        }
+        diff
+    }
+
     /// Number of nodes in the snapshot.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -412,6 +470,39 @@ impl Csr {
     #[inline]
     pub fn neighbors(&self, u: usize) -> &[u32] {
         &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+    }
+}
+
+/// The edges one graph gained and lost against a [`Csr`] snapshot,
+/// created by [`Csr::edge_diff`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EdgeDiff {
+    /// Edges the snapshot has and the graph lacks, `(u, v)` with
+    /// `u < v`, ascending.
+    pub removed: Vec<(NodeId, NodeId)>,
+    /// Edges the graph has and the snapshot lacks, `(u, v)` with
+    /// `u < v`, ascending.
+    pub added: Vec<(NodeId, NodeId)>,
+}
+
+impl EdgeDiff {
+    /// Whether the adjacency is unchanged.
+    pub fn is_empty(&self) -> bool {
+        self.removed.is_empty() && self.added.is_empty()
+    }
+
+    /// The nodes whose neighbor list changed — every endpoint of a
+    /// removed or added edge — ascending and deduplicated.
+    pub fn endpoints(&self) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = self
+            .removed
+            .iter()
+            .chain(&self.added)
+            .flat_map(|&(u, v)| [u, v])
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 }
 
@@ -497,6 +588,29 @@ mod tests {
                 node: NodeId::new(1)
             }
         );
+    }
+
+    #[test]
+    fn edge_diff_sees_degree_preserving_swaps_and_grown_nodes() {
+        let ids = |e: &[(usize, usize)]| -> Vec<(NodeId, NodeId)> {
+            e.iter()
+                .map(|&(u, v)| (NodeId::new(u), NodeId::new(v)))
+                .collect()
+        };
+        let mut g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        let csr = Csr::from_graph(&g);
+        assert!(csr.edge_diff(&g).is_empty());
+        // Every degree stays 1, yet both pairs swapped partners.
+        g.remove_edge(NodeId::new(0), NodeId::new(1)).unwrap();
+        g.remove_edge(NodeId::new(2), NodeId::new(3)).unwrap();
+        g.add_edge(NodeId::new(0), NodeId::new(2)).unwrap();
+        g.add_edge(NodeId::new(1), NodeId::new(3)).unwrap();
+        let new = g.add_node();
+        g.add_edge(new, NodeId::new(1)).unwrap();
+        let diff = csr.edge_diff(&g);
+        assert_eq!(diff.removed, ids(&[(0, 1), (2, 3)]));
+        assert_eq!(diff.added, ids(&[(0, 2), (1, 3), (1, 4)]));
+        assert_eq!(diff.endpoints().len(), 5);
     }
 
     #[test]

@@ -55,4 +55,4 @@ pub mod regions;
 pub mod steiner;
 
 pub use error::GraphError;
-pub use graph::{Csr, EdgeIter, Graph, NeighborIter, NodeId};
+pub use graph::{Csr, EdgeDiff, EdgeIter, Graph, NeighborIter, NodeId};

@@ -11,8 +11,8 @@
 //! * [`AllPairsPaths`] — all-pairs node-weighted shortest paths with path
 //!   reconstruction, under either hop-first or cost-first selection,
 //!   computable sequentially or with a scoped-thread fan-out
-//!   ([`Parallelism`]) and incrementally updatable when node costs
-//!   change ([`AllPairsPaths::update`]),
+//!   ([`Parallelism`]) and incrementally updatable after node costs or
+//!   the topology change ([`AllPairsPaths::update`]),
 //! * [`induced_rows`] — the same per-source kernel for a few sources
 //!   over the subgraph a node list induces, without building it (the
 //!   distributed views and the scoped store's blocks), split into an
@@ -23,7 +23,7 @@ use std::collections::BinaryHeap;
 
 use peercache_obs as obs;
 
-use crate::{Csr, Graph, GraphError, NodeId};
+use crate::{Csr, EdgeDiff, Graph, GraphError, NodeId};
 
 /// How ties between candidate paths are resolved.
 ///
@@ -191,6 +191,9 @@ pub struct AllPairsPaths {
     /// some selected path (i.e. non-source parents in the SP tree);
     /// `words_per_row` words per source.
     interior_mask: Vec<u64>,
+    /// The adjacency the rows were last solved on, which
+    /// [`AllPairsPaths::update`] diffs the graph against.
+    csr: Csr,
 }
 
 const UNREACHABLE_HOPS: u32 = u32::MAX;
@@ -315,136 +318,28 @@ impl AllPairsPaths {
             hops: vec![UNREACHABLE_HOPS; n * n],
             parent: vec![NO_PARENT; n * n],
             interior_mask: vec![0u64; n * words],
+            csr: Csr::from_graph(g),
         };
         if n == 0 {
             return Ok(ap);
         }
-        let csr = Csr::from_graph(g);
         let threads = parallelism.threads(n);
         let mut span = obs::span!("apsp.compute", sources = n, threads = threads);
-        ap.run_rows(&csr, node_cost, 0..n, RowJob::Recompute, parallelism);
+        ap.run_rows(node_cost, 0..n, RowJob::Recompute, parallelism);
         if span.is_recording() {
             span.add_field("recomputed_sources", obs::Value::from(n));
         }
         Ok(ap)
     }
 
-    /// Incrementally refreshes the structure after the node costs
-    /// changed, touching only the sources whose selected paths route
-    /// *through* a changed node.
-    ///
-    /// The invalidation rule: a stored row stays valid when every
-    /// changed node appears on that source's selected paths only as an
-    /// **endpoint** — endpoint terms are added at query time, so the
-    /// stored interior costs, hop counts, and parents are untouched.
-    ///
-    /// When a changed node is interior to some selected path and every
-    /// changed cost *rose*, a hop-first row is refreshed in place. The
-    /// graph is unchanged, so the stored hop labels still hold; only the
-    /// nodes whose stored tree path has a changed node between the
-    /// source and themselves re-solve their best predecessor, in stored
-    /// hop order. Every other node keeps its stored parent: that
-    /// candidate's cost is unchanged, while every competing candidate
-    /// can only have grown. Cost-first rows are re-run from scratch. If
-    /// any node cost *decreased*, previously unattractive routes may win
-    /// anywhere, so every row is re-run (the caching planners only ever
-    /// raise `S(k)`, keeping the fast path; the conservative fallback
-    /// covers eviction workloads).
-    ///
-    /// `g` must be the same graph the structure was computed on.
-    ///
-    /// Returns the number of sources refreshed or recomputed. The result
-    /// is byte-identical to a fresh [`AllPairsPaths::compute_with`] on
-    /// the new costs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfBounds`] if `node_cost` is shorter
-    /// than the node count or `g` has a different node count.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use peercache_graph::paths::{AllPairsPaths, Parallelism, PathSelection};
-    /// use peercache_graph::{builders, NodeId};
-    ///
-    /// let g = builders::path(4);
-    /// let mut costs = vec![1.0; 4];
-    /// let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops)?;
-    /// costs[3] = 5.0; // a leaf: never interior to any path
-    /// let redone = ap.update(&g, &costs, Parallelism::Sequential)?;
-    /// assert_eq!(redone, 0); // no row re-ran; queries still see the new cost
-    /// assert_eq!(ap.cost(NodeId::new(0), NodeId::new(3)), 8.0);
-    /// # Ok::<(), peercache_graph::GraphError>(())
-    /// ```
-    pub fn update(
-        &mut self,
-        g: &Graph,
-        node_cost: &[f64],
-        parallelism: Parallelism,
-    ) -> Result<usize, GraphError> {
-        let n = self.n;
-        if node_cost.len() < n || g.node_count() != n {
-            return Err(GraphError::NodeOutOfBounds {
-                node: NodeId::new(node_cost.len().min(g.node_count())),
-                node_count: n,
-            });
-        }
-        let words = words_per_row(n);
-        let mut dirty_words = vec![0u64; words];
-        let mut dirty = 0usize;
-        let mut rose_only = true;
-        for k in 0..n {
-            if node_cost[k] != self.node_cost[k] {
-                dirty_words[k / 64] |= 1u64 << (k % 64);
-                dirty += 1;
-                rose_only &= node_cost[k] > self.node_cost[k];
-            }
-        }
-        if dirty == 0 {
-            return Ok(0);
-        }
-        let rows: Vec<usize> = (0..n)
-            .filter(|&src| {
-                !rose_only
-                    || self.interior_mask[src * words..(src + 1) * words]
-                        .iter()
-                        .zip(&dirty_words)
-                        .any(|(m, d)| m & d != 0)
-            })
-            .collect();
-        self.node_cost.copy_from_slice(&node_cost[..n]);
-        let csr = Csr::from_graph(g);
-        let threads = parallelism.threads(rows.len());
-        let mut span = obs::span!(
-            "apsp.update",
-            sources = n,
-            dirty_nodes = dirty,
-            threads = threads,
-        );
-        let job = if rose_only && self.selection == PathSelection::FewestHops {
-            RowJob::Refresh {
-                changed: &dirty_words,
-            }
-        } else {
-            RowJob::Recompute
-        };
-        let refreshed = self.run_rows(&csr, node_cost, rows.iter().copied(), job, parallelism);
-        if span.is_recording() {
-            span.add_field("recomputed_sources", obs::Value::from(rows.len()));
-            span.add_field("refreshed_nodes", obs::Value::from(refreshed));
-        }
-        Ok(rows.len())
-    }
-
-    /// Incrementally refreshes the structure after **structural** edits —
-    /// edges removed or added, possibly combined with node-cost changes —
-    /// recomputing only the rows the edit can actually affect.
-    ///
-    /// `g` must be the graph *after* the edit; `removed_edges` /
-    /// `added_edges` list the net difference from the graph the structure
-    /// was last computed on (an edge must not appear in both lists). The
-    /// per-row invalidation rules:
+    /// Brings the structure up to date with `g` and `node_cost`,
+    /// absorbing every change since its last solve: node costs that
+    /// moved, edges removed or added, a grown node set. The structure
+    /// finds the changes itself, by diffing `g` against the adjacency it
+    /// last solved on ([`Csr::edge_diff`]) and `node_cost` against the
+    /// costs it holds, and re-solves only the rows they can affect. The
+    /// per-row rules, judged against the stored (pre-edit) trees and hop
+    /// labels:
     ///
     /// * **Removed edge `(u, v)`** — removal only prunes candidate
     ///   paths, so a row stays valid (and optimal) unless its stored
@@ -455,29 +350,41 @@ impl AllPairsPaths {
     ///   source (including both unreachable): an intra-layer edge is
     ///   never part of a hop-shortest path and is never considered by the
     ///   layer DP. Cost-first selection falls back to "dirty when either
-    ///   endpoint is reachable". More than one added edge per call falls
-    ///   back to a full recompute (per-edge tests against stale hop
-    ///   labels are unsound when additions compound).
-    /// * **Node-cost changes** are folded in. Increases use the interior
-    ///   bitset exactly like [`AllPairsPaths::update`]. A *decrease* at a
-    ///   connected node `k` under hop-first selection dirties only the
-    ///   rows for which `k` lies on some hop-shortest path — `k`
-    ///   reachable with a neighbor one BFS layer further out — which
-    ///   keeps departures (where surviving neighbors' degree terms drop)
-    ///   incremental. A decrease at an *isolated* node is ignored: it
-    ///   cannot be, or become, interior to any path. Cost-first
-    ///   selection with any decrease falls back to recomputing every
-    ///   remaining row.
-    /// * A **node-count change** rebuilds the whole structure.
+    ///   endpoint is reachable". More than one added edge rebuilds the
+    ///   whole structure (per-edge tests against stale hop labels are
+    ///   unsound when additions compound), and so does a node-count
+    ///   change.
+    /// * **A cost rise** at `k` dirties only the rows `k` is *interior*
+    ///   to. Endpoint terms are added at query time, so a row whose
+    ///   selected paths hold every changed node only as an endpoint
+    ///   keeps its interior costs, hops and parents.
+    /// * **A cost decrease** at a connected node `k` under hop-first
+    ///   selection dirties only the rows for which `k` lies on some
+    ///   hop-shortest path — `k` reachable with a neighbor one BFS layer
+    ///   further out — which keeps departures (where surviving
+    ///   neighbors' degree terms drop) incremental. A decrease at an
+    ///   *isolated* node is ignored: it cannot be, or become, interior to
+    ///   any path. Cost-first selection with any decrease re-runs every
+    ///   row.
     ///
-    /// Returns the number of rows recomputed; the result is
-    /// byte-identical to a fresh [`AllPairsPaths::compute_with`] on the
-    /// new graph and costs.
+    /// A dirty row is re-run from scratch, with one exception. When the
+    /// graph is unchanged, every changed cost *rose* and selection is
+    /// hop-first, the stored hop labels still hold, so the row is
+    /// refreshed in place: only the nodes whose stored tree path has a
+    /// changed node between the source and themselves re-solve their
+    /// best predecessor, in stored hop order. Every other node keeps its
+    /// stored parent: that candidate's cost is unchanged, while every
+    /// competing candidate can only have grown. The caching planners only
+    /// ever raise `S(k)`, so a chunk commit always takes this path.
+    ///
+    /// Returns the number of rows refreshed or re-run. The result is
+    /// byte-identical to a fresh [`AllPairsPaths::compute_with`] on `g`
+    /// and `node_cost`.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfBounds`] if `node_cost` is shorter
-    /// than `g`'s node count or an edit mentions an unknown node.
+    /// than `g`'s node count.
     ///
     /// # Example
     ///
@@ -486,21 +393,21 @@ impl AllPairsPaths {
     /// use peercache_graph::{builders, NodeId};
     ///
     /// let mut g = builders::grid(3, 3);
-    /// let costs = vec![1.0; 9];
+    /// let mut costs = vec![1.0; 9];
     /// let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops)?;
+    /// costs[8] = 5.0; // a corner: interior to no hop-shortest path
+    /// assert_eq!(ap.update(&g, &costs, Parallelism::Sequential)?, 0);
+    /// assert_eq!(ap.cost(NodeId::new(7), NodeId::new(8)), 6.0); // queries see it
     /// let (u, v) = (NodeId::new(4), NodeId::new(5));
     /// g.remove_edge(u, v)?;
-    /// let redone = ap.update_topology(&g, &costs, &[(u, v)], &[], Parallelism::Sequential)?;
-    /// assert!(redone < 9); // only rows whose tree used (4, 5)
+    /// assert!(ap.update(&g, &costs, Parallelism::Sequential)? < 9); // rows whose tree used (4, 5)
     /// assert_eq!(ap.hops(u, v), Some(3)); // rerouted around the gap
     /// # Ok::<(), peercache_graph::GraphError>(())
     /// ```
-    pub fn update_topology(
+    pub fn update(
         &mut self,
         g: &Graph,
         node_cost: &[f64],
-        removed_edges: &[(NodeId, NodeId)],
-        added_edges: &[(NodeId, NodeId)],
         parallelism: Parallelism,
     ) -> Result<usize, GraphError> {
         if node_cost.len() < g.node_count() {
@@ -509,147 +416,125 @@ impl AllPairsPaths {
                 node_count: g.node_count(),
             });
         }
-        for &(u, v) in removed_edges.iter().chain(added_edges) {
-            for e in [u, v] {
-                if e.index() >= g.node_count() {
-                    return Err(GraphError::NodeOutOfBounds {
-                        node: e,
-                        node_count: g.node_count(),
-                    });
-                }
-            }
-        }
-        if g.node_count() != self.n || added_edges.len() > 1 {
+        let diff = self.csr.edge_diff(g);
+        if g.node_count() != self.n || diff.added.len() > 1 {
             *self = AllPairsPaths::compute_with(g, node_cost, self.selection, parallelism)?;
             return Ok(self.n);
         }
         let n = self.n;
-        if n == 0 {
-            return Ok(0);
-        }
-        debug_assert!(
-            removed_edges.iter().all(|&(u, v)| !g.contains_edge(u, v)),
-            "removed_edges must already be absent from the post-edit graph"
-        );
-        debug_assert!(
-            added_edges.iter().all(|&(u, v)| g.contains_edge(u, v)),
-            "added_edges must be present in the post-edit graph"
-        );
-        let words = words_per_row(n);
-
-        // Structurally dirty rows, judged against the stored (pre-edit)
-        // trees and hop labels.
-        let mut dirty = vec![false; n];
-        for (src, flag) in dirty.iter_mut().enumerate() {
-            let base = src * n;
-            let row_parent = &self.parent[base..base + n];
-            let row_hops = &self.hops[base..base + n];
-            let tree_edge =
-                |child: NodeId, p: NodeId| row_parent[child.index()] as usize == p.index();
-            *flag = removed_edges
-                .iter()
-                .any(|&(u, v)| tree_edge(v, u) || tree_edge(u, v))
-                || added_edges.first().is_some_and(|&(u, v)| {
-                    let (hu, hv) = (row_hops[u.index()], row_hops[v.index()]);
-                    match self.selection {
-                        PathSelection::FewestHops => hu != hv,
-                        PathSelection::MinCost => hu != UNREACHABLE_HOPS || hv != UNREACHABLE_HOPS,
-                    }
-                });
-        }
-        let structural: Vec<usize> = (0..n).filter(|&src| dirty[src]).collect();
-        let csr = Csr::from_graph(g);
-        let mut span = obs::span!(
-            "apsp.update_topology",
-            sources = n,
-            removed = removed_edges.len(),
-            added = added_edges.len(),
-        );
-        let rows = structural.iter().copied();
-        self.run_rows(&csr, node_cost, rows, RowJob::Recompute, parallelism);
-
-        // Fold node-cost changes into the rows the edit left untouched
-        // (structurally dirty rows were recomputed with the new costs).
-        let mut dirty_words = vec![0u64; words];
-        let mut cost_changed = false;
+        let mut changed = vec![0u64; words_per_row(n)];
+        let mut dirty_nodes = 0usize;
+        let mut rose_only = true;
         let mut decreased: Vec<usize> = Vec::new();
         for k in 0..n {
             if node_cost[k] != self.node_cost[k] {
-                cost_changed = true;
-                dirty_words[k / 64] |= 1u64 << (k % 64);
+                changed[k / 64] |= 1u64 << (k % 64);
+                dirty_nodes += 1;
+                rose_only &= node_cost[k] > self.node_cost[k];
                 if node_cost[k] < self.node_cost[k] && g.degree(NodeId::new(k)) > 0 {
                     decreased.push(k);
                 }
             }
         }
-        self.node_cost[..n].copy_from_slice(&node_cost[..n]);
-        let mut cost_rows: Vec<usize> = Vec::new();
-        if cost_changed {
-            let mincost_fallback =
-                !decreased.is_empty() && self.selection == PathSelection::MinCost;
-            for (src, &row_dirty) in dirty.iter().enumerate() {
-                if row_dirty {
-                    continue;
-                }
-                let needs = mincost_fallback
-                    || self.interior_mask[src * words..(src + 1) * words]
-                        .iter()
-                        .zip(&dirty_words)
-                        .any(|(m, d)| m & d != 0)
-                    || decreased.iter().any(|&k| {
-                        // The source's own cost never enters its row
-                        // (it steps at cost 0), so skip k == src.
-                        let hk = self.hops[src * n + k];
-                        k != src
-                            && hk != UNREACHABLE_HOPS
-                            && csr
-                                .neighbors(k)
-                                .iter()
-                                .any(|&x| self.hops[src * n + x as usize] == hk + 1)
-                    });
-                if needs {
-                    cost_rows.push(src);
-                }
-            }
-            let rows = cost_rows.iter().copied();
-            self.run_rows(&csr, node_cost, rows, RowJob::Recompute, parallelism);
+        if dirty_nodes == 0 && diff.is_empty() {
+            return Ok(0);
         }
-        let total = structural.len() + cost_rows.len();
+        let csr = Csr::from_graph(g);
+        let rows: Vec<usize> = (0..n)
+            .filter(|&src| self.row_is_stale(src, &diff, &csr, &changed, &decreased))
+            .collect();
+        self.node_cost.copy_from_slice(&node_cost[..n]);
+        self.csr = csr;
+        let threads = parallelism.threads(rows.len());
+        let mut span = obs::span!(
+            "apsp.update",
+            sources = n,
+            dirty_nodes = dirty_nodes,
+            removed = diff.removed.len(),
+            added = diff.added.len(),
+            threads = threads,
+        );
+        let job = if diff.is_empty() && rose_only && self.selection == PathSelection::FewestHops {
+            RowJob::Refresh { changed: &changed }
+        } else {
+            RowJob::Recompute
+        };
+        let refreshed = self.run_rows(node_cost, rows.iter().copied(), job, parallelism);
         if span.is_recording() {
-            span.add_field("recomputed_sources", obs::Value::from(total));
+            span.add_field("recomputed_sources", obs::Value::from(rows.len()));
+            span.add_field("refreshed_nodes", obs::Value::from(refreshed));
         }
-        Ok(total)
+        Ok(rows.len())
     }
 
-    /// Runs `job` on the given rows (ascending) in place against `csr`,
-    /// sequentially or over scoped threads that each take a contiguous
-    /// share of them. Rows are independent, so the result is
-    /// byte-identical for any thread count.
+    /// Whether [`AllPairsPaths::update`]'s rules dirty row `src`, read
+    /// off the stored row before it changes: `csr` is the new adjacency,
+    /// `changed` the bitset of nodes whose cost moved and `decreased`
+    /// the connected nodes whose cost fell.
+    fn row_is_stale(
+        &self,
+        src: usize,
+        diff: &EdgeDiff,
+        csr: &Csr,
+        changed: &[u64],
+        decreased: &[usize],
+    ) -> bool {
+        let (n, words) = (self.n, changed.len());
+        let row_parent = &self.parent[src * n..(src + 1) * n];
+        let row_hops = &self.hops[src * n..(src + 1) * n];
+        let tree_edge = |child: NodeId, p: NodeId| row_parent[child.index()] as usize == p.index();
+        let structural = diff
+            .removed
+            .iter()
+            .any(|&(u, v)| tree_edge(v, u) || tree_edge(u, v))
+            || diff.added.first().is_some_and(|&(u, v)| {
+                let (hu, hv) = (row_hops[u.index()], row_hops[v.index()]);
+                match self.selection {
+                    PathSelection::FewestHops => hu != hv,
+                    PathSelection::MinCost => hu != UNREACHABLE_HOPS || hv != UNREACHABLE_HOPS,
+                }
+            });
+        structural
+            || (!decreased.is_empty() && self.selection == PathSelection::MinCost)
+            || self.interior_mask[src * words..(src + 1) * words]
+                .iter()
+                .zip(changed)
+                .any(|(m, d)| m & d != 0)
+            || decreased.iter().any(|&k| {
+                // The source's own cost never enters its row (it steps
+                // at cost 0), so skip k == src.
+                let hk = row_hops[k];
+                k != src
+                    && hk != UNREACHABLE_HOPS
+                    && csr
+                        .neighbors(k)
+                        .iter()
+                        .any(|&x| row_hops[x as usize] == hk + 1)
+            })
+    }
+
+    /// Runs `job` on the given rows (ascending) in place against the
+    /// held adjacency, sequentially or over scoped threads that each
+    /// take a contiguous share of them. Rows are independent, so the
+    /// result is byte-identical for any thread count.
     ///
     /// Returns the number of nodes whose predecessor was re-solved.
     fn run_rows(
         &mut self,
-        csr: &Csr,
         node_cost: &[f64],
         rows: impl ExactSizeIterator<Item = usize>,
         job: RowJob<'_>,
         parallelism: Parallelism,
     ) -> usize {
-        let (n, selection) = (self.n, self.selection);
+        if rows.len() == 0 {
+            return 0;
+        }
+        let (n, selection, csr) = (self.n, self.selection, &self.csr);
         let solve = |src: usize, row: &mut RowMut<'_>, scratch: &mut Scratch| match job {
             RowJob::Recompute => single_source(csr, node_cost, src, selection, row, scratch),
             RowJob::Refresh { changed } => refresh_row(csr, node_cost, src, changed, row, scratch),
         };
-        if rows.len() == 0 {
-            return 0;
-        }
         let threads = parallelism.threads(rows.len());
-        if threads <= 1 {
-            let mut scratch = Scratch::new(n);
-            return rows
-                .map(|src| solve(src, &mut self.row_mut(src), &mut scratch))
-                .sum();
-        }
         let words = words_per_row(n);
         let mut wanted = rows.peekable();
         let mut views: Vec<(usize, RowMut<'_>)> = Vec::with_capacity(wanted.len());
@@ -670,6 +555,13 @@ impl AllPairsPaths {
                 views.push((src, row));
             }
         }
+        if threads <= 1 {
+            let mut scratch = Scratch::new(n);
+            return views
+                .iter_mut()
+                .map(|(src, row)| solve(*src, row, &mut scratch))
+                .sum();
+        }
         let per = views.len().div_ceil(threads);
         let solve = &solve;
         std::thread::scope(|s| {
@@ -687,17 +579,6 @@ impl AllPairsPaths {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         })
-    }
-
-    /// Disjoint mutable views of one source's row.
-    fn row_mut(&mut self, src: usize) -> RowMut<'_> {
-        let (n, words) = (self.n, words_per_row(self.n));
-        RowMut {
-            interior: &mut self.interior[src * n..(src + 1) * n],
-            hops: &mut self.hops[src * n..(src + 1) * n],
-            parent: &mut self.parent[src * n..(src + 1) * n],
-            mask: &mut self.interior_mask[src * words..(src + 1) * words],
-        }
     }
 
     /// Number of nodes the structure was computed for.
@@ -1448,10 +1329,13 @@ mod tests {
                 let fresh = AllPairsPaths::compute(&g, &costs, selection).unwrap();
                 assert_identical(&ap, &fresh, &g);
             }
-            // A decrease falls back to the full recompute and stays correct.
+            // A decrease at the centre re-runs every row it can lie on a
+            // hop-shortest path of: all but its own under hop-first
+            // selection; cost-first selection re-runs every row.
             costs[12] -= 3.0;
             let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
-            assert_eq!(redone, g.node_count());
+            let every_row = g.node_count() - usize::from(selection == PathSelection::FewestHops);
+            assert_eq!(redone, every_row);
             let fresh = AllPairsPaths::compute(&g, &costs, selection).unwrap();
             assert_identical(&ap, &fresh, &g);
             costs[12] += 1.0; // restore for the next selection
@@ -1470,7 +1354,6 @@ mod tests {
         ap.node_cost.copy_from_slice(&costs);
         let changed = [1u64 << 2];
         let resolved = ap.run_rows(
-            &Csr::from_graph(&g),
             &costs,
             0..5,
             RowJob::Refresh { changed: &changed },
@@ -1532,9 +1415,7 @@ mod tests {
             let mut ap = AllPairsPaths::compute(&g, &costs, selection).unwrap();
             let (u, v) = (NodeId::new(6), NodeId::new(7));
             g.remove_edge(u, v).unwrap();
-            let redone = ap
-                .update_topology(&g, &costs, &[(u, v)], &[], Parallelism::Sequential)
-                .unwrap();
+            let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
             let fresh = AllPairsPaths::compute(&g, &costs, selection).unwrap();
             assert_identical(&ap, &fresh, &g);
             assert!(redone < 25, "removal must stay incremental, redid {redone}");
@@ -1549,9 +1430,7 @@ mod tests {
             let mut ap = AllPairsPaths::compute(&g, &costs, selection).unwrap();
             let (u, v) = (NodeId::new(0), NodeId::new(3));
             g.add_edge(u, v).unwrap();
-            let redone = ap
-                .update_topology(&g, &costs, &[], &[(u, v)], Parallelism::Sequential)
-                .unwrap();
+            let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
             let fresh = AllPairsPaths::compute(&g, &costs, selection).unwrap();
             assert_identical(&ap, &fresh, &g);
             if selection == PathSelection::FewestHops {
@@ -1574,14 +1453,11 @@ mod tests {
             .collect();
         let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
         let dead = NodeId::new(12); // center
-        let former = g.remove_node(dead).unwrap();
-        let removed: Vec<(NodeId, NodeId)> = former.iter().map(|&v| (dead, v)).collect();
+        g.remove_node(dead).unwrap();
         let new_costs: Vec<f64> = (0..25)
             .map(|k| 1.0 + (g.degree(NodeId::new(k))) as f64)
             .collect();
-        let redone = ap
-            .update_topology(&g, &new_costs, &removed, &[], Parallelism::Sequential)
-            .unwrap();
+        let redone = ap.update(&g, &new_costs, Parallelism::Sequential).unwrap();
         let fresh = AllPairsPaths::compute(&g, &new_costs, PathSelection::FewestHops).unwrap();
         assert_identical(&ap, &fresh, &g);
         assert!(redone <= 25);
@@ -1591,24 +1467,20 @@ mod tests {
     #[test]
     fn topology_update_pure_decrease_stays_incremental_hop_first() {
         // Lowering the cost of a node that no hop-shortest path can use
-        // must not recompute anything (the old `update` would redo all
-        // rows on any decrease).
+        // must not recompute anything.
         let g = builders::path(4);
         let mut costs = vec![1.0, 1.0, 1.0, 5.0];
         let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
         costs[3] = 2.0; // a leaf: never interior
-        let redone = ap
-            .update_topology(&g, &costs, &[], &[], Parallelism::Sequential)
-            .unwrap();
+        let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
         assert_eq!(redone, 0);
         let fresh = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
         assert_identical(&ap, &fresh, &g);
-        // An interior decrease re-runs the rows that can route through it.
+        // An interior decrease re-runs the rows that can route through
+        // it: node 1 lies between 0 and {2, 3}, and between 2 and 0.
         costs[1] = 0.5;
-        let redone = ap
-            .update_topology(&g, &costs, &[], &[], Parallelism::Sequential)
-            .unwrap();
-        assert!(redone > 0);
+        let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
+        assert_eq!(redone, 3);
         let fresh = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
         assert_identical(&ap, &fresh, &g);
     }
@@ -1621,15 +1493,7 @@ mod tests {
         let new = g.add_node();
         g.add_edge(new, NodeId::new(2)).unwrap();
         costs.push(1.0);
-        let redone = ap
-            .update_topology(
-                &g,
-                &costs,
-                &[],
-                &[(new, NodeId::new(2))],
-                Parallelism::Sequential,
-            )
-            .unwrap();
+        let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
         assert_eq!(redone, 4);
         assert_eq!(ap.node_count(), 4);
         let fresh = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
@@ -1648,29 +1512,10 @@ mod tests {
         for &(u, v) in &added {
             g.add_edge(u, v).unwrap();
         }
-        let redone = ap
-            .update_topology(&g, &costs, &[], &added, Parallelism::Sequential)
-            .unwrap();
+        let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
         assert_eq!(redone, 4);
         let fresh = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
         assert_identical(&ap, &fresh, &g);
-    }
-
-    #[test]
-    fn topology_update_rejects_unknown_endpoints() {
-        let g = builders::path(3);
-        let mut ap =
-            AllPairsPaths::compute(&g, &unit_costs(&g), PathSelection::FewestHops).unwrap();
-        let err = ap
-            .update_topology(
-                &g,
-                &unit_costs(&g),
-                &[(NodeId::new(0), NodeId::new(9))],
-                &[],
-                Parallelism::Sequential,
-            )
-            .unwrap_err();
-        assert!(matches!(err, GraphError::NodeOutOfBounds { .. }));
     }
 
     /// Tiny deterministic xorshift so the randomized churn test needs no
@@ -1701,36 +1546,33 @@ mod tests {
                 AllPairsPaths::compute_with(&g, &costs, selection, Parallelism::Threads(3))
                     .unwrap();
             let mut rng = XorShift(0x9e3779b97f4a7c15);
-            for step in 0..60 {
-                let (mut removed, mut added) = (Vec::new(), Vec::new());
-                match rng.below(3) {
-                    0 => {
-                        let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
-                        if !edges.is_empty() {
-                            let (u, v) = edges[rng.below(edges.len())];
-                            g.remove_edge(u, v).unwrap();
-                            removed.push((u, v));
-                        }
+            for step in 0..80 {
+                // A removal, an addition, a cost change, or a batch of
+                // one removal and one addition.
+                let op = rng.below(4);
+                if op == 0 || op == 3 {
+                    let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+                    if !edges.is_empty() {
+                        let (u, v) = edges[rng.below(edges.len())];
+                        g.remove_edge(u, v).unwrap();
                     }
-                    1 => {
-                        let (u, v) = (NodeId::new(rng.below(16)), NodeId::new(rng.below(16)));
-                        if u != v && !g.contains_edge(u, v) {
-                            g.add_edge(u, v).unwrap();
-                            added.push((u, v));
-                        }
+                }
+                if op == 1 || op == 3 {
+                    let (u, v) = (NodeId::new(rng.below(16)), NodeId::new(rng.below(16)));
+                    if u != v {
+                        g.add_edge(u, v).unwrap();
                     }
-                    _ => {
-                        let k = rng.below(16);
-                        costs[k] = 1.0 + rng.below(7) as f64;
-                    }
+                }
+                if op == 2 {
+                    let k = rng.below(16);
+                    costs[k] = 1.0 + rng.below(7) as f64;
                 }
                 let par = if step % 2 == 0 {
                     Parallelism::Sequential
                 } else {
                     Parallelism::Threads(4)
                 };
-                ap.update_topology(&g, &costs, &removed, &added, par)
-                    .unwrap();
+                ap.update(&g, &costs, par).unwrap();
                 let fresh = AllPairsPaths::compute(&g, &costs, selection).unwrap();
                 assert_identical(&ap, &fresh, &g);
             }
@@ -1777,14 +1619,14 @@ mod tests {
     }
 
     #[test]
-    fn update_rejects_mismatched_graph() {
+    fn update_rejects_a_short_cost_slice() {
         let g = builders::grid(3, 3);
         let mut ap =
             AllPairsPaths::compute(&g, &unit_costs(&g), PathSelection::FewestHops).unwrap();
-        let other = builders::grid(2, 2);
-        assert!(ap
-            .update(&other, &unit_costs(&g), Parallelism::Sequential)
-            .is_err());
+        let err = ap
+            .update(&g, &[1.0; 8], Parallelism::Sequential)
+            .unwrap_err();
+        assert!(matches!(err, GraphError::NodeOutOfBounds { .. }));
     }
 
     #[test]

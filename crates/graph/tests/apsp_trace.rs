@@ -24,9 +24,11 @@ fn update_span_counts_touched_rows_and_refreshed_nodes() {
     let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
     costs[2] = 3.0;
     assert_eq!(ap.update(&g, &costs, Parallelism::Sequential).unwrap(), 4);
-    // A decrease re-runs every row in full: 5 rows of 4 nodes.
+    // A decrease re-runs in full every row the node can lie on a
+    // hop-shortest path of: the four rows other than its own, 4 nodes
+    // each.
     costs[2] = 0.5;
-    assert_eq!(ap.update(&g, &costs, Parallelism::Sequential).unwrap(), 5);
+    assert_eq!(ap.update(&g, &costs, Parallelism::Sequential).unwrap(), 4);
     obs::flush();
 
     let content = std::fs::read_to_string(&path).expect("trace file exists");
@@ -36,7 +38,7 @@ fn update_span_counts_touched_rows_and_refreshed_nodes() {
         .filter(|l| l.contains("\"name\":\"apsp.update\""))
         .collect();
     assert_eq!(updates.len(), 2, "{content}");
-    for (line, (rows, nodes)) in updates.iter().zip([(4, 8), (5, 20)]) {
+    for (line, (rows, nodes)) in updates.iter().zip([(4, 8), (4, 16)]) {
         assert!(
             line.contains(&format!("\"recomputed_sources\":{rows}")),
             "{line}"

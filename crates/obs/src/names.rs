@@ -14,7 +14,6 @@
 pub const REGISTERED_NAMES: &[&str] = &[
     "apsp.compute",
     "apsp.update",
-    "apsp.update_topology",
     "bench.run",
     "bench.walltime_by_size",
     "core.dual_ascent",

@@ -269,3 +269,50 @@ fn traces_replay_identically_across_runs() {
         "cross-shard total moved from the pinned trace"
     );
 }
+
+/// One tick that takes links 0–1 and 14–15 down and brings 0–14 and
+/// 1–15 up on a 6×6 grid leaves every degree, hence every contention
+/// term, unchanged. The scoped store must still reprice the four pairs:
+/// the new links cost their two endpoint terms, and the old pairs are
+/// now at least two hops apart.
+#[test]
+fn a_degree_preserving_link_swap_reprices_the_scoped_store() {
+    let net = Network::new(builders::grid(6, 6), NodeId::new(35), 5).expect("grid network builds");
+    let cfg = ShardConfig {
+        approx: ApproxConfig::default(),
+        scoped: ScopedConfig {
+            region_max: 12,
+            ..ScopedConfig::default()
+        },
+    };
+    let mut world = ShardedWorld::new(net, cfg).expect("sharded world builds");
+    world
+        .tick(&[WorldEvent::ChunkArrived])
+        .expect("arrival ticks");
+    let id = NodeId::new;
+    let swap = [
+        WorldEvent::LinkDown(id(0), id(1)),
+        WorldEvent::LinkDown(id(14), id(15)),
+        WorldEvent::LinkUp(id(0), id(14)),
+        WorldEvent::LinkUp(id(1), id(15)),
+    ];
+    let report = world.tick(&swap).expect("swap ticks");
+    assert_eq!((report.links_removed, report.links_added), (2, 2));
+    world.validate().expect("world stays consistent");
+    let store = world.scoped();
+    for (u, v) in [(0, 14), (1, 15)] {
+        let (cost, edge) = (store.cost(id(u), id(v)), store.edge_cost(id(u), id(v)));
+        assert_eq!(
+            cost.to_bits(),
+            edge.to_bits(),
+            "new link {u}-{v}: {cost} vs {edge}"
+        );
+    }
+    for (u, v) in [(0, 1), (14, 15)] {
+        let (cost, edge) = (store.cost(id(u), id(v)), store.edge_cost(id(u), id(v)));
+        assert!(
+            cost > edge,
+            "dropped link {u}-{v} still priced as one: {cost}"
+        );
+    }
+}
