@@ -12,7 +12,6 @@ use peercache_core::placement::{recost_final, Placement};
 use peercache_core::planner::CachePlanner;
 use peercache_core::Network;
 use peercache_dist::DistributedPlanner;
-use peercache_graph::paths::PathSelection;
 use peercache_obs as obs;
 
 /// The four algorithms every figure compares (Brtf joins where feasible).
@@ -47,13 +46,8 @@ pub fn run_final_costed(
     chunks: usize,
 ) -> (Placement, Network) {
     let (placement, final_net) = run_planner(planner, net, chunks);
-    let recosted = recost_final(
-        &final_net,
-        &placement,
-        CostWeights::default(),
-        PathSelection::FewestHops,
-    )
-    .expect("recosting a valid placement succeeds");
+    let recosted = recost_final(&final_net, &placement, CostWeights::default())
+        .expect("recosting a valid placement succeeds");
     (recosted, final_net)
 }
 

@@ -60,7 +60,8 @@ pub struct ApproxConfig {
     pub span_threshold: usize,
     /// Objective weights (fairness / contention / dissemination).
     pub weights: CostWeights,
-    /// Path routing model for the contention metric.
+    /// The route model of the contention metric. Unread: every path is
+    /// hop-shortest, the one [`PathSelection`] variant.
     pub selection: PathSelection,
     /// Thread fan-out for the all-pairs shortest-path phases. Purely a
     /// wall-clock knob: every setting produces byte-identical plans.
@@ -758,7 +759,6 @@ impl CachePlanner for ApproxPlanner {
                 net,
                 (0..chunk_count).map(ChunkId::new),
                 cfg.weights,
-                cfg.selection,
                 cfg.parallelism,
                 &cfg.replication,
                 |net, inst, _, span| self.select(net, inst, span),
@@ -793,7 +793,7 @@ mod tests {
     }
 
     fn build_inst(net: &Network) -> ConflInstance {
-        ConflInstance::build(net, CostWeights::default(), PathSelection::FewestHops).unwrap()
+        ConflInstance::build(net, CostWeights::default()).unwrap()
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! Costs reported per chunk use the same Contention Cost model as every
 //! other planner, so the figures compare like with like.
 
-use peercache_graph::paths::{induced_rows, Parallelism, PathSelection};
+use peercache_graph::paths::{induced_rows, Parallelism};
 use peercache_graph::{components, NodeId};
 
 use crate::costs::CostWeights;
@@ -49,8 +49,6 @@ pub struct BaselineConfig {
     pub lambda: f64,
     /// Objective weights used when *reporting* costs.
     pub weights: CostWeights,
-    /// Path routing model used when *reporting* costs.
-    pub selection: PathSelection,
 }
 
 impl Default for BaselineConfig {
@@ -58,7 +56,6 @@ impl Default for BaselineConfig {
         BaselineConfig {
             lambda: 1.0,
             weights: CostWeights::default(),
-            selection: PathSelection::FewestHops,
         }
     }
 }
@@ -124,13 +121,7 @@ fn greedy_select(
     }
     // Every member is a source: the greedy sweep reads every
     // candidate-to-client pair.
-    let (costs, hops) = induced_rows(
-        g,
-        component,
-        component,
-        &node_costs,
-        PathSelection::FewestHops,
-    )?;
+    let (costs, hops) = induced_rows(g, component, component, &node_costs)?;
     let cost = |i: usize, j: usize| -> f64 {
         match metric {
             BaselineMetric::HopCount => match hops[i * size + j] {
@@ -216,7 +207,6 @@ impl CachePlanner for GreedyBaselinePlanner {
             net,
             (0..chunk_count).map(ChunkId::new),
             self.config.weights,
-            self.config.selection,
             Parallelism::Sequential,
             &ReplicationPolicy::default(),
             |net, _, _, _| {

@@ -138,22 +138,22 @@ pub struct ContentionMatrix {
 }
 
 impl ContentionMatrix {
-    /// Computes the matrix for the network's current caching state.
-    ///
-    /// `selection` controls whether packets follow the hop-shortest path
-    /// (the paper's model) or the contention-cheapest path (ablation).
+    /// Computes the matrix for the network's current caching state:
+    /// every pair's cost along its hop-shortest path, the paper's model.
     ///
     /// # Errors
     ///
     /// Propagates [`CoreError::Graph`] on internal failures (cannot
     /// happen for a well-formed [`Network`]).
-    pub fn compute(net: &Network, selection: PathSelection) -> Result<Self, CoreError> {
-        ContentionMatrix::compute_with(net, selection, Parallelism::Sequential)
+    pub fn compute(net: &Network) -> Result<Self, CoreError> {
+        ContentionMatrix::compute_with(net, PathSelection::FewestHops, Parallelism::Sequential)
     }
 
     /// Computes the matrix with a configurable thread fan-out for the
     /// per-source shortest-path runs; byte-identical to
     /// [`ContentionMatrix::compute`] for every [`Parallelism`] choice.
+    /// `_selection` is unread: [`PathSelection`] names the one route
+    /// model.
     ///
     /// # Errors
     ///
@@ -161,11 +161,11 @@ impl ContentionMatrix {
     /// happen for a well-formed [`Network`]).
     pub fn compute_with(
         net: &Network,
-        selection: PathSelection,
+        _selection: PathSelection,
         parallelism: Parallelism,
     ) -> Result<Self, CoreError> {
         let terms = node_contention_terms(net);
-        let paths = AllPairsPaths::compute_with(net.graph(), &terms, selection, parallelism)?;
+        let paths = AllPairsPaths::compute_with(net.graph(), &terms, parallelism)?;
         Ok(ContentionMatrix { terms, paths })
     }
 
@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn diagonal_cost_is_zero() {
         let net = net();
-        let m = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        let m = ContentionMatrix::compute(&net).unwrap();
         for n in net.graph().nodes() {
             assert_eq!(m.cost(n, n), 0.0);
         }
@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn adjacent_cost_sums_both_endpoints() {
         let net = net();
-        let m = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        let m = ContentionMatrix::compute(&net).unwrap();
         // corner 0 (w=2) and edge 1 (w=3), nothing cached.
         assert_eq!(m.cost(NodeId::new(0), NodeId::new(1)), 5.0);
         assert_eq!(m.edge_cost(NodeId::new(0), NodeId::new(1)), 5.0);
@@ -308,9 +308,9 @@ mod tests {
     #[test]
     fn matrix_reflects_state_changes_after_recompute() {
         let mut net = net();
-        let before = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        let before = ContentionMatrix::compute(&net).unwrap();
         net.cache(NodeId::new(1), ChunkId::new(0)).unwrap();
-        let after = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        let after = ContentionMatrix::compute(&net).unwrap();
         assert!(
             after.cost(NodeId::new(0), NodeId::new(1))
                 > before.cost(NodeId::new(0), NodeId::new(1))
@@ -320,7 +320,7 @@ mod tests {
     #[test]
     fn hops_are_available_for_the_hopc_baseline() {
         let net = net();
-        let m = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        let m = ContentionMatrix::compute(&net).unwrap();
         assert_eq!(m.hops(NodeId::new(0), NodeId::new(8)), Some(4));
     }
 
@@ -344,13 +344,13 @@ mod tests {
     #[test]
     fn update_after_commits_matches_fresh_compute() {
         let mut net = net();
-        let mut m = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        let mut m = ContentionMatrix::compute(&net).unwrap();
         for (chunk, node) in [(0usize, 1usize), (1, 7), (2, 1)] {
             net.cache(NodeId::new(node), ChunkId::new(chunk)).unwrap();
             let dirty = [NodeId::new(node), net.producer()];
             let redone = m.update(&net, &dirty, Parallelism::Sequential).unwrap();
             assert!(redone <= net.node_count());
-            let fresh = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+            let fresh = ContentionMatrix::compute(&net).unwrap();
             assert_matrices_identical(&m, &fresh, &net);
         }
     }
@@ -359,13 +359,13 @@ mod tests {
     fn topology_update_after_departure_matches_fresh() {
         let mut net = net();
         net.cache(NodeId::new(1), ChunkId::new(0)).unwrap();
-        let mut m = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        let mut m = ContentionMatrix::compute(&net).unwrap();
         let dep = net.deactivate_node(NodeId::new(8)).unwrap();
         let mut dirty = dep.former_neighbors;
         dirty.push(NodeId::new(8));
         let redone = m.update(&net, &dirty, Parallelism::Sequential).unwrap();
         assert!(redone <= net.node_count());
-        let fresh = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        let fresh = ContentionMatrix::compute(&net).unwrap();
         assert_matrices_identical(&m, &fresh, &net);
         assert!(m.cost(NodeId::new(0), NodeId::new(8)).is_infinite());
         // The ghost node contributes nothing to contention.
@@ -375,13 +375,13 @@ mod tests {
     #[test]
     fn topology_update_after_link_churn_matches_fresh() {
         let mut net = net();
-        let mut m = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        let mut m = ContentionMatrix::compute(&net).unwrap();
         let (n0, n4, n5) = (NodeId::new(0), NodeId::new(4), NodeId::new(5));
         net.remove_link(n4, n5).unwrap();
         m.update(&net, &[n4, n5], Parallelism::Sequential).unwrap();
         net.add_link(n0, n4).unwrap();
         m.update(&net, &[n0, n4], Parallelism::Sequential).unwrap();
-        let fresh = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        let fresh = ContentionMatrix::compute(&net).unwrap();
         assert_matrices_identical(&m, &fresh, &net);
     }
 
@@ -391,32 +391,25 @@ mod tests {
         // come up in one batch: every degree, hence every term, is
         // unchanged, so only the graph diff can see the edit.
         let mut net = Network::new(builders::grid(6, 6), NodeId::new(35), 5).unwrap();
-        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
-            let mut m = ContentionMatrix::compute(&net, selection).unwrap();
-            let before = node_contention_terms(&net);
-            let (down, up) = if selection == PathSelection::FewestHops {
-                ([(0, 1), (14, 15)], [(0, 14), (1, 15)])
-            } else {
-                ([(0, 14), (1, 15)], [(0, 1), (14, 15)])
-            };
-            for (u, v) in down {
-                assert!(net.remove_link(NodeId::new(u), NodeId::new(v)).unwrap());
-            }
-            for (u, v) in up {
-                assert!(net.add_link(NodeId::new(u), NodeId::new(v)).unwrap());
-            }
-            assert_eq!(node_contention_terms(&net), before);
-            assert!(m.update(&net, &[], Parallelism::Sequential).unwrap() > 0);
-            let fresh = ContentionMatrix::compute(&net, selection).unwrap();
-            assert_matrices_identical(&m, &fresh, &net);
+        let mut m = ContentionMatrix::compute(&net).unwrap();
+        let before = node_contention_terms(&net);
+        for (u, v) in [(0, 1), (14, 15)] {
+            assert!(net.remove_link(NodeId::new(u), NodeId::new(v)).unwrap());
         }
+        for (u, v) in [(0, 14), (1, 15)] {
+            assert!(net.add_link(NodeId::new(u), NodeId::new(v)).unwrap());
+        }
+        assert_eq!(node_contention_terms(&net), before);
+        assert!(m.update(&net, &[], Parallelism::Sequential).unwrap() > 0);
+        let fresh = ContentionMatrix::compute(&net).unwrap();
+        assert_matrices_identical(&m, &fresh, &net);
     }
 
     #[test]
     fn parallel_compute_matches_sequential() {
         let mut net = net();
         net.cache(NodeId::new(3), ChunkId::new(0)).unwrap();
-        let seq = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        let seq = ContentionMatrix::compute(&net).unwrap();
         let par = ContentionMatrix::compute_with(
             &net,
             PathSelection::FewestHops,

@@ -23,7 +23,7 @@
 use peercache_graph::NodeId;
 use peercache_lp::{solve_milp, MilpOptions, Model, Relation, Sense};
 
-use peercache_graph::paths::{Parallelism, PathSelection};
+use peercache_graph::paths::Parallelism;
 
 use crate::costs::CostWeights;
 use crate::instance::ConflInstance;
@@ -36,8 +36,6 @@ use crate::{ChunkId, CoreError, Network, ReplicationPolicy};
 pub struct ExactConfig {
     /// Objective weights.
     pub weights: CostWeights,
-    /// Path routing model for the contention metric.
-    pub selection: PathSelection,
     /// Refuse to enumerate beyond this many facility candidates
     /// (`2^max_candidates` subsets). Subsets are 64-bit masks, so the
     /// effective cap is at most 63.
@@ -48,7 +46,6 @@ impl Default for ExactConfig {
     fn default() -> Self {
         ExactConfig {
             weights: CostWeights::default(),
-            selection: PathSelection::FewestHops,
             max_candidates: 20,
         }
     }
@@ -149,7 +146,6 @@ fn plan_exact(
         net,
         (0..chunk_count).map(ChunkId::new),
         config.weights,
-        config.selection,
         Parallelism::Sequential,
         &ReplicationPolicy::default(),
         |net, inst, _, _| solve(net, inst),
@@ -307,7 +303,7 @@ mod tests {
     }
 
     fn inst(net: &Network) -> ConflInstance {
-        ConflInstance::build(net, CostWeights::default(), PathSelection::FewestHops).unwrap()
+        ConflInstance::build(net, CostWeights::default()).unwrap()
     }
 
     #[test]

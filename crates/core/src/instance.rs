@@ -65,17 +65,14 @@ impl ConflInstance {
     /// # Errors
     ///
     /// Propagates [`CoreError::Graph`] from the path computation.
-    pub fn build(
-        net: &Network,
-        weights: CostWeights,
-        selection: PathSelection,
-    ) -> Result<Self, CoreError> {
-        ConflInstance::build_with_clients(net, weights, selection, net.clients().collect())
+    pub fn build(net: &Network, weights: CostWeights) -> Result<Self, CoreError> {
+        ConflInstance::build_with_clients(net, weights, net.clients().collect())
     }
 
     /// Builds the instance for one specific chunk, honoring its
     /// interest restriction ([`Network::set_interest`]): only the
-    /// chunk's audience appears as ConFL clients.
+    /// chunk's audience appears as ConFL clients. `_selection` is
+    /// unread: [`PathSelection`] names the one route model.
     ///
     /// # Errors
     ///
@@ -84,9 +81,9 @@ impl ConflInstance {
         net: &Network,
         chunk: ChunkId,
         weights: CostWeights,
-        selection: PathSelection,
+        _selection: PathSelection,
     ) -> Result<Self, CoreError> {
-        ConflInstance::build_with_clients(net, weights, selection, net.interested_clients(chunk))
+        ConflInstance::build_with_clients(net, weights, net.interested_clients(chunk))
     }
 
     /// Builds the instance for one chunk around an already-computed
@@ -138,10 +135,9 @@ impl ConflInstance {
     fn build_with_clients(
         net: &Network,
         weights: CostWeights,
-        selection: PathSelection,
         clients: Vec<NodeId>,
     ) -> Result<Self, CoreError> {
-        let matrix = ContentionMatrix::compute(net, selection)?;
+        let matrix = ContentionMatrix::compute(net)?;
         Ok(ConflInstance {
             producer: net.producer(),
             facility_cost: ConflInstance::facility_costs(net, weights),
@@ -373,7 +369,7 @@ mod tests {
     }
 
     fn instance(net: &Network) -> ConflInstance {
-        ConflInstance::build(net, CostWeights::default(), PathSelection::FewestHops).unwrap()
+        ConflInstance::build(net, CostWeights::default()).unwrap()
     }
 
     #[test]
@@ -451,7 +447,7 @@ mod tests {
             ..Default::default()
         };
         let base = instance(&net);
-        let scaled = ConflInstance::build(&net, weights, PathSelection::FewestHops).unwrap();
+        let scaled = ConflInstance::build(&net, weights).unwrap();
         let set = [NodeId::new(0)];
         let (c1, _, _) = base.evaluate_set(&net, &set).unwrap();
         let (c3, _, _) = scaled.evaluate_set(&net, &set).unwrap();
@@ -466,7 +462,7 @@ mod tests {
             fairness: 2.0,
             ..Default::default()
         };
-        let inst = ConflInstance::build(&net, weights, PathSelection::FewestHops).unwrap();
+        let inst = ConflInstance::build(&net, weights).unwrap();
         // f_0 = 1/(2-1) = 1, weighted by 2.
         assert_eq!(inst.facility_cost(NodeId::new(0)), 2.0);
     }
@@ -479,7 +475,7 @@ mod tests {
             battery_fairness: 2.0,
             ..Default::default()
         };
-        let inst = ConflInstance::build(&net, weights, PathSelection::FewestHops).unwrap();
+        let inst = ConflInstance::build(&net, weights).unwrap();
         // storage term 0 + 2 * 3 = 6.
         assert_eq!(inst.facility_cost(NodeId::new(0)), 6.0);
         // Full-battery peers are unaffected.
@@ -502,7 +498,7 @@ mod tests {
             battery_fairness: 1.0,
             ..Default::default()
         };
-        let inst = ConflInstance::build(&net, weights, PathSelection::FewestHops).unwrap();
+        let inst = ConflInstance::build(&net, weights).unwrap();
         assert!(!inst.candidates().contains(&NodeId::new(0)));
     }
 
@@ -527,8 +523,7 @@ mod tests {
             PathSelection::FewestHops,
         )
         .unwrap();
-        let matrix =
-            crate::costs::ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        let matrix = crate::costs::ContentionMatrix::compute(&net).unwrap();
         let rebuilt = ConflInstance::build_for_chunk_with_matrix(
             &net,
             ChunkId::new(1),

@@ -4,7 +4,6 @@
 //! client accesses it, the dissemination tree, and the cost breakdown at
 //! placement time — everything the evaluation figures need.
 
-use peercache_graph::paths::PathSelection;
 use peercache_graph::NodeId;
 
 use crate::costs::{ContentionMatrix, CostWeights};
@@ -130,9 +129,8 @@ pub fn recost_final(
     net: &Network,
     placement: &Placement,
     weights: CostWeights,
-    selection: PathSelection,
 ) -> Result<Placement, CoreError> {
-    let matrix = ContentionMatrix::compute(net, selection)?;
+    let matrix = ContentionMatrix::compute(net)?;
     let chunks = placement
         .chunks()
         .iter()
@@ -226,19 +224,12 @@ mod tests {
         use crate::approx::ApproxPlanner;
         use crate::planner::CachePlanner;
         use crate::workload::paper_grid;
-        use peercache_graph::paths::PathSelection;
 
         #[test]
         fn final_recosting_preserves_structure_and_fairness() {
             let mut net = paper_grid(4).unwrap();
             let placed = ApproxPlanner::default().plan(&mut net, 3).unwrap();
-            let recosted = recost_final(
-                &net,
-                &placed,
-                CostWeights::default(),
-                PathSelection::FewestHops,
-            )
-            .unwrap();
+            let recosted = recost_final(&net, &placed, CostWeights::default()).unwrap();
             for (a, b) in placed.chunks().iter().zip(recosted.chunks()) {
                 assert_eq!(a.caches, b.caches);
                 assert_eq!(a.assignment, b.assignment);
@@ -253,13 +244,7 @@ mod tests {
             // is at least its placement-time cost (loads only grew).
             let mut net = paper_grid(4).unwrap();
             let placed = ApproxPlanner::default().plan(&mut net, 3).unwrap();
-            let recosted = recost_final(
-                &net,
-                &placed,
-                CostWeights::default(),
-                PathSelection::FewestHops,
-            )
-            .unwrap();
+            let recosted = recost_final(&net, &placed, CostWeights::default()).unwrap();
             for (a, b) in placed.chunks().iter().zip(recosted.chunks()) {
                 assert!(b.costs.access + 1e-9 >= a.costs.access);
                 assert!(b.costs.dissemination + 1e-9 >= a.costs.dissemination);
@@ -269,13 +254,7 @@ mod tests {
         #[test]
         fn recosting_an_empty_placement_is_empty() {
             let net = paper_grid(3).unwrap();
-            let p = recost_final(
-                &net,
-                &Placement::default(),
-                CostWeights::default(),
-                PathSelection::FewestHops,
-            )
-            .unwrap();
+            let p = recost_final(&net, &Placement::default(), CostWeights::default()).unwrap();
             assert!(p.chunks().is_empty());
         }
 
@@ -283,13 +262,7 @@ mod tests {
         fn contention_weight_scales_recosted_access() {
             let mut net = paper_grid(4).unwrap();
             let placed = ApproxPlanner::default().plan(&mut net, 2).unwrap();
-            let base = recost_final(
-                &net,
-                &placed,
-                CostWeights::default(),
-                PathSelection::FewestHops,
-            )
-            .unwrap();
+            let base = recost_final(&net, &placed, CostWeights::default()).unwrap();
             let doubled = recost_final(
                 &net,
                 &placed,
@@ -297,7 +270,6 @@ mod tests {
                     contention: 2.0,
                     ..Default::default()
                 },
-                PathSelection::FewestHops,
             )
             .unwrap();
             for (a, b) in base.chunks().iter().zip(doubled.chunks()) {

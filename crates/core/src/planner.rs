@@ -426,7 +426,6 @@ pub fn plan_chunks(
     net: &mut Network,
     chunks: impl IntoIterator<Item = ChunkId>,
     weights: CostWeights,
-    selection: PathSelection,
     parallelism: Parallelism,
     replication: &ReplicationPolicy,
     mut select: impl FnMut(
@@ -446,7 +445,7 @@ pub fn plan_chunks(
                 (matrix, rows)
             }
             None => (
-                ContentionMatrix::compute_with(net, selection, parallelism)?,
+                ContentionMatrix::compute_with(net, PathSelection::FewestHops, parallelism)?,
                 net.node_count(),
             ),
         };
@@ -478,8 +477,7 @@ mod tests {
 
     fn setup() -> (Network, ConflInstance) {
         let net = Network::new(builders::grid(3, 3), NodeId::new(4), 2).unwrap();
-        let inst =
-            ConflInstance::build(&net, CostWeights::default(), PathSelection::FewestHops).unwrap();
+        let inst = ConflInstance::build(&net, CostWeights::default()).unwrap();
         (net, inst)
     }
 
@@ -546,8 +544,7 @@ mod tests {
         let (mut net, _) = setup();
         net.cache(NodeId::new(0), ChunkId::new(10)).unwrap();
         net.cache(NodeId::new(0), ChunkId::new(11)).unwrap();
-        let inst =
-            ConflInstance::build(&net, CostWeights::default(), PathSelection::FewestHops).unwrap();
+        let inst = ConflInstance::build(&net, CostWeights::default()).unwrap();
         let err = commit_chunk(&mut net, &inst, ChunkId::new(0), &[NodeId::new(0)]);
         assert!(matches!(err, Err(CoreError::StorageFull { .. })));
     }

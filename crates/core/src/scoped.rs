@@ -41,12 +41,13 @@
 //! landmark selection stays fixed). Committing a chunk changes only the
 //! terms of the new caches and the producer. Staling is lazy. The
 //! update captures what each solve will read: a block's ball, the
-//! subgraph the ball induces and the members' terms, and the graph and
-//! terms for the oracle. A block's rows are solved on its first lookup,
-//! and the oracle's sweeps on the first oracle read. A block staled
-//! again before any read is never solved. A read between a cache commit
-//! and the next update still sees the values of the update that staled
-//! the block.
+//! subgraph the ball induces and the members' terms. The store holds
+//! one snapshot of the graph and terms, which the oracle sweeps and the
+//! next update diffs against. A block's rows are solved on its first
+//! lookup, and the oracle's sweeps on the first oracle read. A block
+//! staled again before any read is never solved. A read between a cache
+//! commit and the next update still sees the values of the update that
+//! staled the block.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -106,32 +107,6 @@ pub struct StoreWork {
     pub oracle_refreshes: u64,
 }
 
-/// A value solved from inputs captured up front, on its first read.
-/// Every read sees what a solve at capture time would have returned,
-/// whichever thread asks first.
-#[derive(Debug, Clone)]
-struct Deferred<I, T> {
-    inputs: I,
-    value: OnceLock<T>,
-}
-
-impl<I, T> Deferred<I, T> {
-    fn new(inputs: I) -> Self {
-        Deferred {
-            inputs,
-            value: OnceLock::new(),
-        }
-    }
-
-    fn get_or_solve(&self, solve: impl FnOnce(&I) -> T) -> &T {
-        self.value.get_or_init(|| solve(&self.inputs))
-    }
-
-    fn is_solved(&self) -> bool {
-        self.value.get().is_some()
-    }
-}
-
 /// One region's exact-cost block: rows are the region's nodes, columns
 /// its `k`-hop demand ball (region ∪ halo), values the pair costs of
 /// the induced block subgraph.
@@ -139,16 +114,23 @@ impl<I, T> Deferred<I, T> {
 struct Block {
     /// Region ∪ halo, sorted ascending (the block's columns).
     cols: Vec<NodeId>,
-    /// The region rows' solve over the subgraph the ball induces,
-    /// captured when the block was staled: closed pair costs and routed
-    /// hop counts, `rows × cols.len()`, row-major; hops are `u32::MAX`
-    /// when unreachable inside the block.
-    rows: Deferred<InducedRows, (Vec<f64>, Vec<u32>)>,
+    /// Everything the region rows' solve over the subgraph the ball
+    /// induces reads, captured when the block was staled.
+    capture: InducedRows,
+    /// That solve, run on the block's first read whichever thread asks
+    /// first: closed pair costs and routed hop counts,
+    /// `rows × cols.len()`, row-major; hops are `u32::MAX` when
+    /// unreachable inside the block.
+    rows: OnceLock<(Vec<f64>, Vec<u32>)>,
 }
 
 impl Block {
     fn solved(&self) -> &(Vec<f64>, Vec<u32>) {
-        self.rows.get_or_solve(InducedRows::solve)
+        self.rows.get_or_init(|| self.capture.solve())
+    }
+
+    fn is_solved(&self) -> bool {
+        self.rows.get().is_some()
     }
 
     /// The block value at row `slot` (the row node's position in its
@@ -168,18 +150,17 @@ impl Block {
 #[derive(Debug, Clone)]
 pub struct ScopedContention {
     cfg: ScopedConfig,
-    selection: PathSelection,
     partition: RegionPartition,
-    /// Per-node contention terms `w_k (1 + S(k))`.
+    /// The graph of the last update: the oracle sweeps it, and the next
+    /// update diffs the network's graph against it.
+    graph: Graph,
+    /// Per-node contention terms `w_k (1 + S(k))` of the last update.
     terms: Vec<f64>,
     blocks: Vec<Block>,
     /// The oracle's landmark selection, fixed at build time.
     landmarks: Vec<NodeId>,
-    /// The oracle over the graph and terms of the last update.
-    oracle: Deferred<(Graph, Vec<f64>), LandmarkOracle>,
-    /// The adjacency of the last update, which the next one diffs the
-    /// graph against.
-    adjacency: Csr,
+    /// The oracle over `graph` and `terms`, swept on its first read.
+    oracle: OnceLock<LandmarkOracle>,
     /// Work of the blocks and oracles an update replaced.
     retired: StoreWork,
 }
@@ -189,7 +170,8 @@ impl ScopedContention {
     /// grows the region partition, selects the oracle's landmarks, and
     /// captures every block's ball (one block per task, fanned out over
     /// `parallelism`). Block rows and the oracle sweeps are solved on
-    /// first read.
+    /// first read. `_selection` is unread: [`PathSelection`] names the
+    /// one route model.
     ///
     /// # Errors
     ///
@@ -198,29 +180,20 @@ impl ScopedContention {
     pub fn new(
         net: &Network,
         cfg: ScopedConfig,
-        selection: PathSelection,
+        _selection: PathSelection,
         parallelism: Parallelism,
     ) -> Result<Self, CoreError> {
         let g = net.graph();
         let terms = node_contention_terms(net);
         let partition = RegionPartition::grow(g, cfg.region_max, cfg.seed);
         let all: Vec<usize> = (0..partition.region_count()).collect();
-        let blocks = capture_blocks(
-            g,
-            &partition,
-            &terms,
-            cfg.halo_hops,
-            selection,
-            parallelism,
-            &all,
-        )?;
+        let blocks = capture_blocks(g, &partition, &terms, cfg.halo_hops, parallelism, &all)?;
         Ok(ScopedContention {
             cfg,
-            selection,
             partition,
             landmarks: LandmarkOracle::select(g, cfg.landmarks, cfg.seed),
-            oracle: Deferred::new((g.clone(), terms.clone())),
-            adjacency: Csr::from_graph(g),
+            oracle: OnceLock::new(),
+            graph: g.clone(),
             terms,
             blocks,
             retired: StoreWork::default(),
@@ -319,12 +292,12 @@ impl ScopedContention {
         })
     }
 
-    /// The landmark oracle of the last update, swept over the graph and
-    /// terms that update captured on its first read.
+    /// The landmark oracle of the last update, swept over the held
+    /// graph and terms on its first read.
     fn oracle(&self) -> &LandmarkOracle {
-        self.oracle.get_or_solve(|(g, terms)| {
-            LandmarkOracle::with_landmarks(g, terms, self.landmarks.clone())
-                .expect("the captured terms and landmarks cover the captured graph")
+        self.oracle.get_or_init(|| {
+            LandmarkOracle::with_landmarks(&self.graph, &self.terms, self.landmarks.clone())
+                .expect("the held terms and landmarks cover the held graph")
         })
     }
 
@@ -332,11 +305,11 @@ impl ScopedContention {
     /// its last update: cache commits and evictions, link edits,
     /// departures and joins. The store finds them itself. It diffs the
     /// recomputed per-node terms bitwise against the held ones and the
-    /// graph against the adjacency it last captured
-    /// ([`Csr::edge_diff`]), and re-captures every block whose columns
-    /// hold a node whose term *or neighbor list* changed, plus the
-    /// landmark oracle (its selection stays fixed). Each capture records
-    /// what its solve will read; the solve runs on the first read.
+    /// graph against the held one ([`Csr::edge_diff`]), and re-captures
+    /// every block whose columns hold a node whose term *or neighbor
+    /// list* changed, plus the landmark oracle (its selection stays
+    /// fixed). Each capture records what its solve will read; the solve
+    /// runs on the first read.
     /// `dirty` is the caller's account of the changed nodes, cross-checked
     /// in debug builds only, so a stale set cannot produce a wrong store.
     /// Include the producer when distinct-chunk counts may have moved.
@@ -375,13 +348,13 @@ impl ScopedContention {
     ) -> Result<usize, CoreError> {
         if net.node_count() != self.terms.len() {
             let work = self.work();
-            *self = ScopedContention::new(net, self.cfg, self.selection, parallelism)?;
+            *self = ScopedContention::new(net, self.cfg, PathSelection::FewestHops, parallelism)?;
             self.retired = work;
             return Ok(self.blocks.len());
         }
         let g = net.graph();
         let terms = node_contention_terms(net);
-        let mut changed = self.adjacency.edge_diff(g).endpoints();
+        let mut changed = Csr::from_graph(&self.graph).edge_diff(g).endpoints();
         changed.extend(
             (0..terms.len())
                 .filter(|&k| terms[k].to_bits() != self.terms[k].to_bits())
@@ -409,18 +382,17 @@ impl ScopedContention {
             &self.partition,
             &terms,
             self.cfg.halo_hops,
-            self.selection,
             parallelism,
             &stale,
         )?;
         for (&r, block) in stale.iter().zip(captured) {
             let old = std::mem::replace(&mut self.blocks[r], block);
-            self.retired.blocks_solved += u64::from(old.rows.is_solved());
+            self.retired.blocks_solved += u64::from(old.is_solved());
         }
         self.retired.blocks_staled += stale.len() as u64;
-        self.retired.oracle_refreshes += u64::from(self.oracle.is_solved());
-        self.oracle = Deferred::new((g.clone(), terms.clone()));
-        self.adjacency = Csr::from_graph(g);
+        self.retired.oracle_refreshes += u64::from(self.oracle.get().is_some());
+        self.oracle = OnceLock::new();
+        self.graph = g.clone();
         self.terms = terms;
         Ok(stale.len())
     }
@@ -429,8 +401,8 @@ impl ScopedContention {
     /// and oracle sweeps run. Reading the counters solves nothing.
     pub(crate) fn work(&self) -> StoreWork {
         let mut work = self.retired;
-        work.blocks_solved += self.blocks.iter().filter(|b| b.rows.is_solved()).count() as u64;
-        work.oracle_refreshes += u64::from(self.oracle.is_solved());
+        work.blocks_solved += self.blocks.iter().filter(|b| b.is_solved()).count() as u64;
+        work.oracle_refreshes += u64::from(self.oracle.get().is_some());
         work
     }
 
@@ -467,7 +439,6 @@ impl ScopedContention {
             &self.partition,
             &terms,
             self.cfg.halo_hops,
-            self.selection,
             Parallelism::Sequential,
             &all,
         )
@@ -476,14 +447,14 @@ impl ScopedContention {
             let held = &self.blocks[r];
             assert_eq!(held.cols, fresh.cols, "strict: block {r} columns drifted");
             let unsolved;
-            let (cost, hops) = match held.rows.value.get() {
+            let (cost, hops) = match held.rows.get() {
                 Some(rows) => rows,
                 None => {
-                    unsolved = held.rows.inputs.solve();
+                    unsolved = held.capture.solve();
                     &unsolved
                 }
             };
-            let (fresh_cost, fresh_hops) = fresh.rows.inputs.solve();
+            let (fresh_cost, fresh_hops) = fresh.capture.solve();
             assert_eq!(*hops, fresh_hops, "strict: block {r} hops drifted");
             assert!(
                 cost.iter()
@@ -529,12 +500,11 @@ fn capture_blocks(
     partition: &RegionPartition,
     terms: &[f64],
     halo_hops: u32,
-    selection: PathSelection,
     parallelism: Parallelism,
     which: &[usize],
 ) -> Result<Vec<Block>, CoreError> {
     fan_out(which, parallelism, |&r| {
-        capture_block(g, partition, terms, halo_hops, selection, r)
+        capture_block(g, partition, terms, halo_hops, r)
     })
     .into_iter()
     .collect()
@@ -600,14 +570,14 @@ fn capture_block(
     partition: &RegionPartition,
     terms: &[f64],
     halo_hops: u32,
-    selection: PathSelection,
     r: usize,
 ) -> Result<Block, CoreError> {
     let cols = partition.ball_of(g, r, halo_hops);
-    let rows = InducedRows::capture(g, &cols, partition.region(r), terms, selection)?;
+    let capture = InducedRows::capture(g, &cols, partition.region(r), terms)?;
     Ok(Block {
         cols,
-        rows: Deferred::new(rows),
+        capture,
+        rows: OnceLock::new(),
     })
 }
 
@@ -1193,7 +1163,7 @@ mod tests {
     #[test]
     fn scoped_cost_is_exact_within_the_halo_radius() {
         let net = grid_net(8, 4);
-        let dense = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        let dense = ContentionMatrix::compute(&net).unwrap();
         let scoped = ScopedContention::new(
             &net,
             small_cfg(),
@@ -1287,14 +1257,13 @@ mod tests {
         net: &Network,
         partition: &RegionPartition,
         terms: &[f64],
-        selection: PathSelection,
         r: usize,
     ) -> (Vec<NodeId>, Vec<f64>, Vec<u32>) {
         let g = net.graph();
         let cols = partition.ball_of(g, r, small_cfg().halo_hops);
         let (sub, originals) = g.induced_subgraph(&cols).unwrap();
         let local_terms: Vec<f64> = originals.iter().map(|&x| terms[x.index()]).collect();
-        let ap = AllPairsPaths::compute(&sub, &local_terms, selection).unwrap();
+        let ap = AllPairsPaths::compute(&sub, &local_terms).unwrap();
         let (mut cost, mut hops) = (Vec::new(), Vec::new());
         for u in partition.region(r) {
             let lu = NodeId::new(cols.binary_search(u).unwrap());
@@ -1326,21 +1295,17 @@ mod tests {
         }
         net.deactivate_node(NodeId::new(44)).unwrap();
         let terms = node_contention_terms(&net);
-        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
-            let mut unreachable = 0;
-            for r in 0..partition.region_count() {
-                let block =
-                    capture_block(net.graph(), &partition, &terms, cfg.halo_hops, selection, r)
-                        .unwrap();
-                let (cols, cost, hops) = reference_block(&net, &partition, &terms, selection, r);
-                assert_eq!(block.cols, cols);
-                let (block_cost, block_hops) = block.solved();
-                assert_eq!(*block_hops, hops, "block {r}, {selection:?}");
-                assert_eq!(bits(block_cost), bits(&cost), "block {r}, {selection:?}");
-                unreachable += block_cost.iter().filter(|c| c.is_infinite()).count();
-            }
-            assert!(unreachable > 0, "no cut left a pair unreachable in a block");
+        let mut unreachable = 0;
+        for r in 0..partition.region_count() {
+            let block = capture_block(net.graph(), &partition, &terms, cfg.halo_hops, r).unwrap();
+            let (cols, cost, hops) = reference_block(&net, &partition, &terms, r);
+            assert_eq!(block.cols, cols);
+            let (block_cost, block_hops) = block.solved();
+            assert_eq!(*block_hops, hops, "block {r}");
+            assert_eq!(bits(block_cost), bits(&cost), "block {r}");
+            unreachable += block_cost.iter().filter(|c| c.is_infinite()).count();
         }
+        assert!(unreachable > 0, "no cut left a pair unreachable in a block");
     }
 
     #[test]
@@ -1368,7 +1333,6 @@ mod tests {
             scoped.partition(),
             &terms,
             scoped.cfg.halo_hops,
-            scoped.selection,
             Parallelism::Sequential,
             &all,
         )

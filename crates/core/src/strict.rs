@@ -257,10 +257,9 @@ pub fn check_dual_solution<V: crate::instance::ConflCosts>(
 pub fn check_matrix_consistency(
     carried: &ContentionMatrix,
     net: &Network,
-    selection: PathSelection,
     parallelism: Parallelism,
 ) {
-    let fresh = ContentionMatrix::compute_with(net, selection, parallelism)
+    let fresh = ContentionMatrix::compute_with(net, PathSelection::FewestHops, parallelism)
         .unwrap_or_else(|e| panic!("strict-invariants: fresh contention recompute failed: {e}"));
     let n = net.node_count();
     for k in 0..n {

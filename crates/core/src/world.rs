@@ -584,12 +584,7 @@ impl CacheWorld {
     fn strict_check(&self) {
         crate::strict::check_component_tracking(&self.net);
         if let Some(matrix) = &self.matrix {
-            crate::strict::check_matrix_consistency(
-                matrix,
-                &self.net,
-                self.config.selection,
-                self.config.parallelism,
-            );
+            crate::strict::check_matrix_consistency(matrix, &self.net, self.config.parallelism);
         }
         for chunk in &self.live {
             if let Some(p) = self.placements.get(chunk) {
@@ -723,12 +718,7 @@ impl CacheWorld {
             .iter()
             .map(|c| self.placements[c].clone())
             .collect();
-        let repaired = recost_final(
-            &self.net,
-            &live_placement,
-            self.config.weights,
-            self.config.selection,
-        )?;
+        let repaired = recost_final(&self.net, &live_placement, self.config.weights)?;
         let repair_contention = repaired.total_contention_cost();
 
         let start = MonotonicClock::System.now_us();
@@ -739,12 +729,11 @@ impl CacheWorld {
             &mut oracle,
             self.live.iter().copied(),
             self.config.weights,
-            self.config.selection,
             self.config.parallelism,
             &self.config.replication,
             |net, inst, _, _| Ok(ascend_and_prune(net, inst, &self.config)?.0),
         )?;
-        let replanned = recost_final(&oracle, &chunks, self.config.weights, self.config.selection)?;
+        let replanned = recost_final(&oracle, &chunks, self.config.weights)?;
         let replan_contention = replanned.total_contention_cost();
         let replan_wall_us = MonotonicClock::System.elapsed_us(start);
         let cost_ratio = if replan_contention > 0.0 {

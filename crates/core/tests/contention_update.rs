@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use peercache_core::costs::ContentionMatrix;
 use peercache_core::{ChunkId, Network};
-use peercache_graph::paths::{Parallelism, PathSelection};
+use peercache_graph::paths::Parallelism;
 use peercache_graph::{builders, NodeId};
 
 /// Connected Erdős–Rényi networks of 6–31 nodes, and grids of up to
@@ -72,68 +72,62 @@ proptest! {
         // A batch commits to up to a third of the nodes, as one chunk of
         // a Q = 8 plan does on a 300-node network (about 28 caches).
         let per_batch = (n / 3).max(1);
-        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
-            let mut incremental =
-                ContentionMatrix::compute_with(&net, selection, Parallelism::Sequential).unwrap();
-            let mut threaded = incremental.clone();
-            let mut net = net.clone();
-            for (batch, topology, a, b) in &ops {
-                // Apply a batch of cache commits, recording which nodes
-                // changed state (plus the producer, whose term follows
-                // the distinct-chunk population).
-                let mut dirty = vec![net.producer()];
-                for &(node, chunk) in batch.iter().take(per_batch) {
-                    let node = NodeId::new(node % n);
-                    let chunk = ChunkId::new(chunk);
-                    if !net.is_cached(node, chunk) && net.cache(node, chunk).is_ok() {
-                        dirty.push(node);
-                    }
+        let mut incremental = ContentionMatrix::compute(&net).unwrap();
+        let mut threaded = incremental.clone();
+        let mut net = net.clone();
+        for (batch, topology, a, b) in &ops {
+            // Apply a batch of cache commits, recording which nodes
+            // changed state (plus the producer, whose term follows the
+            // distinct-chunk population).
+            let mut dirty = vec![net.producer()];
+            for &(node, chunk) in batch.iter().take(per_batch) {
+                let node = NodeId::new(node % n);
+                let chunk = ChunkId::new(chunk);
+                if !net.is_cached(node, chunk) && net.cache(node, chunk).is_ok() {
+                    dirty.push(node);
                 }
-                // Then, in the same refresh, a departure or a link flip
-                // (either may be refused, e.g. when it would disconnect
-                // the network).
-                let (a, b) = (NodeId::new(a % n), NodeId::new(b % n));
-                match topology {
-                    1 => {
-                        if let Ok(dep) = net.deactivate_node(a) {
-                            dirty.push(a);
-                            dirty.extend(dep.former_neighbors);
-                        }
-                    }
-                    2 if a != b => {
-                        let flipped = if net.graph().contains_edge(a, b) {
-                            net.remove_link(a, b)
-                        } else {
-                            net.add_link(a, b)
-                        };
-                        if flipped.is_ok_and(|f| f) {
-                            dirty.extend([a, b]);
-                        }
-                    }
-                    _ => {}
-                }
-                let redone = incremental
-                    .update(&net, &dirty, Parallelism::Sequential)
-                    .unwrap();
-                prop_assert!(redone <= n, "recomputed more sources than exist");
-                let redone_threaded = threaded
-                    .update(&net, &dirty, Parallelism::Threads(2))
-                    .unwrap();
-                prop_assert_eq!(redone, redone_threaded);
-                assert_matrices_identical(&threaded, &incremental, n);
-                let fresh = ContentionMatrix::compute(&net, selection).unwrap();
-                assert_matrices_identical(&incremental, &fresh, n);
             }
+            // Then, in the same refresh, a departure or a link flip
+            // (either may be refused, e.g. when it would disconnect the
+            // network).
+            let (a, b) = (NodeId::new(a % n), NodeId::new(b % n));
+            match topology {
+                1 => {
+                    if let Ok(dep) = net.deactivate_node(a) {
+                        dirty.push(a);
+                        dirty.extend(dep.former_neighbors);
+                    }
+                }
+                2 if a != b => {
+                    let flipped = if net.graph().contains_edge(a, b) {
+                        net.remove_link(a, b)
+                    } else {
+                        net.add_link(a, b)
+                    };
+                    if flipped.is_ok_and(|f| f) {
+                        dirty.extend([a, b]);
+                    }
+                }
+                _ => {}
+            }
+            let redone = incremental
+                .update(&net, &dirty, Parallelism::Sequential)
+                .unwrap();
+            prop_assert!(redone <= n, "recomputed more sources than exist");
+            let redone_threaded = threaded
+                .update(&net, &dirty, Parallelism::Threads(2))
+                .unwrap();
+            prop_assert_eq!(redone, redone_threaded);
+            assert_matrices_identical(&threaded, &incremental, n);
+            let fresh = ContentionMatrix::compute(&net).unwrap();
+            assert_matrices_identical(&incremental, &fresh, n);
         }
     }
 
     #[test]
     fn update_with_no_changes_recomputes_nothing(net in network()) {
-        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
-            let mut m =
-                ContentionMatrix::compute_with(&net, selection, Parallelism::Sequential).unwrap();
-            let redone = m.update(&net, &[], Parallelism::Sequential).unwrap();
-            prop_assert_eq!(redone, 0, "a no-op change set must not invalidate any source");
-        }
+        let mut m = ContentionMatrix::compute(&net).unwrap();
+        let redone = m.update(&net, &[], Parallelism::Sequential).unwrap();
+        prop_assert_eq!(redone, 0, "a no-op change set must not invalidate any source");
     }
 }

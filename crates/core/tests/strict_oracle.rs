@@ -74,7 +74,7 @@ fn matrix_oracle_accepts_a_consistent_snapshot() {
     let net = paper_grid(4).unwrap();
     let cfg = ApproxConfig::default();
     let matrix = ContentionMatrix::compute_with(&net, cfg.selection, cfg.parallelism).unwrap();
-    strict::check_matrix_consistency(&matrix, &net, cfg.selection, cfg.parallelism);
+    strict::check_matrix_consistency(&matrix, &net, cfg.parallelism);
 }
 
 #[test]
@@ -87,7 +87,7 @@ fn matrix_oracle_fires_on_a_stale_snapshot() {
     // term), as a buggy incremental update would.
     net.cache(NodeId::new(1), ChunkId::new(0)).unwrap();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        strict::check_matrix_consistency(&matrix, &net, cfg.selection, cfg.parallelism);
+        strict::check_matrix_consistency(&matrix, &net, cfg.parallelism);
     }));
     let msg = panic_message(result);
     assert!(

@@ -30,7 +30,8 @@ pub struct DistributedConfig {
     pub sim: SimConfig,
     /// Objective weights used when reporting costs.
     pub weights: CostWeights,
-    /// Path routing model used when reporting costs.
+    /// The route model used when reporting costs. Unread: every path is
+    /// hop-shortest, the one [`PathSelection`] variant.
     pub selection: PathSelection,
 }
 
@@ -132,7 +133,6 @@ impl CachePlanner for DistributedPlanner {
             net,
             (0..chunk_count).map(ChunkId::new),
             self.config.weights,
-            self.config.selection,
             Parallelism::Sequential,
             &ReplicationPolicy::default(),
             |net, inst, chunk, _| {

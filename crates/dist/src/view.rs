@@ -13,7 +13,7 @@
 //! ([`induced_rows`]), not an all-pairs table of the ball.
 
 use peercache_core::Network;
-use peercache_graph::paths::{induced_rows, k_hop_neighborhood, PathSelection};
+use peercache_graph::paths::{induced_rows, k_hop_neighborhood};
 use peercache_graph::NodeId;
 
 use crate::error::ProtocolError;
@@ -106,8 +106,7 @@ pub fn build_views(
         let at = members.partition_point(|&m| m < center);
         let mut ball = members.clone();
         ball.insert(at, center);
-        let (mut cost, mut hops) =
-            induced_rows(graph, &ball, &[center], &terms, PathSelection::FewestHops)?;
+        let (mut cost, mut hops) = induced_rows(graph, &ball, &[center], &terms)?;
         cost.remove(at);
         hops.remove(at);
         views.push(LocalView {
@@ -144,8 +143,7 @@ mod tests {
                     .iter()
                     .map(|&o| graph.degree(o) as f64 * (1.0 + net.used(o) as f64))
                     .collect();
-                let paths =
-                    AllPairsPaths::compute(&sub, &terms, PathSelection::FewestHops).unwrap();
+                let paths = AllPairsPaths::compute(&sub, &terms).unwrap();
                 let local =
                     |node: NodeId| NodeId::new(originals.iter().position(|&o| o == node).unwrap());
                 let c = local(center);

@@ -11,15 +11,16 @@
 //! * [`builders`] — the topology families used in the paper's evaluation:
 //!   grid networks, connected random geometric networks, plus paths,
 //!   rings, stars and complete graphs for testing.
-//! * [`paths`] — BFS hop distances, node-weighted Dijkstra,
-//!   all-pairs shortest paths with path reconstruction, k-hop
-//!   neighborhoods (for the distributed algorithm's scoped messages).
+//! * [`paths`] — BFS hop distances, edge-weighted Dijkstra, all-pairs
+//!   hop-shortest routes with node-weighted costs and path
+//!   reconstruction, k-hop neighborhoods (for the distributed
+//!   algorithm's scoped messages).
 //! * [`components`] — connectivity queries and largest-component
 //!   extraction (used by the paper's multi-item baseline extension).
 //! * [`mst`] — minimum spanning trees (Kruskal and Prim).
 //! * [`oracle`] — seeded landmark distance oracle with
-//!   triangle-inequality bounds and a k-hop-ball exact fallback (the
-//!   O(L·N) substitute for all-pairs state at scale).
+//!   triangle-inequality bounds (the O(L·N) substitute for all-pairs
+//!   state at scale).
 //! * [`regions`] — deterministic bounded-size region partitioning with
 //!   k-hop halos (the hierarchical planner's decomposition).
 //! * [`steiner`] — a metric-closure 2-approximation of the Steiner tree

@@ -10,37 +10,32 @@
 //! # Bound semantics and the error model
 //!
 //! All cost bounds are stated on the **min-cost metric**: the cheapest
-//! node-weighted path cost between `u` and `v`, endpoints included —
-//! exactly [`AllPairsPaths::cost`](crate::paths::AllPairsPaths::cost)
-//! under [`PathSelection::MinCost`](crate::paths::PathSelection). That
-//! quantity is a metric (node weights are non-negative), so the
+//! node-weighted path cost between `u` and `v`, endpoints included.
+//! That quantity is a metric (node weights are non-negative), so the
 //! triangle inequality gives, for every landmark `l` with closed
 //! distances `Δ(x, y)` (where `Δ(x, x) = w_x`):
 //!
 //! * `cost(u,v) ≤ Δ(u,l) + Δ(l,v) − w_l`   (concatenation counts `l` once)
 //! * `cost(u,v) ≥ Δ(u,l) − Δ(l,v) + w_v`   (and symmetrically)
 //!
-//! Under `FewestHops` — the planners' selection — the *lower* bound
-//! still holds (a hop-shortest path can only cost at least the cheapest
-//! path), while the upper bound degrades to an estimate: the
-//! hop-shortest path may be forced through heavier nodes. The scoped
-//! contention store therefore uses exact block state wherever available
-//! and treats the oracle value as a documented estimate across regions;
-//! the property suite pins the exact bracketing on `MinCost` and the
-//! lower-bound side on `FewestHops`.
+//! The planners price the *routed* path instead — the hop-shortest path
+//! of [`AllPairsPaths::cost`](crate::paths::AllPairsPaths::cost). The
+//! *lower* bound still holds for it (a hop-shortest path costs at least
+//! the cheapest path), while the upper bound degrades to an estimate:
+//! the hop-shortest path may be forced through heavier nodes. The
+//! scoped contention store therefore uses exact block state wherever
+//! available and treats the oracle value as a documented estimate
+//! across regions; the property suite pins the exact bracketing of the
+//! min-cost metric and the lower-bound side on routed costs.
 //!
-//! The **exact fallback** [`LandmarkOracle::exact_in_ball`] answers
-//! pairs within a `k`-hop ball precisely (in `FewestHops` semantics) by
-//! a bounded BFS-layer sweep: every hop-shortest path between nodes at
-//! hop distance `h ≤ k` stays inside the ball of radius `k`, so the
-//! restriction loses nothing.
+//! Each landmark's `Δ(l, ·)` is one
+//! [`dijkstra_edge_weighted`](crate::paths::dijkstra_edge_weighted)-style
+//! sweep that starts at `w_l` and steps onto `v` at cost `w_v`.
 
 use crate::graph::{Graph, NodeId};
-use crate::paths::bfs_hops;
+use crate::paths::{bfs_hops, edge_weighted_spt};
 use crate::regions::splitmix64;
 use crate::GraphError;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Hop sentinel for unreachable nodes in the landmark hop vectors.
 const FAR: u32 = u32::MAX;
@@ -155,7 +150,7 @@ impl LandmarkOracle {
         let node_cost = node_cost[..n].to_vec();
         let dist = landmarks
             .iter()
-            .map(|&l| node_weighted_closed_dist(g, &node_cost, l))
+            .map(|&l| edge_weighted_spt(g, l, node_cost[l.index()], |_, v| node_cost[v.index()]).0)
             .collect();
         let hops = landmarks
             .iter()
@@ -181,8 +176,9 @@ impl LandmarkOracle {
         &self.landmarks
     }
 
-    /// Lower bound on the min-cost pair cost (valid for `FewestHops`
-    /// too); `0.0` on the diagonal, `f64::INFINITY` across components.
+    /// Lower bound on the min-cost pair cost, hence on the routed
+    /// (hop-shortest) cost too; `0.0` on the diagonal, `f64::INFINITY`
+    /// across components.
     ///
     /// # Panics
     ///
@@ -209,8 +205,8 @@ impl LandmarkOracle {
         lo
     }
 
-    /// Upper bound on the min-cost pair cost (an *estimate* under
-    /// `FewestHops`); `0.0` on the diagonal.
+    /// Upper bound on the min-cost pair cost (only an *estimate* of the
+    /// routed cost); `0.0` on the diagonal.
     ///
     /// # Panics
     ///
@@ -288,79 +284,6 @@ impl LandmarkOracle {
         lo
     }
 
-    /// Exact `FewestHops` pair cost when `v` lies within the `k`-hop
-    /// ball of `u` (`None` otherwise): a bounded BFS plus a layer-order
-    /// DP over the ball, matching the all-pairs tie-break (lexicographic
-    /// minimum of interior cost then parent id) bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of bounds for `g`, or `node_cost` is
-    /// shorter than the node count.
-    #[must_use]
-    pub fn exact_in_ball(
-        g: &Graph,
-        node_cost: &[f64],
-        u: NodeId,
-        v: NodeId,
-        k: u32,
-    ) -> Option<f64> {
-        if u == v {
-            return Some(0.0);
-        }
-        // Bounded BFS from `u`: hop labels plus visit order (layered).
-        let mut hops = vec![FAR; g.node_count()];
-        hops[u.index()] = 0;
-        let mut order: Vec<NodeId> = vec![u];
-        let mut head = 0usize;
-        while head < order.len() {
-            let x = order[head];
-            head += 1;
-            if hops[x.index()] == k {
-                continue;
-            }
-            for y in g.neighbors(x) {
-                if hops[y.index()] == FAR {
-                    hops[y.index()] = hops[x.index()] + 1;
-                    order.push(y);
-                }
-            }
-        }
-        if hops[v.index()] == FAR {
-            return None;
-        }
-        // Layer DP: interior[x] = cheapest interior cost of a
-        // hop-shortest u→x path (nodes strictly between u and x).
-        let mut interior = vec![f64::INFINITY; g.node_count()];
-        interior[u.index()] = 0.0;
-        for &x in order.iter().skip(1) {
-            let hx = hops[x.index()];
-            let mut best = f64::INFINITY;
-            let mut best_parent: Option<NodeId> = None;
-            for p in g.neighbors(x) {
-                if hops[p.index()] == FAR || hops[p.index()] + 1 != hx {
-                    continue;
-                }
-                let step = if p == u { 0.0 } else { node_cost[p.index()] };
-                let cand = interior[p.index()] + step;
-                let better = match best_parent {
-                    None => true,
-                    Some(bp) => match cand.total_cmp(&best) {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Equal => p < bp,
-                        std::cmp::Ordering::Greater => false,
-                    },
-                };
-                if better {
-                    best = cand;
-                    best_parent = Some(p);
-                }
-            }
-            interior[x.index()] = best;
-        }
-        Some(interior[v.index()] + node_cost[u.index()] + node_cost[v.index()])
-    }
-
     /// Bytes of heap state an oracle over `n` nodes with `landmarks`
     /// landmarks holds once built (landmark vectors + node costs) — the
     /// locality stack's memory accounting, known before any sweep runs.
@@ -371,76 +294,125 @@ impl LandmarkOracle {
     }
 }
 
-/// Single-source node-weighted shortest distances, *closed* form: the
-/// returned `d[v]` counts both endpoints (`d[src] = w_src`), matching
-/// the `Δ` of the module docs. Plain binary-heap Dijkstra with
-/// `total_cmp` ordering and node-id tie-breaks — deterministic.
-fn node_weighted_closed_dist(g: &Graph, node_cost: &[f64], src: NodeId) -> Vec<f64> {
-    let n = g.node_count();
-    let mut d = vec![f64::INFINITY; n];
-    let mut settled = vec![false; n];
-    d[src.index()] = node_cost[src.index()];
-    let mut heap: BinaryHeap<Reverse<(OrdF64, usize)>> = BinaryHeap::new();
-    heap.push(Reverse((OrdF64(d[src.index()]), src.index())));
-    while let Some(Reverse((OrdF64(du), u))) = heap.pop() {
-        if settled[u] {
-            continue;
-        }
-        if du > d[u] {
-            continue; // stale entry
-        }
-        settled[u] = true;
-        for v in g.neighbors(NodeId::new(u)) {
-            let vi = v.index();
-            let cand = du + node_cost[vi];
-            if cand < d[vi] {
-                d[vi] = cand;
-                heap.push(Reverse((OrdF64(cand), vi)));
-            }
-        }
-    }
-    d
-}
-
-/// Total-order wrapper so finite path distances can live in a heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builders;
-    use crate::paths::{AllPairsPaths, Parallelism, PathSelection};
+    use crate::paths::dijkstra_edge_weighted;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    // The landmark sweep as it stood before it ran through
+    // `edge_weighted_spt`, kept verbatim as the reference the sweeps
+    // must match bit for bit.
+    /// Single-source node-weighted shortest distances, *closed* form: the
+    /// returned `d[v]` counts both endpoints (`d[src] = w_src`), matching
+    /// the `Δ` of the module docs. Plain binary-heap Dijkstra with
+    /// `total_cmp` ordering and node-id tie-breaks — deterministic.
+    fn node_weighted_closed_dist(g: &Graph, node_cost: &[f64], src: NodeId) -> Vec<f64> {
+        let n = g.node_count();
+        let mut d = vec![f64::INFINITY; n];
+        let mut settled = vec![false; n];
+        d[src.index()] = node_cost[src.index()];
+        let mut heap: BinaryHeap<Reverse<(OrdF64, usize)>> = BinaryHeap::new();
+        heap.push(Reverse((OrdF64(d[src.index()]), src.index())));
+        while let Some(Reverse((OrdF64(du), u))) = heap.pop() {
+            if settled[u] {
+                continue;
+            }
+            if du > d[u] {
+                continue; // stale entry
+            }
+            settled[u] = true;
+            for v in g.neighbors(NodeId::new(u)) {
+                let vi = v.index();
+                let cand = du + node_cost[vi];
+                if cand < d[vi] {
+                    d[vi] = cand;
+                    heap.push(Reverse((OrdF64(cand), vi)));
+                }
+            }
+        }
+        d
+    }
+
+    /// Total-order wrapper so finite path distances can live in a heap.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct OrdF64(f64);
+
+    impl Eq for OrdF64 {}
+
+    impl PartialOrd for OrdF64 {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for OrdF64 {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.total_cmp(&other.0)
+        }
+    }
 
     fn weights(n: usize) -> Vec<f64> {
         (0..n).map(|i| 1.0 + (i % 5) as f64 * 0.25).collect()
+    }
+
+    /// The min-cost metric between `u` and `v`, endpoints included.
+    fn min_cost(g: &Graph, w: &[f64], u: NodeId, v: NodeId) -> f64 {
+        if u == v {
+            return 0.0;
+        }
+        let (cost, _) = dijkstra_edge_weighted(g, u, |_, y| w[y.index()]);
+        w[u.index()] + cost[v.index()]
+    }
+
+    #[test]
+    fn landmark_sweeps_equal_the_closed_dist_reference_bit_for_bit() {
+        // Random geometric graphs, some of whose nodes departed: their
+        // links are gone and their term is zero, as a network's are.
+        // Half the graphs carry integer contention terms (degree times
+        // one plus a cached count), half fractional ones, so the sums
+        // round. Every node is a landmark, so every sweep is checked.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5eed);
+        for case in 0..300 {
+            let n = rng.gen_range(2usize..48);
+            let range = [0.15, 0.25, 0.4][case % 3];
+            let mut g = builders::random_geometric(n, range, &mut rng);
+            for v in 0..n {
+                if rng.gen_bool(0.15) {
+                    g.remove_node(NodeId::new(v)).unwrap();
+                }
+            }
+            let terms: Vec<f64> = (0..n)
+                .map(|v| {
+                    let degree = g.degree(NodeId::new(v)) as f64;
+                    if case % 2 == 0 {
+                        degree * (1.0 + rng.gen_range(0usize..4) as f64)
+                    } else {
+                        degree * rng.gen_range(0.1..3.0)
+                    }
+                })
+                .collect();
+            let oracle = LandmarkOracle::build(&g, &terms, n, case as u64).unwrap();
+            assert_eq!(oracle.landmarks().len(), n);
+            for (&l, swept) in oracle.landmarks().iter().zip(&oracle.dist) {
+                let reference = node_weighted_closed_dist(&g, &terms, l);
+                let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(swept), bits(&reference), "case {case}, landmark {l}");
+            }
+        }
     }
 
     #[test]
     fn bounds_bracket_min_cost_metric_on_a_grid() {
         let g = builders::grid(5, 5);
         let w = weights(25);
-        let ap =
-            AllPairsPaths::compute_with(&g, &w, PathSelection::MinCost, Parallelism::Sequential)
-                .unwrap();
         let oracle = LandmarkOracle::build(&g, &w, 4, 9).unwrap();
         for u in g.nodes() {
             for v in g.nodes() {
-                let exact = ap.cost(u, v);
+                let exact = min_cost(&g, &w, u, v);
                 let lo = oracle.lower_bound(u, v);
                 let hi = oracle.upper_bound(u, v);
                 assert!(
@@ -458,27 +430,6 @@ mod tests {
         let small = LandmarkOracle::build(&g, &w, 3, 4).unwrap();
         let large = LandmarkOracle::build(&g, &w, 8, 4).unwrap();
         assert_eq!(small.landmarks(), &large.landmarks()[..3]);
-    }
-
-    #[test]
-    fn exact_in_ball_matches_all_pairs_fewest_hops() {
-        let g = builders::grid(5, 5);
-        let w = weights(25);
-        let ap =
-            AllPairsPaths::compute_with(&g, &w, PathSelection::FewestHops, Parallelism::Sequential)
-                .unwrap();
-        for u in g.nodes() {
-            for v in g.nodes() {
-                let exact = LandmarkOracle::exact_in_ball(&g, &w, u, v, 3);
-                match ap.hops(u, v) {
-                    Some(h) if h <= 3 => {
-                        let e = exact.expect("pair inside the ball");
-                        assert_eq!(e.to_bits(), ap.cost(u, v).to_bits(), "({u},{v})");
-                    }
-                    _ => assert!(exact.is_none(), "({u},{v}) outside the ball"),
-                }
-            }
-        }
     }
 
     #[test]

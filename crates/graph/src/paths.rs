@@ -1,22 +1,26 @@
 //! Shortest-path machinery.
 //!
 //! The paper's Path Contention Cost (Eq. 2) sums **node** costs
-//! `w_k (1 + S(k))` along the shortest path between two nodes, so unlike
-//! textbook shortest paths the metric here is node-weighted. This module
-//! provides:
+//! `w_k (1 + S(k))` along the route a packet takes between two nodes, so
+//! unlike textbook shortest paths the metric here is node-weighted. The
+//! route is the hop-shortest path, ties broken by the lower node-cost
+//! sum. Its cost is never below the cheapest node-weighted path's (the
+//! min-cost metric that [`crate::oracle`] bounds) and may exceed it when
+//! the fewest hops pass through heavier nodes. This module provides:
 //!
 //! * [`bfs_hops`] — plain hop distances (the Hop-Count baseline metric),
 //! * [`k_hop_neighborhood`] — the scope of the distributed algorithm's
 //!   local messages,
-//! * [`AllPairsPaths`] — all-pairs node-weighted shortest paths with path
-//!   reconstruction, under either hop-first or cost-first selection,
-//!   computable sequentially or with a scoped-thread fan-out
-//!   ([`Parallelism`]) and incrementally updatable after node costs or
-//!   the topology change ([`AllPairsPaths::update`]),
+//! * [`AllPairsPaths`] — all-pairs routed path costs with path
+//!   reconstruction, computable sequentially or with a scoped-thread
+//!   fan-out ([`Parallelism`]) and incrementally updatable after node
+//!   costs or the topology change ([`AllPairsPaths::update`]),
 //! * [`induced_rows`] — the same per-source kernel for a few sources
 //!   over the subgraph a node list induces, without building it (the
 //!   distributed views and the scoped store's blocks), split into an
-//!   [`InducedRows`] capture and a later solve.
+//!   [`InducedRows`] capture and a later solve,
+//! * [`dijkstra_edge_weighted`] — single-source shortest paths under an
+//!   edge-weight closure (dissemination trees and the landmark sweeps).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -25,25 +29,22 @@ use peercache_obs as obs;
 
 use crate::{Csr, EdgeDiff, Graph, GraphError, NodeId};
 
-/// How ties between candidate paths are resolved.
+/// Which route a packet takes between two nodes.
 ///
 /// The paper routes packets along the *hop-shortest* path and then sums
-/// contention costs along it ([`PathSelection::FewestHops`], the
-/// default). Selecting the *cheapest* path under the node-cost metric
-/// ([`PathSelection::MinCost`]) is a natural ablation: it can only lower
-/// path costs, at the price of longer routes.
+/// contention costs along it. That is the one route this crate models,
+/// so the type has one variant; the configuration fields and signatures
+/// that still carry it do not read it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PathSelection {
     /// Prefer fewer hops; break ties by lower total node cost.
     #[default]
     FewestHops,
-    /// Prefer lower total node cost; break ties by fewer hops.
-    MinCost,
 }
 
 /// How many OS threads a per-source shortest-path fan-out may use.
 ///
-/// Every per-source Dijkstra is independent and deterministic, so the
+/// Every per-source solve is independent and deterministic, so the
 /// result is **byte-identical** for every variant — parallelism is purely
 /// a wall-clock knob and can be flipped freely without perturbing
 /// placements.
@@ -158,7 +159,8 @@ pub fn k_hop_neighborhood(g: &Graph, src: NodeId, k: u32) -> Vec<NodeId> {
     out
 }
 
-/// All-pairs node-weighted shortest paths with path reconstruction.
+/// All-pairs routed path costs with path reconstruction: each pair's
+/// route is its hop-shortest path of least node-cost sum.
 ///
 /// The cost of a (non-trivial) path is the sum of `node_cost` over
 /// **every node on the path, endpoints included** — matching the paper's
@@ -178,7 +180,6 @@ pub fn k_hop_neighborhood(g: &Graph, src: NodeId, k: u32) -> Vec<NodeId> {
 #[derive(Debug, Clone)]
 pub struct AllPairsPaths {
     n: usize,
-    selection: PathSelection,
     node_cost: Vec<f64>,
     /// Per-pair interior path cost (`f64::INFINITY` when unreachable).
     interior: Vec<f64>,
@@ -201,8 +202,6 @@ pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// Per-source scratch buffers reused across the rows one thread solves.
 struct Scratch {
-    heap: BinaryHeap<Reverse<(Key, usize)>>,
-    settled: Vec<bool>,
     /// The row's nodes in BFS layer order, source first.
     queue: Vec<u32>,
     /// Refresh only, sized on first use: layer offsets of the counting
@@ -216,8 +215,6 @@ struct Scratch {
 impl Scratch {
     fn new(n: usize) -> Self {
         Scratch {
-            heap: BinaryHeap::new(),
-            settled: vec![false; n],
             queue: Vec::with_capacity(n),
             layer_start: Vec::new(),
             stale: Vec::new(),
@@ -250,13 +247,11 @@ impl AllPairsPaths {
     /// per-source interior bitset (`n / 8` bytes a row) is not counted.
     pub const BYTES_PER_PAIR: usize = size_of::<f64>() + size_of::<u32>() + size_of::<u32>();
 
-    /// Computes all-pairs shortest paths under the node-cost metric,
-    /// single-threaded.
+    /// Computes the routed path of every pair, single-threaded.
     ///
-    /// Runs one deterministic Dijkstra per source with the lexicographic
-    /// key implied by `selection`; `O(N (N + E) log N)` total. Equivalent
-    /// to [`AllPairsPaths::compute_with`] under
-    /// [`Parallelism::Sequential`].
+    /// Runs one breadth-first search and one layer-order pass per
+    /// source; `O(N (N + E))` total. Equivalent to
+    /// [`AllPairsPaths::compute_with`] under [`Parallelism::Sequential`].
     ///
     /// # Errors
     ///
@@ -266,29 +261,25 @@ impl AllPairsPaths {
     /// # Example
     ///
     /// ```
-    /// use peercache_graph::{builders, paths::{AllPairsPaths, PathSelection}, NodeId};
+    /// use peercache_graph::{builders, paths::AllPairsPaths, NodeId};
     ///
     /// let g = builders::path(3);
     /// let costs = vec![1.0, 5.0, 1.0];
-    /// let ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops)?;
+    /// let ap = AllPairsPaths::compute(&g, &costs)?;
     /// // 0 -> 2 passes through the expensive middle node: 1 + 5 + 1.
     /// assert_eq!(ap.cost(NodeId::new(0), NodeId::new(2)), 7.0);
     /// assert_eq!(ap.cost(NodeId::new(1), NodeId::new(1)), 0.0);
     /// # Ok::<(), peercache_graph::GraphError>(())
     /// ```
-    pub fn compute(
-        g: &Graph,
-        node_cost: &[f64],
-        selection: PathSelection,
-    ) -> Result<Self, GraphError> {
-        AllPairsPaths::compute_with(g, node_cost, selection, Parallelism::Sequential)
+    pub fn compute(g: &Graph, node_cost: &[f64]) -> Result<Self, GraphError> {
+        AllPairsPaths::compute_with(g, node_cost, Parallelism::Sequential)
     }
 
-    /// Computes all-pairs shortest paths with a configurable per-source
+    /// Computes every pair's routed path with a configurable per-source
     /// fan-out over scoped threads.
     ///
     /// Sources are split into contiguous row blocks, one per thread;
-    /// every per-source Dijkstra is independent, so the result is
+    /// every per-source solve is independent, so the result is
     /// byte-identical to the sequential computation for any thread
     /// count.
     ///
@@ -299,7 +290,6 @@ impl AllPairsPaths {
     pub fn compute_with(
         g: &Graph,
         node_cost: &[f64],
-        selection: PathSelection,
         parallelism: Parallelism,
     ) -> Result<Self, GraphError> {
         let n = g.node_count();
@@ -312,7 +302,6 @@ impl AllPairsPaths {
         let words = words_per_row(n);
         let mut ap = AllPairsPaths {
             n,
-            selection,
             node_cost: node_cost[..n].to_vec(),
             interior: vec![f64::INFINITY; n * n],
             hops: vec![UNREACHABLE_HOPS; n * n],
@@ -345,37 +334,33 @@ impl AllPairsPaths {
     ///   paths, so a row stays valid (and optimal) unless its stored
     ///   shortest-path tree actually uses the edge (`parent[v] == u` or
     ///   `parent[u] == v`).
-    /// * **Added edge `(u, v)`**, hop-first selection — a row is
-    ///   unaffected when both endpoints sit at *equal* hop depth from the
-    ///   source (including both unreachable): an intra-layer edge is
-    ///   never part of a hop-shortest path and is never considered by the
-    ///   layer DP. Cost-first selection falls back to "dirty when either
-    ///   endpoint is reachable". More than one added edge rebuilds the
-    ///   whole structure (per-edge tests against stale hop labels are
-    ///   unsound when additions compound), and so does a node-count
-    ///   change.
+    /// * **Added edge `(u, v)`** — a row is unaffected when both
+    ///   endpoints sit at *equal* hop depth from the source (including
+    ///   both unreachable): an intra-layer edge is never part of a
+    ///   hop-shortest path and is never considered by the layer DP. More
+    ///   than one added edge rebuilds the whole structure (per-edge tests
+    ///   against stale hop labels are unsound when additions compound),
+    ///   and so does a node-count change.
     /// * **A cost rise** at `k` dirties only the rows `k` is *interior*
     ///   to. Endpoint terms are added at query time, so a row whose
     ///   selected paths hold every changed node only as an endpoint
     ///   keeps its interior costs, hops and parents.
-    /// * **A cost decrease** at a connected node `k` under hop-first
-    ///   selection dirties only the rows for which `k` lies on some
-    ///   hop-shortest path — `k` reachable with a neighbor one BFS layer
-    ///   further out — which keeps departures (where surviving
-    ///   neighbors' degree terms drop) incremental. A decrease at an
-    ///   *isolated* node is ignored: it cannot be, or become, interior to
-    ///   any path. Cost-first selection with any decrease re-runs every
-    ///   row.
+    /// * **A cost decrease** at a connected node `k` dirties only the
+    ///   rows for which `k` lies on some hop-shortest path — `k`
+    ///   reachable with a neighbor one BFS layer further out — which
+    ///   keeps departures (where surviving neighbors' degree terms drop)
+    ///   incremental. A decrease at an *isolated* node is ignored: it
+    ///   cannot be, or become, interior to any path.
     ///
     /// A dirty row is re-run from scratch, with one exception. When the
-    /// graph is unchanged, every changed cost *rose* and selection is
-    /// hop-first, the stored hop labels still hold, so the row is
-    /// refreshed in place: only the nodes whose stored tree path has a
-    /// changed node between the source and themselves re-solve their
-    /// best predecessor, in stored hop order. Every other node keeps its
-    /// stored parent: that candidate's cost is unchanged, while every
-    /// competing candidate can only have grown. The caching planners only
-    /// ever raise `S(k)`, so a chunk commit always takes this path.
+    /// graph is unchanged and every changed cost *rose*, the stored hop
+    /// labels still hold, so the row is refreshed in place: only the
+    /// nodes whose stored tree path has a changed node between the
+    /// source and themselves re-solve their best predecessor, in stored
+    /// hop order. Every other node keeps its stored parent: that
+    /// candidate's cost is unchanged, while every competing candidate
+    /// can only have grown. The caching planners only ever raise `S(k)`,
+    /// so a chunk commit always takes this path.
     ///
     /// Returns the number of rows refreshed or re-run. The result is
     /// byte-identical to a fresh [`AllPairsPaths::compute_with`] on `g`
@@ -389,12 +374,12 @@ impl AllPairsPaths {
     /// # Example
     ///
     /// ```
-    /// use peercache_graph::paths::{AllPairsPaths, Parallelism, PathSelection};
+    /// use peercache_graph::paths::{AllPairsPaths, Parallelism};
     /// use peercache_graph::{builders, NodeId};
     ///
     /// let mut g = builders::grid(3, 3);
     /// let mut costs = vec![1.0; 9];
-    /// let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops)?;
+    /// let mut ap = AllPairsPaths::compute(&g, &costs)?;
     /// costs[8] = 5.0; // a corner: interior to no hop-shortest path
     /// assert_eq!(ap.update(&g, &costs, Parallelism::Sequential)?, 0);
     /// assert_eq!(ap.cost(NodeId::new(7), NodeId::new(8)), 6.0); // queries see it
@@ -418,7 +403,7 @@ impl AllPairsPaths {
         }
         let diff = self.csr.edge_diff(g);
         if g.node_count() != self.n || diff.added.len() > 1 {
-            *self = AllPairsPaths::compute_with(g, node_cost, self.selection, parallelism)?;
+            *self = AllPairsPaths::compute_with(g, node_cost, parallelism)?;
             return Ok(self.n);
         }
         let n = self.n;
@@ -454,7 +439,7 @@ impl AllPairsPaths {
             added = diff.added.len(),
             threads = threads,
         );
-        let job = if diff.is_empty() && rose_only && self.selection == PathSelection::FewestHops {
+        let job = if diff.is_empty() && rose_only {
             RowJob::Refresh { changed: &changed }
         } else {
             RowJob::Recompute
@@ -487,15 +472,11 @@ impl AllPairsPaths {
             .removed
             .iter()
             .any(|&(u, v)| tree_edge(v, u) || tree_edge(u, v))
-            || diff.added.first().is_some_and(|&(u, v)| {
-                let (hu, hv) = (row_hops[u.index()], row_hops[v.index()]);
-                match self.selection {
-                    PathSelection::FewestHops => hu != hv,
-                    PathSelection::MinCost => hu != UNREACHABLE_HOPS || hv != UNREACHABLE_HOPS,
-                }
-            });
+            || diff
+                .added
+                .first()
+                .is_some_and(|&(u, v)| row_hops[u.index()] != row_hops[v.index()]);
         structural
-            || (!decreased.is_empty() && self.selection == PathSelection::MinCost)
             || self.interior_mask[src * words..(src + 1) * words]
                 .iter()
                 .zip(changed)
@@ -529,9 +510,9 @@ impl AllPairsPaths {
         if rows.len() == 0 {
             return 0;
         }
-        let (n, selection, csr) = (self.n, self.selection, &self.csr);
+        let (n, csr) = (self.n, &self.csr);
         let solve = |src: usize, row: &mut RowMut<'_>, scratch: &mut Scratch| match job {
-            RowJob::Recompute => single_source(csr, node_cost, src, selection, row, scratch),
+            RowJob::Recompute => single_source(csr, node_cost, src, row, scratch),
             RowJob::Refresh { changed } => refresh_row(csr, node_cost, src, changed, row, scratch),
         };
         let threads = parallelism.threads(rows.len());
@@ -661,14 +642,14 @@ impl AllPairsPaths {
 /// # Example
 ///
 /// ```
-/// use peercache_graph::paths::{induced_rows, PathSelection};
+/// use peercache_graph::paths::induced_rows;
 /// use peercache_graph::{builders, NodeId};
 ///
 /// let g = builders::path(4); // 0 - 1 - 2 - 3
 /// let costs = [1.0, 5.0, 1.0, 1.0];
 /// let nodes = [NodeId::new(0), NodeId::new(1), NodeId::new(3)];
 /// let from_zero = [NodeId::new(0)];
-/// let (cost, hops) = induced_rows(&g, &nodes, &from_zero, &costs, PathSelection::FewestHops)?;
+/// let (cost, hops) = induced_rows(&g, &nodes, &from_zero, &costs)?;
 /// // Without node 2, node 3 is cut off from node 0.
 /// assert_eq!(cost, [0.0, 6.0, f64::INFINITY]);
 /// assert_eq!(hops, [0, 1, u32::MAX]);
@@ -679,14 +660,13 @@ pub fn induced_rows(
     nodes: &[NodeId],
     sources: &[NodeId],
     node_cost: &[f64],
-    selection: PathSelection,
 ) -> Result<(Vec<f64>, Vec<u32>), GraphError> {
-    Ok(InducedRows::capture(g, nodes, sources, node_cost, selection)?.solve())
+    Ok(InducedRows::capture(g, nodes, sources, node_cost)?.solve())
 }
 
 /// Everything an [`induced_rows`] solve reads, captured: the CSR of
 /// the subgraph a strictly ascending node list induces, the members'
-/// node costs, the sources' local ids and the path selection.
+/// node costs and the sources' local ids.
 ///
 /// [`InducedRows::solve`] reads nothing else, so a capture solved later
 /// returns what [`induced_rows`] returned at capture time, whatever the
@@ -702,7 +682,6 @@ pub struct InducedRows {
     csr: Csr,
     term: Vec<f64>,
     sources: Vec<usize>,
-    selection: PathSelection,
 }
 
 impl InducedRows {
@@ -720,7 +699,6 @@ impl InducedRows {
         nodes: &[NodeId],
         sources: &[NodeId],
         node_cost: &[f64],
-        selection: PathSelection,
     ) -> Result<Self, GraphError> {
         if let Some(w) = nodes.windows(2).find(|w| w[0] >= w[1]) {
             return Err(GraphError::UnsortedNodes { node: w[1] });
@@ -748,7 +726,6 @@ impl InducedRows {
             csr: Csr::induced(g, nodes),
             term: nodes.iter().map(|v| node_cost[v.index()]).collect(),
             sources,
-            selection,
         })
     }
 
@@ -771,7 +748,7 @@ impl InducedRows {
                 parent: &mut parent,
                 mask: &mut mask,
             };
-            single_source(csr, term, s, self.selection, &mut row, &mut scratch);
+            single_source(csr, term, s, &mut row, &mut scratch);
             // The endpoint terms are added in `AllPairsPaths::cost`'s order.
             cost_out.extend((0..b).map(|j| match hops[j] {
                 _ if j == s => 0.0,
@@ -788,20 +765,21 @@ fn words_per_row(n: usize) -> usize {
     n.div_ceil(64).max(1)
 }
 
-/// One deterministic Dijkstra over the interior-cost metric, writing
-/// into the caller's row slices.
+/// One row's routed paths, written into the caller's row slices: a BFS
+/// for the hop labels, then a layer-order pass picking each node's best
+/// predecessor ([`best_predecessor`]).
 ///
-/// The relaxation `interior(v) = interior(u) + node_cost[u]` (0 when `u`
-/// is the source) orders paths exactly as the full endpoint-inclusive
-/// cost does — every candidate between a fixed pair shares its
-/// endpoints — while keeping stored rows independent of endpoint terms.
+/// The step `interior(v) = interior(u) + node_cost[u]` (0 when `u` is
+/// the source) orders candidate paths exactly as the full
+/// endpoint-inclusive cost does — every candidate between a fixed pair
+/// shares its endpoints — while keeping stored rows independent of
+/// endpoint terms.
 ///
 /// Returns the number of non-source nodes solved (the reachable ones).
 fn single_source(
     csr: &Csr,
     node_cost: &[f64],
     src: usize,
-    selection: PathSelection,
     row: &mut RowMut<'_>,
     scratch: &mut Scratch,
 ) -> usize {
@@ -817,81 +795,29 @@ fn single_source(
 
     interior[src] = 0.0;
     hops[src] = 0;
-    let solved = match selection {
-        PathSelection::FewestHops => {
-            // Hop count is the primary key, so every hop-`h-1` node is
-            // final before any hop-`h` node is looked at — the heap
-            // degenerates into BFS layers. Run a plain BFS for the hop
-            // labels, then a layer-order DP picking each node's best
-            // predecessor ([`best_predecessor`]), exactly the value the
-            // generic Dijkstra's relaxation rule converges to.
-            let queue = &mut scratch.queue;
-            queue.clear();
-            queue.push(src as u32);
-            let mut head = 0;
-            while head < queue.len() {
-                let u = queue[head] as usize;
-                head += 1;
-                for &v in csr.neighbors(u) {
-                    let vi = v as usize;
-                    if hops[vi] == UNREACHABLE_HOPS {
-                        hops[vi] = hops[u] + 1;
-                        queue.push(v);
-                    }
-                }
+    let queue = &mut scratch.queue;
+    queue.clear();
+    queue.push(src as u32);
+    let mut head = 0;
+    while head < queue.len() {
+        let u = queue[head] as usize;
+        head += 1;
+        for &v in csr.neighbors(u) {
+            let vi = v as usize;
+            if hops[vi] == UNREACHABLE_HOPS {
+                hops[vi] = hops[u] + 1;
+                queue.push(v);
             }
-            // BFS order visits layers in order, so each node's
-            // predecessors (hop exactly one less) are already final.
-            for &qv in &queue[1..] {
-                let v = qv as usize;
-                (interior[v], parent[v]) = best_predecessor(csr, node_cost, src, hops, interior, v);
-            }
-            queue.len() - 1
         }
-        PathSelection::MinCost => {
-            scratch.heap.clear();
-            scratch.settled.fill(false);
-            let settled = &mut scratch.settled;
-            let heap = &mut scratch.heap;
-            let mut solved = 0;
-            heap.push(Reverse((Key::new(selection, 0.0, 0), src)));
-            while let Some(Reverse((key, u))) = heap.pop() {
-                if settled[u] {
-                    continue;
-                }
-                // Stale entries carry a worse key than the settled value.
-                if key != Key::new(selection, interior[u], hops[u]) {
-                    continue;
-                }
-                settled[u] = true;
-                solved += usize::from(u != src);
-                // Leaving `u` makes it an interior node of every longer
-                // path.
-                let step = if u == src { 0.0 } else { node_cost[u] };
-                for &v in csr.neighbors(u) {
-                    let vi = v as usize;
-                    if settled[vi] {
-                        continue;
-                    }
-                    let cand_interior = interior[u] + step;
-                    let cand_hops = hops[u] + 1;
-                    let cand = Key::new(selection, cand_interior, cand_hops);
-                    let cur = Key::new(selection, interior[vi], hops[vi]);
-                    let better = cand < cur
-                        || (cand == cur && parent[vi] != NO_PARENT && (u as u32) < parent[vi]);
-                    if better {
-                        interior[vi] = cand_interior;
-                        hops[vi] = cand_hops;
-                        parent[vi] = u as u32;
-                        heap.push(Reverse((cand, vi)));
-                    }
-                }
-            }
-            solved
-        }
-    };
+    }
+    // BFS order visits layers in order, so each node's predecessors
+    // (hop exactly one less) are already final.
+    for &qv in &queue[1..] {
+        let v = qv as usize;
+        (interior[v], parent[v]) = best_predecessor(csr, node_cost, src, hops, interior, v);
+    }
     fill_interior_mask(src, parent, mask);
-    solved
+    queue.len() - 1
 }
 
 /// The best predecessor of the reachable non-source node `v` among its
@@ -930,8 +856,8 @@ fn best_predecessor(
     (best, best_parent)
 }
 
-/// Refreshes one hop-first row in place after the costs of the nodes in
-/// the `changed` bitset rose, on an unchanged graph.
+/// Refreshes one row in place after the costs of the nodes in the
+/// `changed` bitset rose, on an unchanged graph.
 ///
 /// The stored hop labels still hold, so a counting sort by them
 /// recovers the BFS layer order. Walking it, a node is *stale* when its
@@ -1042,7 +968,7 @@ pub fn dijkstra_edge_weighted<W>(
 where
     W: Fn(NodeId, NodeId) -> f64,
 {
-    let (cost, parent) = edge_weighted_spt(g, src, weight);
+    let (cost, parent) = edge_weighted_spt(g, src, 0.0, weight);
     let parent = parent
         .into_iter()
         .map(|p| (p != NO_PARENT).then(|| NodeId::new(p as usize)))
@@ -1050,14 +976,21 @@ where
     (cost, parent)
 }
 
-/// [`dijkstra_edge_weighted`] with `u32` parents ([`NO_PARENT`] for the
-/// source and unreachable nodes), the form the Steiner memo stores.
+/// [`dijkstra_edge_weighted`] from a non-negative `start` cost at the
+/// source, with `u32` parents ([`NO_PARENT`] for the source and
+/// unreachable nodes): the form the Steiner memo stores (from 0.0) and
+/// the landmark sweeps read (from the landmark's own node term).
 ///
 /// The heap is keyed on the cost's bit pattern, which orders
 /// non-negative costs exactly as `f64::total_cmp` does, so nodes settle
 /// in the order a `(cost, id)` heap would settle them and every tie
 /// resolves as documented on [`dijkstra_edge_weighted`].
-pub(crate) fn edge_weighted_spt<W>(g: &Graph, src: NodeId, weight: W) -> (Vec<f64>, Vec<u32>)
+pub(crate) fn edge_weighted_spt<W>(
+    g: &Graph,
+    src: NodeId,
+    start: f64,
+    weight: W,
+) -> (Vec<f64>, Vec<u32>)
 where
     W: Fn(NodeId, NodeId) -> f64,
 {
@@ -1066,8 +999,8 @@ where
     let mut parent = vec![NO_PARENT; n];
     let mut settled = vec![false; n];
     let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    cost[src.index()] = 0.0;
-    heap.push(Reverse((0.0f64.to_bits(), src.index() as u32)));
+    cost[src.index()] = start;
+    heap.push(Reverse((start.to_bits(), src.index() as u32)));
     while let Some(Reverse((bits, u))) = heap.pop() {
         let u = u as usize;
         if settled[u] || bits != cost[u].to_bits() {
@@ -1090,45 +1023,6 @@ where
         }
     }
     (cost, parent)
-}
-
-/// Lexicographic Dijkstra key; which component leads depends on the
-/// [`PathSelection`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Key {
-    primary: f64,
-    secondary: f64,
-}
-
-impl Key {
-    fn new(selection: PathSelection, cost: f64, hops: u32) -> Self {
-        match selection {
-            PathSelection::FewestHops => Key {
-                primary: f64::from(hops.min(UNREACHABLE_HOPS - 1)),
-                secondary: cost,
-            },
-            PathSelection::MinCost => Key {
-                primary: cost,
-                secondary: f64::from(hops.min(UNREACHABLE_HOPS - 1)),
-            },
-        }
-    }
-}
-
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.primary
-            .total_cmp(&other.primary)
-            .then(self.secondary.total_cmp(&other.secondary))
-    }
 }
 
 #[cfg(test)]
@@ -1201,7 +1095,7 @@ mod tests {
     #[test]
     fn all_pairs_diagonal_is_zero() {
         let g = builders::grid(3, 3);
-        let ap = AllPairsPaths::compute(&g, &unit_costs(&g), PathSelection::FewestHops).unwrap();
+        let ap = AllPairsPaths::compute(&g, &unit_costs(&g)).unwrap();
         for u in g.nodes() {
             assert_eq!(ap.cost(u, u), 0.0);
             assert_eq!(ap.hops(u, u), Some(0));
@@ -1212,7 +1106,7 @@ mod tests {
     #[test]
     fn unit_cost_path_includes_both_endpoints() {
         let g = builders::path(4);
-        let ap = AllPairsPaths::compute(&g, &unit_costs(&g), PathSelection::FewestHops).unwrap();
+        let ap = AllPairsPaths::compute(&g, &unit_costs(&g)).unwrap();
         // 0-1: both endpoints -> cost 2.
         assert_eq!(ap.cost(NodeId::new(0), NodeId::new(1)), 2.0);
         assert_eq!(ap.cost(NodeId::new(0), NodeId::new(3)), 4.0);
@@ -1221,7 +1115,7 @@ mod tests {
     #[test]
     fn path_reconstruction_matches_hops() {
         let g = builders::grid(4, 4);
-        let ap = AllPairsPaths::compute(&g, &unit_costs(&g), PathSelection::FewestHops).unwrap();
+        let ap = AllPairsPaths::compute(&g, &unit_costs(&g)).unwrap();
         for u in g.nodes() {
             for v in g.nodes() {
                 let p = ap.path(u, v).expect("grid is connected");
@@ -1237,31 +1131,9 @@ mod tests {
     }
 
     #[test]
-    fn min_cost_routes_around_expensive_nodes() {
-        // Square 0-1, 0-2, 1-3, 2-3 with node 1 very expensive.
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
-        let costs = vec![1.0, 100.0, 1.0, 1.0];
-        let hop_first = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
-        let cost_first = AllPairsPaths::compute(&g, &costs, PathSelection::MinCost).unwrap();
-        // Both routes are 2 hops; tie broken by cost, so both avoid node 1 here.
-        assert_eq!(hop_first.cost(NodeId::new(0), NodeId::new(3)), 3.0);
-        assert_eq!(cost_first.cost(NodeId::new(0), NodeId::new(3)), 3.0);
-        // Force a detour: connect 0-3 through a longer cheap path.
-        let g2 = Graph::from_edges(5, &[(0, 1), (1, 3), (0, 2), (2, 4), (4, 3)]).unwrap();
-        let costs2 = vec![1.0, 100.0, 1.0, 1.0, 1.0];
-        let hop2 = AllPairsPaths::compute(&g2, &costs2, PathSelection::FewestHops).unwrap();
-        let cost2 = AllPairsPaths::compute(&g2, &costs2, PathSelection::MinCost).unwrap();
-        // Hop-first goes 0-1-3 (cost 102); cost-first goes 0-2-4-3 (cost 4).
-        assert_eq!(hop2.cost(NodeId::new(0), NodeId::new(3)), 102.0);
-        assert_eq!(hop2.hops(NodeId::new(0), NodeId::new(3)), Some(2));
-        assert_eq!(cost2.cost(NodeId::new(0), NodeId::new(3)), 4.0);
-        assert_eq!(cost2.hops(NodeId::new(0), NodeId::new(3)), Some(3));
-    }
-
-    #[test]
     fn unreachable_pairs_report_infinity() {
         let g = Graph::new(3); // no edges
-        let ap = AllPairsPaths::compute(&g, &[1.0; 3], PathSelection::FewestHops).unwrap();
+        let ap = AllPairsPaths::compute(&g, &[1.0; 3]).unwrap();
         assert!(ap.cost(NodeId::new(0), NodeId::new(2)).is_infinite());
         assert_eq!(ap.hops(NodeId::new(0), NodeId::new(2)), None);
         assert_eq!(ap.path(NodeId::new(0), NodeId::new(2)), None);
@@ -1271,7 +1143,7 @@ mod tests {
     fn cost_matrix_is_symmetric_for_symmetric_metrics() {
         let g = builders::grid(4, 4);
         let costs: Vec<f64> = (0..16).map(|i| 1.0 + (i % 5) as f64).collect();
-        let ap = AllPairsPaths::compute(&g, &costs, PathSelection::MinCost).unwrap();
+        let ap = AllPairsPaths::compute(&g, &costs).unwrap();
         for u in g.nodes() {
             for v in g.nodes() {
                 assert!((ap.cost(u, v) - ap.cost(v, u)).abs() < 1e-9);
@@ -1282,7 +1154,7 @@ mod tests {
     #[test]
     fn short_cost_slice_is_an_error() {
         let g = builders::grid(2, 2);
-        let err = AllPairsPaths::compute(&g, &[1.0], PathSelection::FewestHops).unwrap_err();
+        let err = AllPairsPaths::compute(&g, &[1.0]).unwrap_err();
         assert!(matches!(err, GraphError::NodeOutOfBounds { .. }));
     }
 
@@ -1300,18 +1172,11 @@ mod tests {
     fn parallel_matches_sequential_bytewise() {
         let g = builders::grid(5, 5);
         let costs: Vec<f64> = (0..25).map(|i| 1.0 + (i % 7) as f64).collect();
-        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
-            let seq = AllPairsPaths::compute(&g, &costs, selection).unwrap();
-            for threads in [2usize, 3, 8, 64] {
-                let par = AllPairsPaths::compute_with(
-                    &g,
-                    &costs,
-                    selection,
-                    Parallelism::Threads(threads),
-                )
-                .unwrap();
-                assert_identical(&seq, &par, &g);
-            }
+        let seq = AllPairsPaths::compute(&g, &costs).unwrap();
+        for threads in [2usize, 3, 8, 64] {
+            let par =
+                AllPairsPaths::compute_with(&g, &costs, Parallelism::Threads(threads)).unwrap();
+            assert_identical(&seq, &par, &g);
         }
     }
 
@@ -1319,27 +1184,22 @@ mod tests {
     fn update_matches_fresh_compute() {
         let g = builders::grid(5, 5);
         let mut costs: Vec<f64> = (0..25).map(|i| 1.0 + (i % 4) as f64).collect();
-        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
-            let mut ap = AllPairsPaths::compute(&g, &costs, selection).unwrap();
-            // Raise a few node terms, as committing a chunk does.
-            for bump in [12usize, 3, 24] {
-                costs[bump] += 2.0;
-                let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
-                assert!(redone <= g.node_count());
-                let fresh = AllPairsPaths::compute(&g, &costs, selection).unwrap();
-                assert_identical(&ap, &fresh, &g);
-            }
-            // A decrease at the centre re-runs every row it can lie on a
-            // hop-shortest path of: all but its own under hop-first
-            // selection; cost-first selection re-runs every row.
-            costs[12] -= 3.0;
+        let mut ap = AllPairsPaths::compute(&g, &costs).unwrap();
+        // Raise a few node terms, as committing a chunk does.
+        for bump in [12usize, 3, 24] {
+            costs[bump] += 2.0;
             let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
-            let every_row = g.node_count() - usize::from(selection == PathSelection::FewestHops);
-            assert_eq!(redone, every_row);
-            let fresh = AllPairsPaths::compute(&g, &costs, selection).unwrap();
+            assert!(redone <= g.node_count());
+            let fresh = AllPairsPaths::compute(&g, &costs).unwrap();
             assert_identical(&ap, &fresh, &g);
-            costs[12] += 1.0; // restore for the next selection
         }
+        // A decrease at the centre re-runs every row it can lie on a
+        // hop-shortest path of: all but its own.
+        costs[12] -= 3.0;
+        let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
+        assert_eq!(redone, g.node_count() - 1);
+        let fresh = AllPairsPaths::compute(&g, &costs).unwrap();
+        assert_identical(&ap, &fresh, &g);
     }
 
     #[test]
@@ -1349,7 +1209,7 @@ mod tests {
         // the node is an endpoint only.
         let g = builders::path(5);
         let mut costs = vec![1.0; 5];
-        let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        let mut ap = AllPairsPaths::compute(&g, &costs).unwrap();
         costs[2] = 3.0;
         ap.node_cost.copy_from_slice(&costs);
         let changed = [1u64 << 2];
@@ -1360,14 +1220,14 @@ mod tests {
             Parallelism::Sequential,
         );
         assert_eq!(resolved, 8);
-        let fresh = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        let fresh = AllPairsPaths::compute(&g, &costs).unwrap();
         assert_identical(&ap, &fresh, &g);
     }
 
     #[test]
     fn bytes_per_pair_matches_the_row_layout() {
         let g = builders::grid(2, 2);
-        let ap = AllPairsPaths::compute(&g, &unit_costs(&g), PathSelection::FewestHops).unwrap();
+        let ap = AllPairsPaths::compute(&g, &unit_costs(&g)).unwrap();
         let per_pair =
             size_of_val(&ap.interior[0]) + size_of_val(&ap.hops[0]) + size_of_val(&ap.parent[0]);
         assert_eq!(AllPairsPaths::BYTES_PER_PAIR, per_pair);
@@ -1378,7 +1238,7 @@ mod tests {
     fn update_with_unchanged_costs_is_a_noop() {
         let g = builders::grid(3, 3);
         let costs = unit_costs(&g);
-        let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        let mut ap = AllPairsPaths::compute(&g, &costs).unwrap();
         assert_eq!(ap.update(&g, &costs, Parallelism::Auto).unwrap(), 0);
     }
 
@@ -1389,7 +1249,7 @@ mod tests {
         let g = builders::grid(6, 6);
         let varied: Vec<f64> = (0..36).map(|i| 1.0 + (i % 3) as f64).collect();
         for mut costs in [varied, unit_costs(&g)] {
-            let mut seq = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+            let mut seq = AllPairsPaths::compute(&g, &costs).unwrap();
             let mut par = seq.clone();
             for bumps in [&[7usize, 20][..], &[14, 15], &[7, 21, 22, 28]] {
                 for &k in bumps {
@@ -1398,7 +1258,7 @@ mod tests {
                 let a = seq.update(&g, &costs, Parallelism::Sequential).unwrap();
                 let b = par.update(&g, &costs, Parallelism::Threads(4)).unwrap();
                 assert_eq!(a, b);
-                let fresh = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+                let fresh = AllPairsPaths::compute(&g, &costs).unwrap();
                 for ap in [&seq, &par] {
                     assert_identical(ap, &fresh, &g);
                     assert_eq!(ap.interior_mask, fresh.interior_mask);
@@ -1409,56 +1269,49 @@ mod tests {
 
     #[test]
     fn topology_update_after_edge_removal_matches_fresh() {
-        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
-            let mut g = builders::grid(5, 5);
-            let costs: Vec<f64> = (0..25).map(|i| 1.0 + (i % 4) as f64).collect();
-            let mut ap = AllPairsPaths::compute(&g, &costs, selection).unwrap();
-            let (u, v) = (NodeId::new(6), NodeId::new(7));
-            g.remove_edge(u, v).unwrap();
-            let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
-            let fresh = AllPairsPaths::compute(&g, &costs, selection).unwrap();
-            assert_identical(&ap, &fresh, &g);
-            assert!(redone < 25, "removal must stay incremental, redid {redone}");
-        }
+        let mut g = builders::grid(5, 5);
+        let costs: Vec<f64> = (0..25).map(|i| 1.0 + (i % 4) as f64).collect();
+        let mut ap = AllPairsPaths::compute(&g, &costs).unwrap();
+        let (u, v) = (NodeId::new(6), NodeId::new(7));
+        g.remove_edge(u, v).unwrap();
+        let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
+        let fresh = AllPairsPaths::compute(&g, &costs).unwrap();
+        assert_identical(&ap, &fresh, &g);
+        assert!(redone < 25, "removal must stay incremental, redid {redone}");
     }
 
     #[test]
     fn topology_update_after_edge_addition_matches_fresh() {
-        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
-            let mut g = builders::grid(2, 2); // square 0-1, 0-2, 1-3, 2-3
-            let costs = vec![1.0, 2.0, 3.0, 4.0];
-            let mut ap = AllPairsPaths::compute(&g, &costs, selection).unwrap();
-            let (u, v) = (NodeId::new(0), NodeId::new(3));
-            g.add_edge(u, v).unwrap();
-            let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
-            let fresh = AllPairsPaths::compute(&g, &costs, selection).unwrap();
-            assert_identical(&ap, &fresh, &g);
-            if selection == PathSelection::FewestHops {
-                // From sources 1 and 2 the new diagonal joins two nodes
-                // at equal depth, so only rows 0 and 3 re-ran.
-                assert_eq!(redone, 2);
-            }
-        }
+        let mut g = builders::grid(2, 2); // square 0-1, 0-2, 1-3, 2-3
+        let costs = vec![1.0, 2.0, 3.0, 4.0];
+        let mut ap = AllPairsPaths::compute(&g, &costs).unwrap();
+        let (u, v) = (NodeId::new(0), NodeId::new(3));
+        g.add_edge(u, v).unwrap();
+        let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
+        let fresh = AllPairsPaths::compute(&g, &costs).unwrap();
+        assert_identical(&ap, &fresh, &g);
+        // From sources 1 and 2 the new diagonal joins two nodes at equal
+        // depth, so only rows 0 and 3 re-ran.
+        assert_eq!(redone, 2);
     }
 
     #[test]
     fn topology_update_node_departure_with_cost_decreases() {
         // A departure removes all incident edges AND lowers the degree
         // terms of the surviving neighbors — the combination the world
-        // layer issues. The decrease must not force a full recompute
-        // under hop-first selection.
+        // layer issues. The decrease must not force a full recompute.
         let mut g = builders::grid(5, 5);
         let costs: Vec<f64> = (0..25)
             .map(|k| 1.0 + (g.degree(NodeId::new(k))) as f64)
             .collect();
-        let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        let mut ap = AllPairsPaths::compute(&g, &costs).unwrap();
         let dead = NodeId::new(12); // center
         g.remove_node(dead).unwrap();
         let new_costs: Vec<f64> = (0..25)
             .map(|k| 1.0 + (g.degree(NodeId::new(k))) as f64)
             .collect();
         let redone = ap.update(&g, &new_costs, Parallelism::Sequential).unwrap();
-        let fresh = AllPairsPaths::compute(&g, &new_costs, PathSelection::FewestHops).unwrap();
+        let fresh = AllPairsPaths::compute(&g, &new_costs).unwrap();
         assert_identical(&ap, &fresh, &g);
         assert!(redone <= 25);
         assert!(ap.cost(NodeId::new(0), dead).is_infinite());
@@ -1470,18 +1323,18 @@ mod tests {
         // must not recompute anything.
         let g = builders::path(4);
         let mut costs = vec![1.0, 1.0, 1.0, 5.0];
-        let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        let mut ap = AllPairsPaths::compute(&g, &costs).unwrap();
         costs[3] = 2.0; // a leaf: never interior
         let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
         assert_eq!(redone, 0);
-        let fresh = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        let fresh = AllPairsPaths::compute(&g, &costs).unwrap();
         assert_identical(&ap, &fresh, &g);
         // An interior decrease re-runs the rows that can route through
         // it: node 1 lies between 0 and {2, 3}, and between 2 and 0.
         costs[1] = 0.5;
         let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
         assert_eq!(redone, 3);
-        let fresh = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        let fresh = AllPairsPaths::compute(&g, &costs).unwrap();
         assert_identical(&ap, &fresh, &g);
     }
 
@@ -1489,14 +1342,14 @@ mod tests {
     fn topology_update_node_count_change_rebuilds() {
         let mut g = builders::path(3);
         let mut costs = vec![1.0; 3];
-        let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        let mut ap = AllPairsPaths::compute(&g, &costs).unwrap();
         let new = g.add_node();
         g.add_edge(new, NodeId::new(2)).unwrap();
         costs.push(1.0);
         let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
         assert_eq!(redone, 4);
         assert_eq!(ap.node_count(), 4);
-        let fresh = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        let fresh = AllPairsPaths::compute(&g, &costs).unwrap();
         assert_identical(&ap, &fresh, &g);
     }
 
@@ -1504,7 +1357,7 @@ mod tests {
     fn topology_update_multi_addition_falls_back_to_full() {
         let mut g = builders::path(4);
         let costs = vec![1.0; 4];
-        let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        let mut ap = AllPairsPaths::compute(&g, &costs).unwrap();
         let added = [
             (NodeId::new(0), NodeId::new(2)),
             (NodeId::new(1), NodeId::new(3)),
@@ -1514,7 +1367,7 @@ mod tests {
         }
         let redone = ap.update(&g, &costs, Parallelism::Sequential).unwrap();
         assert_eq!(redone, 4);
-        let fresh = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        let fresh = AllPairsPaths::compute(&g, &costs).unwrap();
         assert_identical(&ap, &fresh, &g);
     }
 
@@ -1539,43 +1392,39 @@ mod tests {
 
     #[test]
     fn topology_update_randomized_churn_matches_fresh() {
-        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
-            let mut g = builders::grid(4, 4);
-            let mut costs: Vec<f64> = (0..16).map(|i| 1.0 + (i % 5) as f64).collect();
-            let mut ap =
-                AllPairsPaths::compute_with(&g, &costs, selection, Parallelism::Threads(3))
-                    .unwrap();
-            let mut rng = XorShift(0x9e3779b97f4a7c15);
-            for step in 0..80 {
-                // A removal, an addition, a cost change, or a batch of
-                // one removal and one addition.
-                let op = rng.below(4);
-                if op == 0 || op == 3 {
-                    let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
-                    if !edges.is_empty() {
-                        let (u, v) = edges[rng.below(edges.len())];
-                        g.remove_edge(u, v).unwrap();
-                    }
+        let mut g = builders::grid(4, 4);
+        let mut costs: Vec<f64> = (0..16).map(|i| 1.0 + (i % 5) as f64).collect();
+        let mut ap = AllPairsPaths::compute_with(&g, &costs, Parallelism::Threads(3)).unwrap();
+        let mut rng = XorShift(0x9e3779b97f4a7c15);
+        for step in 0..80 {
+            // A removal, an addition, a cost change, or a batch of one
+            // removal and one addition.
+            let op = rng.below(4);
+            if op == 0 || op == 3 {
+                let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+                if !edges.is_empty() {
+                    let (u, v) = edges[rng.below(edges.len())];
+                    g.remove_edge(u, v).unwrap();
                 }
-                if op == 1 || op == 3 {
-                    let (u, v) = (NodeId::new(rng.below(16)), NodeId::new(rng.below(16)));
-                    if u != v {
-                        g.add_edge(u, v).unwrap();
-                    }
-                }
-                if op == 2 {
-                    let k = rng.below(16);
-                    costs[k] = 1.0 + rng.below(7) as f64;
-                }
-                let par = if step % 2 == 0 {
-                    Parallelism::Sequential
-                } else {
-                    Parallelism::Threads(4)
-                };
-                ap.update(&g, &costs, par).unwrap();
-                let fresh = AllPairsPaths::compute(&g, &costs, selection).unwrap();
-                assert_identical(&ap, &fresh, &g);
             }
+            if op == 1 || op == 3 {
+                let (u, v) = (NodeId::new(rng.below(16)), NodeId::new(rng.below(16)));
+                if u != v {
+                    g.add_edge(u, v).unwrap();
+                }
+            }
+            if op == 2 {
+                let k = rng.below(16);
+                costs[k] = 1.0 + rng.below(7) as f64;
+            }
+            let par = if step % 2 == 0 {
+                Parallelism::Sequential
+            } else {
+                Parallelism::Threads(4)
+            };
+            ap.update(&g, &costs, par).unwrap();
+            let fresh = AllPairsPaths::compute(&g, &costs).unwrap();
+            assert_identical(&ap, &fresh, &g);
         }
     }
 
@@ -1585,13 +1434,7 @@ mod tests {
         let costs = unit_costs(&g);
         let ids = |v: &[usize]| v.iter().copied().map(NodeId::new).collect::<Vec<_>>();
         let rows = |nodes: &[usize], sources: &[usize], costs: &[f64]| {
-            induced_rows(
-                &g,
-                &ids(nodes),
-                &ids(sources),
-                costs,
-                PathSelection::FewestHops,
-            )
+            induced_rows(&g, &ids(nodes), &ids(sources), costs)
         };
         let unsorted = Err(GraphError::UnsortedNodes {
             node: NodeId::new(1),
@@ -1621,8 +1464,7 @@ mod tests {
     #[test]
     fn update_rejects_a_short_cost_slice() {
         let g = builders::grid(3, 3);
-        let mut ap =
-            AllPairsPaths::compute(&g, &unit_costs(&g), PathSelection::FewestHops).unwrap();
+        let mut ap = AllPairsPaths::compute(&g, &unit_costs(&g)).unwrap();
         let err = ap
             .update(&g, &[1.0; 8], Parallelism::Sequential)
             .unwrap_err();

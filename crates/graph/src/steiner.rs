@@ -162,7 +162,7 @@ impl SptMemo {
             .iter()
             .map(|&t| {
                 self.cells[t.index()].get_or_init(|| {
-                    let (cost, parent) = edge_weighted_spt(g, t, &weight);
+                    let (cost, parent) = edge_weighted_spt(g, t, 0.0, &weight);
                     Spt { cost, parent }
                 })
             })

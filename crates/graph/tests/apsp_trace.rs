@@ -6,7 +6,7 @@
 //! because the `PEERCACHE_TRACE` sink latches once per process.
 
 use peercache_graph::builders;
-use peercache_graph::paths::{AllPairsPaths, Parallelism, PathSelection};
+use peercache_graph::paths::{AllPairsPaths, Parallelism};
 use peercache_obs as obs;
 
 #[test]
@@ -21,7 +21,7 @@ fn update_span_counts_touched_rows_and_refreshed_nodes() {
     // interior to and re-solves the two nodes beyond it in each.
     let g = builders::path(5);
     let mut costs = vec![1.0; 5];
-    let mut ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+    let mut ap = AllPairsPaths::compute(&g, &costs).unwrap();
     costs[2] = 3.0;
     assert_eq!(ap.update(&g, &costs, Parallelism::Sequential).unwrap(), 4);
     // A decrease re-runs in full every row the node can lie on a

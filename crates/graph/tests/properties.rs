@@ -9,7 +9,6 @@ use peercache_graph::mst::{self, kruskal, prim, UnionFind};
 use peercache_graph::oracle::LandmarkOracle;
 use peercache_graph::paths::{
     bfs_hops, dijkstra_edge_weighted, induced_rows, k_hop_neighborhood, AllPairsPaths, Parallelism,
-    PathSelection,
 };
 use peercache_graph::regions::RegionPartition;
 use peercache_graph::steiner::{SptMemo, SteinerTree};
@@ -351,25 +350,23 @@ proptest! {
         let (sub, _) = g.induced_subgraph(&nodes).unwrap();
         let sub_costs: Vec<f64> = nodes.iter().map(|v| costs[v.index()]).collect();
         let b = nodes.len();
-        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
-            let reference = AllPairsPaths::compute(&sub, &sub_costs, selection).unwrap();
-            let (cost, hops) = induced_rows(&g, &nodes, &sources, &costs, selection).unwrap();
-            prop_assert_eq!(cost.len(), sources.len() * b);
-            prop_assert_eq!(hops.len(), sources.len() * b);
-            for (i, s) in sources.iter().enumerate() {
-                let row = NodeId::new(nodes.binary_search(s).unwrap());
-                for j in 0..b {
-                    let col = NodeId::new(j);
-                    prop_assert_eq!(
-                        cost[i * b + j].to_bits(),
-                        reference.cost(row, col).to_bits(),
-                        "cost({s}, {}) under {selection:?}", nodes[j]
-                    );
-                    prop_assert_eq!(
-                        hops[i * b + j],
-                        reference.hops(row, col).unwrap_or(u32::MAX)
-                    );
-                }
+        let reference = AllPairsPaths::compute(&sub, &sub_costs).unwrap();
+        let (cost, hops) = induced_rows(&g, &nodes, &sources, &costs).unwrap();
+        prop_assert_eq!(cost.len(), sources.len() * b);
+        prop_assert_eq!(hops.len(), sources.len() * b);
+        for (i, s) in sources.iter().enumerate() {
+            let row = NodeId::new(nodes.binary_search(s).unwrap());
+            for j in 0..b {
+                let col = NodeId::new(j);
+                prop_assert_eq!(
+                    cost[i * b + j].to_bits(),
+                    reference.cost(row, col).to_bits(),
+                    "cost({s}, {})", nodes[j]
+                );
+                prop_assert_eq!(
+                    hops[i * b + j],
+                    reference.hops(row, col).unwrap_or(u32::MAX)
+                );
             }
         }
     }
@@ -417,28 +414,9 @@ proptest! {
     }
 
     #[test]
-    fn all_pairs_agrees_with_single_source_dijkstra(g in connected_graph()) {
-        let costs: Vec<f64> = g.nodes().map(|n| 1.0 + (n.index() % 4) as f64).collect();
-        let ap = AllPairsPaths::compute(&g, &costs, PathSelection::MinCost).unwrap();
-        // Node-weighted path cost == edge-weighted cost under the
-        // half-sum transform plus both endpoint terms.
-        let src = NodeId::new(0);
-        let (edge_costs, _) = dijkstra_edge_weighted(&g, src, |u, v| {
-            (costs[u.index()] + costs[v.index()]) / 2.0
-        });
-        for v in g.nodes() {
-            if v == src { continue; }
-            let expected = edge_costs[v.index()]
-                + (costs[src.index()] + costs[v.index()]) / 2.0;
-            prop_assert!((ap.cost(src, v) - expected).abs() < 1e-6,
-                "node {v}: {} vs {}", ap.cost(src, v), expected);
-        }
-    }
-
-    #[test]
     fn path_costs_match_reconstructed_paths(g in connected_graph()) {
         let costs: Vec<f64> = g.nodes().map(|n| 1.0 + (n.index() % 3) as f64).collect();
-        let ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        let ap = AllPairsPaths::compute(&g, &costs).unwrap();
         for u in g.nodes().take(5) {
             for v in g.nodes().take(5) {
                 let path = ap.path(u, v).unwrap();
@@ -534,19 +512,13 @@ proptest! {
         threads in 2usize..9,
     ) {
         let costs: Vec<f64> = g.nodes().map(|n| g.degree(n) as f64).collect();
-        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
-            let seq =
-                AllPairsPaths::compute_with(&g, &costs, selection, Parallelism::Sequential)
-                    .unwrap();
-            let par =
-                AllPairsPaths::compute_with(&g, &costs, selection, Parallelism::Threads(threads))
-                    .unwrap();
-            for u in g.nodes() {
-                for v in g.nodes() {
-                    prop_assert_eq!(seq.cost(u, v).to_bits(), par.cost(u, v).to_bits());
-                    prop_assert_eq!(seq.hops(u, v), par.hops(u, v));
-                    prop_assert_eq!(seq.path(u, v), par.path(u, v));
-                }
+        let seq = AllPairsPaths::compute_with(&g, &costs, Parallelism::Sequential).unwrap();
+        let par = AllPairsPaths::compute_with(&g, &costs, Parallelism::Threads(threads)).unwrap();
+        for u in g.nodes() {
+            for v in g.nodes() {
+                prop_assert_eq!(seq.cost(u, v).to_bits(), par.cost(u, v).to_bits());
+                prop_assert_eq!(seq.hops(u, v), par.hops(u, v));
+                prop_assert_eq!(seq.path(u, v), par.path(u, v));
             }
         }
     }
@@ -557,22 +529,24 @@ proptest! {
         count in 1usize..8,
         seed in 0u64..64,
     ) {
-        // Bounds bracket the MinCost metric exactly; under FewestHops
-        // (the planners' selection) the lower bound still holds.
+        // Bounds bracket the min-cost metric exactly; on the routed
+        // (hop-shortest) cost the planners price, the lower bound still
+        // holds. The min-cost reference is an edge-weighted sweep that
+        // steps onto `y` at `y`'s cost, plus the source's own.
         let costs: Vec<f64> = g.nodes().map(|n| 1.0 + (n.index() % 5) as f64 * 0.5).collect();
-        let min_cost =
-            AllPairsPaths::compute(&g, &costs, PathSelection::MinCost).unwrap();
-        let fewest =
-            AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
+        let routed = AllPairsPaths::compute(&g, &costs).unwrap();
         let oracle = LandmarkOracle::build(&g, &costs, count, seed).unwrap();
         for u in g.nodes() {
+            let (sweep, _) = dijkstra_edge_weighted(&g, u, |_, y| costs[y.index()]);
             for v in g.nodes() {
-                let exact = min_cost.cost(u, v);
+                let exact = if u == v { 0.0 } else { costs[u.index()] + sweep[v.index()] };
                 let (lo, hi) = (oracle.lower_bound(u, v), oracle.upper_bound(u, v));
                 prop_assert!(lo <= exact + 1e-9, "lower bound broken at ({u},{v})");
                 prop_assert!(exact <= hi + 1e-9, "upper bound broken at ({u},{v})");
-                prop_assert!(lo <= fewest.cost(u, v) + 1e-9,
-                    "FewestHops lower bound broken at ({u},{v})");
+                prop_assert!(exact <= routed.cost(u, v) + 1e-9,
+                    "a routed path beat the min-cost metric at ({u},{v})");
+                prop_assert!(lo <= routed.cost(u, v) + 1e-9,
+                    "routed-cost lower bound broken at ({u},{v})");
             }
         }
     }
@@ -617,26 +591,6 @@ proptest! {
     }
 
     #[test]
-    fn ball_fallback_is_exact_inside_and_absent_outside(
-        g in connected_graph(),
-        k in 1u32..4,
-    ) {
-        let costs: Vec<f64> = g.nodes().map(|n| 1.0 + (n.index() % 4) as f64).collect();
-        let ap = AllPairsPaths::compute(&g, &costs, PathSelection::FewestHops).unwrap();
-        for u in g.nodes().take(6) {
-            for v in g.nodes() {
-                let got = LandmarkOracle::exact_in_ball(&g, &costs, u, v, k);
-                match ap.hops(u, v) {
-                    Some(h) if h <= k => {
-                        prop_assert_eq!(got.unwrap().to_bits(), ap.cost(u, v).to_bits());
-                    }
-                    _ => prop_assert!(got.is_none()),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn region_partition_covers_and_bounds(
         g in connected_graph(),
         max_size in 2usize..16,
@@ -669,27 +623,24 @@ proptest! {
         // identical to a fresh computation on the new costs.
         let n = g.node_count();
         let base: Vec<f64> = g.nodes().map(|v| g.degree(v) as f64).collect();
-        for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
-            let mut incremental =
-                AllPairsPaths::compute_with(&g, &base, selection, Parallelism::Sequential)
-                    .unwrap();
-            let mut costs = base.clone();
-            for batch in &rounds {
-                for &(node, delta) in batch {
-                    costs[node % n] += f64::from(delta);
-                }
-                incremental.update(&g, &costs, Parallelism::Sequential).unwrap();
-                let fresh = AllPairsPaths::compute(&g, &costs, selection).unwrap();
-                for u in g.nodes() {
-                    for v in g.nodes() {
-                        prop_assert_eq!(
-                            incremental.cost(u, v).to_bits(),
-                            fresh.cost(u, v).to_bits(),
-                            "cost({u},{v}) diverged after update"
-                        );
-                        prop_assert_eq!(incremental.hops(u, v), fresh.hops(u, v));
-                        prop_assert_eq!(incremental.path(u, v), fresh.path(u, v));
-                    }
+        let mut incremental =
+            AllPairsPaths::compute_with(&g, &base, Parallelism::Sequential).unwrap();
+        let mut costs = base.clone();
+        for batch in &rounds {
+            for &(node, delta) in batch {
+                costs[node % n] += f64::from(delta);
+            }
+            incremental.update(&g, &costs, Parallelism::Sequential).unwrap();
+            let fresh = AllPairsPaths::compute(&g, &costs).unwrap();
+            for u in g.nodes() {
+                for v in g.nodes() {
+                    prop_assert_eq!(
+                        incremental.cost(u, v).to_bits(),
+                        fresh.cost(u, v).to_bits(),
+                        "cost({u},{v}) diverged after update"
+                    );
+                    prop_assert_eq!(incremental.hops(u, v), fresh.hops(u, v));
+                    prop_assert_eq!(incremental.path(u, v), fresh.path(u, v));
                 }
             }
         }

@@ -57,16 +57,11 @@ const N1_EXEMPT_FILE: &str = "crates/core/src/costs.rs";
 /// `lint` quotes observability names in its own fixtures.
 const O1_EXEMPT_CRATES: &[&str] = &["obs", "lint"];
 /// The sanctioned `AllPairsPaths::compute` call sites for rule S1: the
-/// definition and its incremental-update internals, the landmark
-/// oracle's exact-in-ball fallback, and the dense reference matrix. The
-/// scoped store's blocks solve only their rows (`paths::induced_rows`).
-/// Anywhere else, a dense all-pairs compute is the `O(N²)` wall creeping
-/// back in.
-const S1_ALLOWED_FILES: &[&str] = &[
-    "crates/graph/src/paths.rs",
-    "crates/graph/src/oracle.rs",
-    "crates/core/src/costs.rs",
-];
+/// definition and its incremental-update internals, and the dense
+/// reference matrix. The scoped store's blocks solve only their rows
+/// (`paths::induced_rows`). Anywhere else, a dense all-pairs compute is
+/// the `O(N²)` wall creeping back in.
+const S1_ALLOWED_FILES: &[&str] = &["crates/graph/src/paths.rs", "crates/core/src/costs.rs"];
 
 /// The closed vocabulary of observability names for rule O1, built from
 /// the string literals in `crates/obs/src/names.rs`.
@@ -338,7 +333,8 @@ fn comparison_is_floaty(toks: &[Tok], op: usize) -> bool {
             TokKind::Float(_) => true,
             // Only snake_case identifiers count: cost *values* are locals and
             // fields, while CamelCase names are types/variants (e.g. the
-            // `PathSelection::MinCost` enum), which are never f64s.
+            // `BaselineMetric::StaticContention` variant), which are never
+            // f64s.
             TokKind::Ident(id) if !id.starts_with(char::is_uppercase) => {
                 let lower = id.to_ascii_lowercase();
                 COSTY.iter().any(|k| lower.contains(k))

@@ -46,17 +46,19 @@ const A1_CRATES: &[&str] = &["core", "dist", "graph"];
 /// writer.
 const SINK_PRIMITIVES: &[&str] = &["state_digest", "write_record"];
 
-/// Sanctioned taint boundaries `(self_type, name)`: the injectable
-/// clock, the parallelism knob, and the obs phase stopwatch. Their
-/// ambient reads are the point — tests freeze the first two
-/// (`MonotonicClock::Fixed`, `Parallelism::Threads`), and `Stopwatch`
-/// laps flow only into span *fields* (telemetry payload, like
-/// `write_record`'s `ts_us`), never into program state.
 /// The rules this module produces. Waivers for these rules are only
 /// stale-checked in deep mode — the fast token pass never runs them,
 /// so their waivers legitimately match nothing there.
 pub const SEMANTIC_RULES: &[&str] = &["T1", "C1", "A1"];
 
+/// Sanctioned taint boundaries `(self_type, name)`: the monotonic
+/// clock, the parallelism knob, and the obs phase stopwatch. Their
+/// ambient reads are the point: clock readings feed only wall-time
+/// report fields, the thread count only sizes a fan-out whose result
+/// is byte-identical for every count (tests pin it with
+/// `Parallelism::Threads`), and `Stopwatch` laps flow only into span
+/// *fields* (telemetry payload, like `write_record`'s `ts_us`), never
+/// into program state.
 const SANCTIONED: &[(&str, &str)] = &[
     ("MonotonicClock", "now_us"),
     ("MonotonicClock", "elapsed_us"),

@@ -145,7 +145,6 @@ fn s1_fires_on_dense_apsp_outside_the_allowed_files() {
 fn s1_exempts_the_sanctioned_files() {
     for (crate_name, path) in [
         ("graph", "crates/graph/src/paths.rs"),
-        ("graph", "crates/graph/src/oracle.rs"),
         ("core", "crates/core/src/costs.rs"),
     ] {
         let v = lint_source(crate_name, path, &fixture("s1_dense_apsp.rs"));

@@ -4,9 +4,9 @@
 //! (the simulator, the cache world) — not interned in the process-wide
 //! metric registry — so cloning a world clones its telemetry and two
 //! identical runs record identical series. Timestamps are supplied by
-//! the caller (simulation ticks, event indices, or an injected
-//! [`MonotonicClock`](crate::MonotonicClock)); the recorder never reads
-//! ambient time.
+//! the caller (simulation ticks, event indices, or a
+//! [`MonotonicClock`](crate::MonotonicClock) reading); the recorder
+//! never reads ambient time.
 //!
 //! Capacity is bounded by **decimation**: the recorder keeps every
 //! `stride`-th offered sample, and whenever the buffer fills it drops

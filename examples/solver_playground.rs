@@ -10,7 +10,6 @@
 
 use peercache::costs::CostWeights;
 use peercache::exact::{best_facility_set, solve_chunk_milp};
-use peercache::graph::paths::PathSelection;
 use peercache::instance::ConflInstance;
 use peercache::lp::{solve_milp, Model, Relation, Sense};
 use peercache::prelude::*;
@@ -35,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Part 2: one chunk of the caching problem as a certified MILP.
     println!("== one-chunk ConFL on a 2x3 grid ==");
     let net = Network::new(builders::grid(2, 3), NodeId::new(0), 2)?;
-    let inst = ConflInstance::build(&net, CostWeights::default(), PathSelection::FewestHops)?;
+    let inst = ConflInstance::build(&net, CostWeights::default())?;
 
     let (milp_set, milp_obj) = solve_chunk_milp(&net, &inst)?;
     println!(

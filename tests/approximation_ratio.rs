@@ -7,7 +7,6 @@ use peercache::instance::ConflInstance;
 use peercache::prelude::*;
 
 use peercache::costs::CostWeights;
-use peercache::graph::paths::PathSelection;
 
 fn total_objective(p: &Placement) -> f64 {
     let c = p.total_costs();
@@ -138,8 +137,7 @@ fn milp_certifies_the_brute_force_on_tiny_instances() {
     // On a path graph KMB trees are exact, so the brute force equals
     // the certified MILP optimum for each single-chunk instance.
     let net = Network::new(builders::path(5), NodeId::new(0), 2).unwrap();
-    let inst =
-        ConflInstance::build(&net, CostWeights::default(), PathSelection::FewestHops).unwrap();
+    let inst = ConflInstance::build(&net, CostWeights::default()).unwrap();
     let brtf = peercache::exact::best_facility_set(&net, &inst, 20).unwrap();
     let (brtf_costs, _, _) = inst.evaluate_set(&net, &brtf).unwrap();
     let (_, milp_obj) = solve_chunk_milp(&net, &inst).unwrap();
@@ -149,8 +147,7 @@ fn milp_certifies_the_brute_force_on_tiny_instances() {
 #[test]
 fn milp_lower_bounds_brute_force_on_a_grid() {
     let net = Network::new(builders::grid(2, 3), NodeId::new(1), 3).unwrap();
-    let inst =
-        ConflInstance::build(&net, CostWeights::default(), PathSelection::FewestHops).unwrap();
+    let inst = ConflInstance::build(&net, CostWeights::default()).unwrap();
     let brtf = peercache::exact::best_facility_set(&net, &inst, 20).unwrap();
     let (brtf_costs, _, _) = inst.evaluate_set(&net, &brtf).unwrap();
     let (_, milp_obj) = solve_chunk_milp(&net, &inst).unwrap();

@@ -157,16 +157,9 @@ fn gini_stays_low_across_network_sizes() {
 /// based on which nodes access which chunks in all rounds").
 fn final_costed(planner: &dyn CachePlanner, chunks: usize) -> Placement {
     use peercache::costs::CostWeights;
-    use peercache::graph::paths::PathSelection;
     let mut net = paper_grid(6).unwrap();
     let placement = planner.plan(&mut net, chunks).unwrap();
-    peercache::placement::recost_final(
-        &net,
-        &placement,
-        CostWeights::default(),
-        PathSelection::FewestHops,
-    )
-    .unwrap()
+    peercache::placement::recost_final(&net, &placement, CostWeights::default()).unwrap()
 }
 
 #[test]

@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 
 use peercache::costs::{node_contention_terms, ContentionMatrix, CostWeights};
-use peercache::graph::paths::PathSelection;
 use peercache::graph::{builders, steiner, NodeId};
 use peercache::instance::ConflInstance;
 use peercache::prelude::*;
@@ -47,12 +46,12 @@ proptest! {
 
     #[test]
     fn contention_matrix_is_a_metric_on_its_terms((net, _) in scenario_strategy()) {
-        let m = ContentionMatrix::compute(&net, PathSelection::MinCost).unwrap();
+        let m = ContentionMatrix::compute(&net).unwrap();
         let nodes: Vec<NodeId> = net.graph().nodes().collect();
         for &u in nodes.iter().take(6) {
             prop_assert_eq!(m.cost(u, u), 0.0);
             for &v in nodes.iter().take(6) {
-                // Symmetry under min-cost routing.
+                // Symmetry of the routed (hop-shortest) cost.
                 prop_assert!((m.cost(u, v) - m.cost(v, u)).abs() < 1e-9);
                 // Lower-bounded by the endpoint terms for u != v.
                 if u != v {
@@ -142,7 +141,7 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        let inst = ConflInstance::build(&net, CostWeights::default(), PathSelection::FewestHops)
+        let inst = ConflInstance::build(&net, CostWeights::default())
             .unwrap();
         let best = peercache::exact::best_facility_set(&net, &inst, 20).unwrap();
         let (best_costs, _, _) = inst.evaluate_set(&net, &best).unwrap();
