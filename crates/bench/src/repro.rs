@@ -8,7 +8,7 @@ use peercache_core::workload::{paper_grid, paper_random};
 use peercache_obs as obs;
 
 use crate::figs;
-use crate::harness::{planner_walltime_by_size, run_summary, Table};
+use crate::harness::{planner_walltime_by_size, run_summary};
 use crate::{perf, trace_cmd};
 
 /// Runs the no-argument mode: a compact summary of every planner on
@@ -64,93 +64,6 @@ fn trace_mode(args: &[String]) -> ExitCode {
     }
 }
 
-/// `repro lint <report.json>`: renders the static-analysis report the
-/// deep lint pass wrote (`peercache-lint --deep --json ...`) as a
-/// per-rule summary table plus the unwaived findings, if any.
-fn lint_mode(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("usage: repro lint <lint-report.json>");
-        return ExitCode::from(2);
-    };
-    let content = match std::fs::read_to_string(path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match obs::Json::parse(&content) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if report.get("schema").and_then(obs::Json::as_str) != Some("peercache-lint/1") {
-        eprintln!("{path}: not a peercache-lint/1 report");
-        return ExitCode::FAILURE;
-    }
-    let deep = report.get("deep").and_then(obs::Json::as_bool) == Some(true);
-    let files = report.get("files").and_then(obs::Json::as_u64).unwrap_or(0);
-    let functions = report
-        .get("functions")
-        .and_then(obs::Json::as_u64)
-        .unwrap_or(0);
-    let duration = report
-        .get("duration_ms")
-        .and_then(obs::Json::as_u64)
-        .unwrap_or(0);
-    let mut table = Table::new(
-        "lint",
-        &format!(
-            "Static analysis: {files} files, {functions} functions ({} pass, {duration} ms)",
-            if deep { "deep" } else { "token" }
-        ),
-        &["rule", "total", "waived", "open"],
-    );
-    let empty: [(String, obs::Json); 0] = [];
-    let rules = report
-        .get("rules")
-        .and_then(obs::Json::as_obj)
-        .unwrap_or(&empty);
-    let mut open_total = 0u64;
-    for (rule, counts) in rules {
-        let total = counts.get("total").and_then(obs::Json::as_u64).unwrap_or(0);
-        let waived = counts
-            .get("waived")
-            .and_then(obs::Json::as_u64)
-            .unwrap_or(0);
-        let open = total.saturating_sub(waived);
-        open_total += open;
-        table.push_row(vec![
-            rule.clone(),
-            total.to_string(),
-            waived.to_string(),
-            open.to_string(),
-        ]);
-    }
-    table.emit();
-    if let Some(findings) = report.get("findings").and_then(obs::Json::as_arr) {
-        for f in findings {
-            if f.get("waived").and_then(obs::Json::as_bool) == Some(true) {
-                continue;
-            }
-            println!(
-                "OPEN {}:{} [{}] {}",
-                f.get("file").and_then(obs::Json::as_str).unwrap_or("?"),
-                f.get("line").and_then(obs::Json::as_u64).unwrap_or(0),
-                f.get("rule").and_then(obs::Json::as_str).unwrap_or("?"),
-                f.get("message").and_then(obs::Json::as_str).unwrap_or(""),
-            );
-        }
-    }
-    if open_total > 0 {
-        eprintln!("lint report has {open_total} open finding(s)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
 /// `repro perf [--check]`: re-measures the committed baselines and
 /// diffs them field by field. With `--check`, any discrepancy turns
 /// into a nonzero exit (the CI regression gate).
@@ -194,16 +107,14 @@ fn perf_mode(args: &[String]) -> ExitCode {
 }
 
 /// The `repro` binary: `repro` (run summary), `repro all`,
-/// `repro fig1 ... fig9`, `repro trace <file.jsonl>`,
-/// `repro perf [--check]`, or `repro lint <report.json>`. Returns the
-/// process exit code.
+/// `repro fig1 ... fig9`, `repro trace <file.jsonl>`, or
+/// `repro perf [--check]`. Returns the process exit code.
 pub fn main_with_args(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "-h" || a == "--help") {
         eprintln!("usage: repro [all | {}]...", figs::ids().join(" | "));
         eprintln!("       repro            (no args: run summary over every planner)");
         eprintln!("       repro trace <file.jsonl>   (span-forest analysis of a sink capture)");
         eprintln!("       repro perf [--check]       (diff fresh bench numbers vs BENCH_*.json)");
-        eprintln!("       repro lint <report.json>   (summary of a peercache-lint --json report)");
         return ExitCode::from(2);
     }
     if args.is_empty() {
@@ -212,7 +123,6 @@ pub fn main_with_args(args: &[String]) -> ExitCode {
     match args.first().map(String::as_str) {
         Some("trace") => return trace_mode(args.get(1..).unwrap_or(&[])),
         Some("perf") => return perf_mode(args.get(1..).unwrap_or(&[])),
-        Some("lint") => return lint_mode(args.get(1..).unwrap_or(&[])),
         _ => {}
     }
     let mut figures = Vec::new();

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{ident_at, punct_at};
 use crate::parser::ParsedFile;
 
 /// Taint class: hash-ordered iteration reached this function's data.
@@ -173,17 +173,6 @@ const KEYWORDS: &[&str] = &[
     "debug_assert",
     "drop",
 ];
-
-fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
-    match toks.get(i).map(|t| &t.kind) {
-        Some(TokKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct_at(toks: &[Tok], i: usize, c: char) -> bool {
-    matches!(toks.get(i), Some(t) if t.kind == TokKind::Punct(c))
-}
 
 impl Workspace {
     /// Build the workspace graph from parsed files.

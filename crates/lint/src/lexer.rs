@@ -35,6 +35,41 @@ pub struct Tok {
     pub kind: TokKind,
 }
 
+impl Tok {
+    /// The identifier's text, when the token is one.
+    #[must_use]
+    pub fn ident(&self) -> Option<&str> {
+        match &self.kind {
+            TokKind::Ident(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// True when the token is the identifier `s`.
+    #[must_use]
+    pub fn is_ident(&self, s: &str) -> bool {
+        self.ident() == Some(s)
+    }
+
+    /// True when the token is the punctuation character `c`.
+    #[must_use]
+    pub fn is_punct(&self, c: char) -> bool {
+        self.kind == TokKind::Punct(c)
+    }
+}
+
+/// The identifier at index `i`, if `toks` has one there.
+#[must_use]
+pub fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
+    toks.get(i).and_then(Tok::ident)
+}
+
+/// True when `toks` holds the punctuation `c` at index `i`.
+#[must_use]
+pub fn punct_at(toks: &[Tok], i: usize, c: char) -> bool {
+    toks.get(i).is_some_and(|t| t.is_punct(c))
+}
+
 /// Scan `src` into significant tokens, discarding comments, strings,
 /// character literals, and lifetimes.
 pub fn tokenize(src: &str) -> Vec<Tok> {
@@ -266,25 +301,23 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
 /// matching) or terminating `;` is marked.
 pub fn mark_test_regions(toks: &[Tok]) -> Vec<bool> {
     let mut flags = vec![false; toks.len()];
-    let is_punct = |t: &Tok, c: char| t.kind == TokKind::Punct(c);
-    let is_ident = |t: &Tok, s: &str| matches!(&t.kind, TokKind::Ident(i) if i == s);
 
     let mut i = 0usize;
     while i < toks.len() {
         // Match `#[cfg(test)]` or `#[test]` starting at i.
         let cfg_test = i + 6 < toks.len()
-            && is_punct(&toks[i], '#')
-            && is_punct(&toks[i + 1], '[')
-            && is_ident(&toks[i + 2], "cfg")
-            && is_punct(&toks[i + 3], '(')
-            && is_ident(&toks[i + 4], "test")
-            && is_punct(&toks[i + 5], ')')
-            && is_punct(&toks[i + 6], ']');
+            && toks[i].is_punct('#')
+            && toks[i + 1].is_punct('[')
+            && toks[i + 2].is_ident("cfg")
+            && toks[i + 3].is_punct('(')
+            && toks[i + 4].is_ident("test")
+            && toks[i + 5].is_punct(')')
+            && toks[i + 6].is_punct(']');
         let plain_test = i + 3 < toks.len()
-            && is_punct(&toks[i], '#')
-            && is_punct(&toks[i + 1], '[')
-            && is_ident(&toks[i + 2], "test")
-            && is_punct(&toks[i + 3], ']');
+            && toks[i].is_punct('#')
+            && toks[i + 1].is_punct('[')
+            && toks[i + 2].is_ident("test")
+            && toks[i + 3].is_punct(']');
         if !(cfg_test || plain_test) {
             i += 1;
             continue;
@@ -295,12 +328,12 @@ pub fn mark_test_regions(toks: &[Tok]) -> Vec<bool> {
         }
         let mut j = i + attr_len;
         // Skip any further attributes on the same item.
-        while j + 1 < toks.len() && is_punct(&toks[j], '#') && is_punct(&toks[j + 1], '[') {
+        while j + 1 < toks.len() && toks[j].is_punct('#') && toks[j + 1].is_punct('[') {
             let mut depth = 0usize;
             while j < toks.len() {
-                if is_punct(&toks[j], '[') {
+                if toks[j].is_punct('[') {
                     depth += 1;
-                } else if is_punct(&toks[j], ']') {
+                } else if toks[j].is_punct(']') {
                     depth -= 1;
                     if depth == 0 {
                         j += 1;
@@ -313,16 +346,16 @@ pub fn mark_test_regions(toks: &[Tok]) -> Vec<bool> {
         }
         // Mark up to the item body and through its matching close brace, or
         // to a terminating `;` for body-less items (`#[cfg(test)] use ...`).
-        while j < toks.len() && !is_punct(&toks[j], '{') && !is_punct(&toks[j], ';') {
+        while j < toks.len() && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
             flags[j] = true;
             j += 1;
         }
-        if j < toks.len() && is_punct(&toks[j], '{') {
+        if j < toks.len() && toks[j].is_punct('{') {
             let mut depth = 0usize;
             while j < toks.len() {
-                if is_punct(&toks[j], '{') {
+                if toks[j].is_punct('{') {
                     depth += 1;
-                } else if is_punct(&toks[j], '}') {
+                } else if toks[j].is_punct('}') {
                     depth -= 1;
                     flags[j] = true;
                     if depth == 0 {

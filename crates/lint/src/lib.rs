@@ -5,20 +5,24 @@
 //! distributed bidding, a closed observability vocabulary, sub-quadratic
 //! planning, shard-isolated mutation) rest on.
 //!
-//! Token-level rules (fast pass, every check):
+//! Every run of the `peercache-lint` binary reads and tokenizes each
+//! file once, into a [`parser::ParsedFile`], and runs all ten rules over
+//! that one token stream.
+//!
+//! Token rules:
 //!
 //! | Rule | Statement | Scope |
 //! |------|-----------|-------|
 //! | D1 | no `HashMap`/`HashSet` | `core`, `dist`, `graph`, `lp` |
 //! | D2 | no `Instant`/`SystemTime`/`thread_rng` | everywhere except `obs`, `bench` |
-//! | P1 | no `unwrap`/`expect`/`panic!`-family macros | `crates/dist/src/**`, `core::world` |
+//! | P1 | no `unwrap`/`expect`/`panic!`-family macros | `crates/dist/src/**`, `core::{world, model, replication}` |
 //! | N1 | no direct `==`/`!=` on cost-valued f64 | `core`, `dist`, `graph` (helpers in `core::costs` exempt) |
 //! | O1 | `obs::span!`/`event!`/counter/gauge/histogram/`TimeSeries` names must be string literals registered in `obs::names`; registered names must also be emitted somewhere | everywhere except `obs`, `lint` |
-//! | S1 | no `AllPairsPaths::compute`/`compute_with` call sites | everywhere except `graph::paths`, `graph::oracle`, `core::costs` |
+//! | S1 | no `AllPairsPaths::compute`/`compute_with` call sites | everywhere except `graph::paths`, `core::costs` |
 //! | U1 | a non-test `pub fn` must be named somewhere besides its own definition and its own file's tests; never waivable ([`unreferenced_pub_fns`]) | `crates/*/src` |
 //!
-//! Semantic rules (`--deep` pass: item parser + call graph + dataflow,
-//! see [`parser`], [`dataflow`], [`semantic`]):
+//! Semantic rules (item parser + call graph + dataflow, see [`parser`],
+//! [`dataflow`], [`semantic`]):
 //!
 //! | Rule | Statement | Scope |
 //! |------|-----------|-------|
@@ -42,43 +46,34 @@ pub mod rules;
 pub mod semantic;
 pub mod waivers;
 
+pub use parser::ParsedFile;
 pub use rules::{NameRegistry, Violation};
 pub use waivers::{apply_waivers, parse_waivers, Waiver, WaiverReport};
 
-/// Rule O1, reverse direction: names in the registry that no non-test
-/// source outside the registry file ever mentions are dead vocabulary.
-///
-/// `usages` holds every string literal seen outside test regions in the
-/// workspace (excluding `names.rs` itself); `names_src` is the registry
-/// source, re-scanned here so each dead name can be reported on its own
-/// definition line.
-pub fn dead_registered_names(
-    names_src: &str,
-    names_rel_path: &str,
-    usages: &std::collections::BTreeSet<String>,
-) -> Vec<Violation> {
-    let toks = lexer::tokenize(names_src);
-    let in_test = lexer::mark_test_regions(&toks);
-    let lines: Vec<&str> = names_src.lines().collect();
-    toks.iter()
-        .zip(&in_test)
-        .filter_map(|(t, &test)| match (&t.kind, test) {
-            (lexer::TokKind::Str(name), false) if !usages.contains(name) => Some(Violation {
-                rule: "O1",
-                file: names_rel_path.to_string(),
-                line: t.line,
-                snippet: lines
-                    .get(t.line as usize - 1)
-                    .map(|l| l.trim().to_string())
-                    .unwrap_or_default(),
-                message: format!(
-                    "registered name \"{name}\" is never emitted by any non-test code; \
-                     remove it from `REGISTERED_NAMES` — a closed vocabulary only stays \
-                     trustworthy if every entry is live"
-                ),
-                trace: Vec::new(),
-            }),
-            _ => None,
+/// Rule O1, reverse direction: names in the registry file `names` that no
+/// other file of `files` mentions outside its test regions are dead
+/// vocabulary, reported on their own definition lines.
+pub fn dead_registered_names(files: &[ParsedFile], names: &ParsedFile) -> Vec<Violation> {
+    let usages: std::collections::BTreeSet<&str> = files
+        .iter()
+        .filter(|f| f.rel_path != names.rel_path)
+        .flat_map(ParsedFile::live_literals)
+        .map(|(_, s)| s)
+        .collect();
+    names
+        .live_literals()
+        .filter(|(_, name)| !usages.contains(name))
+        .map(|(line, name)| Violation {
+            rule: "O1",
+            file: names.rel_path.clone(),
+            line,
+            snippet: names.snippet(line),
+            message: format!(
+                "registered name \"{name}\" is never emitted by any non-test code; \
+                 remove it from `REGISTERED_NAMES` — a closed vocabulary only stays \
+                 trustworthy if every entry is live"
+            ),
+            trace: Vec::new(),
         })
         .collect()
 }
@@ -87,52 +82,29 @@ pub fn dead_registered_names(
 /// as an identifier token in no other file, and in its own file only
 /// inside test regions, is public surface nothing uses.
 ///
-/// `files` holds `(workspace-relative path, source)` for every file that
-/// may name a function: each member's `src/`, `tests/` and `benches/`,
-/// the root package's `src/`, `tests/` and `examples/`, and the benchmark
-/// package's `src/` and `tests/`. Definitions are taken only from
-/// `crates/<member>/src/` paths. A reference is any identifier token with
-/// the function's name, not a resolved call edge, so a name shared with
-/// any live item keeps the function; rustc's `dead_code` already covers
-/// private and `pub(crate)` items, which this rule leaves alone.
-pub fn unreferenced_pub_fns(files: &[(String, String)]) -> Vec<Violation> {
-    struct Scanned<'a> {
-        rel: &'a str,
-        src: &'a str,
-        toks: Vec<lexer::Tok>,
-        in_test: Vec<bool>,
-    }
-    let scanned: Vec<Scanned> = files
-        .iter()
-        .map(|(rel, src)| {
-            let toks = lexer::tokenize(src);
-            let in_test = lexer::mark_test_regions(&toks);
-            Scanned {
-                rel,
-                src,
-                toks,
-                in_test,
-            }
-        })
-        .collect();
-    fn ident(t: &lexer::Tok) -> Option<&str> {
-        match &t.kind {
-            lexer::TokKind::Ident(s) => Some(s),
-            _ => None,
-        }
-    }
+/// `files` holds every file that may name a function: each member's
+/// `src/`, `tests/` and `benches/`, the root package's `src/`, `tests/`
+/// and `examples/`, and the benchmark package's `src/` and `tests/`.
+/// Definitions are taken only from `crates/<member>/src/` paths. A
+/// reference is any identifier token with the function's name, not a
+/// resolved call edge, so a name shared with any live item keeps the
+/// function; rustc's `dead_code` already covers private and `pub(crate)`
+/// items, which this rule leaves alone.
+pub fn unreferenced_pub_fns<'a>(files: impl IntoIterator<Item = &'a ParsedFile>) -> Vec<Violation> {
+    let files: Vec<&ParsedFile> = files.into_iter().collect();
     // How many files name each identifier anywhere, tests included.
     let mut files_naming: std::collections::BTreeMap<&str, usize> = Default::default();
-    for f in &scanned {
-        let names: std::collections::BTreeSet<&str> = f.toks.iter().filter_map(ident).collect();
+    for f in &files {
+        let names: std::collections::BTreeSet<&str> =
+            f.toks.iter().filter_map(lexer::Tok::ident).collect();
         for name in names {
             *files_naming.entry(name).or_default() += 1;
         }
     }
 
     let mut out = Vec::new();
-    for f in &scanned {
-        let mut parts = f.rel.split('/');
+    for f in &files {
+        let mut parts = f.rel_path.split('/');
         if parts.next() != Some("crates") || parts.nth(1) != Some("src") {
             continue;
         }
@@ -140,7 +112,7 @@ pub fn unreferenced_pub_fns(files: &[(String, String)]) -> Vec<Violation> {
             if f.in_test[i] {
                 None
             } else {
-                ident(&f.toks[i])
+                f.toks[i].ident()
             }
         };
         for i in 0..f.toks.len() {
@@ -165,14 +137,9 @@ pub fn unreferenced_pub_fns(files: &[(String, String)]) -> Vec<Violation> {
             let line = f.toks[j + 1].line;
             out.push(Violation {
                 rule: "U1",
-                file: f.rel.to_string(),
+                file: f.rel_path.clone(),
                 line,
-                snippet: f
-                    .src
-                    .lines()
-                    .nth(line as usize - 1)
-                    .map(|l| l.trim().to_string())
-                    .unwrap_or_default(),
+                snippet: f.snippet(line),
                 message: format!(
                     "`pub fn {name}` is named nowhere but its own definition and its own \
                      file's tests; delete it, or move it under `#[cfg(test)]` if a test is \
@@ -185,45 +152,15 @@ pub fn unreferenced_pub_fns(files: &[(String, String)]) -> Vec<Violation> {
     out
 }
 
-/// Lint a single source file given as a string, without an O1 registry
-/// (rules D1/D2/P1/N1 only).
+/// Lint a single source file given as a string with the token rules
+/// D1/D2/P1/N1/S1 (rule O1 needs the registry, see
+/// [`rules::check_tokens`]).
 ///
 /// `crate_name` is the workspace member (`core`, `dist`, ..., `peercache`
 /// for the root package); `rel_path` is the workspace-relative path with
 /// `/` separators.
 pub fn lint_source(crate_name: &str, rel_path: &str, source: &str) -> Vec<Violation> {
-    lint_source_with_registry(crate_name, rel_path, source, None)
-}
-
-/// Lint a single source file, with rule O1 armed when `registry` is
-/// provided.
-pub fn lint_source_with_registry(
-    crate_name: &str,
-    rel_path: &str,
-    source: &str,
-    registry: Option<&NameRegistry>,
-) -> Vec<Violation> {
-    let toks = lexer::tokenize(source);
-    let in_test = lexer::mark_test_regions(&toks);
-    let lines: Vec<&str> = source.lines().collect();
-    rules::check_tokens(crate_name, rel_path, &toks, &in_test, &lines, registry)
-}
-
-/// Build the O1 name registry from the source of `crates/obs/src/names.rs`:
-/// every plain string literal outside test regions is a registered name.
-///
-/// Parsing the literals (rather than linking against `obs`) keeps the
-/// linter dependency-free and means the registry file is the single
-/// source of truth for both the runtime `is_registered` check and lint.
-pub fn registry_from_names_source(source: &str) -> NameRegistry {
-    let toks = lexer::tokenize(source);
-    let in_test = lexer::mark_test_regions(&toks);
-    NameRegistry::from_names(toks.iter().zip(&in_test).filter_map(|(t, test)| {
-        match (&t.kind, test) {
-            (lexer::TokKind::Str(s), false) => Some(s.clone()),
-            _ => None,
-        }
-    }))
+    rules::check_tokens(&ParsedFile::lex(crate_name, rel_path, source), None)
 }
 
 #[cfg(test)]
@@ -289,15 +226,30 @@ mod tests {
         assert!(v.is_empty(), "unexpected: {v:?}");
     }
 
+    fn registry(names_src: &str) -> NameRegistry {
+        NameRegistry::from_file(&ParsedFile::lex(
+            "obs",
+            "crates/obs/src/names.rs",
+            names_src,
+        ))
+    }
+
+    fn lint_source_with_registry(
+        crate_name: &str,
+        rel_path: &str,
+        source: &str,
+        registry: Option<&NameRegistry>,
+    ) -> Vec<Violation> {
+        rules::check_tokens(&ParsedFile::lex(crate_name, rel_path, source), registry)
+    }
+
     fn o1_registry() -> NameRegistry {
-        registry_from_names_source(
-            r#"pub const REGISTERED_NAMES: &[&str] = &["dist.round", "world.components"];"#,
-        )
+        registry(r#"pub const REGISTERED_NAMES: &[&str] = &["dist.round", "world.components"];"#)
     }
 
     #[test]
     fn registry_parses_literals_outside_tests() {
-        let reg = registry_from_names_source(
+        let reg = registry(
             r#"
             pub const REGISTERED_NAMES: &[&str] = &["a.b", "c.d"];
             #[cfg(test)]

@@ -99,6 +99,37 @@ pub struct ParsedFile {
 }
 
 impl ParsedFile {
+    /// Tokenize one file and mark its test regions, with no items
+    /// parsed: all that the token rules, and rule U1's reference-only
+    /// files, read. This is the one place a source file is tokenized.
+    #[must_use]
+    pub fn lex(crate_name: &str, rel_path: &str, source: &str) -> Self {
+        let toks = tokenize(source);
+        let in_test = mark_test_regions(&toks);
+        ParsedFile {
+            crate_name: crate_name.to_string(),
+            rel_path: rel_path.to_string(),
+            toks,
+            in_test,
+            fns: Vec::new(),
+            uses: Vec::new(),
+            lines: source.lines().map(str::to_string).collect(),
+            errors: Vec::new(),
+        }
+    }
+
+    /// The plain string literals outside test regions, with their
+    /// 1-based lines, in source order.
+    pub fn live_literals(&self) -> impl Iterator<Item = (u32, &str)> {
+        self.toks
+            .iter()
+            .zip(&self.in_test)
+            .filter_map(|(t, &test)| match &t.kind {
+                TokKind::Str(s) if !test => Some((t.line, s.as_str())),
+                _ => None,
+            })
+    }
+
     /// The trimmed source line at 1-based `line`, for reports.
     #[must_use]
     pub fn snippet(&self, line: u32) -> String {
@@ -109,21 +140,6 @@ impl ParsedFile {
     }
 }
 
-fn is_ident(t: &Tok, s: &str) -> bool {
-    matches!(&t.kind, TokKind::Ident(i) if i == s)
-}
-
-fn is_punct(t: &Tok, c: char) -> bool {
-    t.kind == TokKind::Punct(c)
-}
-
-fn ident_of(t: &Tok) -> Option<&str> {
-    match &t.kind {
-        TokKind::Ident(i) => Some(i.as_str()),
-        _ => None,
-    }
-}
-
 /// Find the index of the matching close delimiter for the open
 /// delimiter at `open` (which must hold `open_c`). Returns `None` when
 /// the stream ends first.
@@ -131,9 +147,9 @@ fn match_delim(toks: &[Tok], open: usize, open_c: char, close_c: char) -> Option
     let mut depth = 0usize;
     let mut i = open;
     while i < toks.len() {
-        if is_punct(&toks[i], open_c) {
+        if toks[i].is_punct(open_c) {
             depth += 1;
-        } else if is_punct(&toks[i], close_c) {
+        } else if toks[i].is_punct(close_c) {
             depth -= 1;
             if depth == 0 {
                 return Some(i);
@@ -150,11 +166,11 @@ fn match_delim(toks: &[Tok], open: usize, open_c: char, close_c: char) -> Option
 fn skip_generics(toks: &[Tok], mut i: usize) -> usize {
     let mut depth = 0usize;
     while i < toks.len() {
-        if is_punct(&toks[i], '<') {
+        if toks[i].is_punct('<') {
             depth += 1;
-        } else if is_punct(&toks[i], '>') {
+        } else if toks[i].is_punct('>') {
             // `->` return arrows inside bounds: the `>` does not close.
-            let arrow = i > 0 && is_punct(&toks[i - 1], '-');
+            let arrow = i > 0 && toks[i - 1].is_punct('-');
             if !arrow {
                 depth -= 1;
                 if depth == 0 {
@@ -174,10 +190,10 @@ fn collect_params(toks: &[Tok], start: usize, end: usize) -> Vec<String> {
     let mut out = Vec::new();
     let mut i = start;
     while i < end {
-        if let Some(id) = ident_of(&toks[i]) {
+        if let Some(id) = toks[i].ident() {
             let typed = i + 1 < end
-                && is_punct(&toks[i + 1], ':')
-                && !(i + 2 < end && is_punct(&toks[i + 2], ':'))
+                && toks[i + 1].is_punct(':')
+                && !(i + 2 < end && toks[i + 2].is_punct(':'))
                 && id != "mut"
                 && id != "dyn"
                 && id != "impl";
@@ -203,34 +219,34 @@ fn collect_closures(
     let mut i = start;
     while i + 3 < end {
         // `let [mut] name = [move] | ... | body`
-        if !is_ident(&toks[i], "let") {
+        if !toks[i].is_ident("let") {
             i += 1;
             continue;
         }
         let mut j = i + 1;
-        if j < end && is_ident(&toks[j], "mut") {
+        if j < end && toks[j].is_ident("mut") {
             j += 1;
         }
-        let Some(name) = ident_of(&toks[j]).map(str::to_string) else {
+        let Some(name) = toks[j].ident().map(str::to_string) else {
             i += 1;
             continue;
         };
-        if !(j + 1 < end && is_punct(&toks[j + 1], '=')) {
+        if !(j + 1 < end && toks[j + 1].is_punct('=')) {
             i += 1;
             continue;
         }
         let mut k = j + 2;
-        if k < end && is_ident(&toks[k], "move") {
+        if k < end && toks[k].is_ident("move") {
             k += 1;
         }
-        if !(k < end && is_punct(&toks[k], '|')) {
+        if !(k < end && toks[k].is_punct('|')) {
             i = j + 1;
             continue;
         }
         let line = toks[k].line;
         // Parameters: up to the closing `|` at bracket depth 0 (or the
         // immediately following `|` of an empty `||` list).
-        let (params, after_pipes) = if k + 1 < end && is_punct(&toks[k + 1], '|') {
+        let (params, after_pipes) = if k + 1 < end && toks[k + 1].is_punct('|') {
             (Vec::new(), k + 2)
         } else {
             let mut depth = 0i32;
@@ -259,7 +275,7 @@ fn collect_closures(
         };
         // Body: a brace block, or an expression up to the binding's `;`
         // (or an unbracketed `,`/`)` — conservative for nested forms).
-        let body = if after_pipes < end && is_punct(&toks[after_pipes], '{') {
+        let body = if after_pipes < end && toks[after_pipes].is_punct('{') {
             match match_delim(toks, after_pipes, '{', '}') {
                 Some(close) if close <= end => Some((after_pipes + 1, close)),
                 _ => {
@@ -310,9 +326,14 @@ fn collect_closures(
 /// in [`ParsedFile::errors`].
 #[must_use]
 pub fn parse_file(crate_name: &str, rel_path: &str, source: &str) -> ParsedFile {
-    let toks = tokenize(source);
-    let in_test = mark_test_regions(&toks);
-    let lines: Vec<String> = source.lines().map(str::to_string).collect();
+    let mut file = ParsedFile::lex(crate_name, rel_path, source);
+    (file.fns, file.uses, file.errors) = parse_items(&file.toks, &file.in_test);
+    file
+}
+
+/// The function items, `use` declarations and parse errors of one
+/// token stream.
+fn parse_items(toks: &[Tok], in_test: &[bool]) -> (Vec<FnItem>, Vec<UseDecl>, Vec<String>) {
     let mut errors = Vec::new();
     let mut fns = Vec::new();
     let mut uses = Vec::new();
@@ -328,15 +349,15 @@ pub fn parse_file(crate_name: &str, rel_path: &str, source: &str) -> ParsedFile 
             type_frames.pop();
         }
         let tok = &toks[i];
-        match ident_of(tok) {
+        match tok.ident() {
             Some("macro_rules") => {
                 // `macro_rules! name { ... }` — skip the whole body; its
                 // contents are a token grammar, not item code.
                 let mut j = i + 1;
-                while j < n && !is_punct(&toks[j], '{') {
+                while j < n && !toks[j].is_punct('{') {
                     j += 1;
                 }
-                match match_delim(&toks, j, '{', '}') {
+                match match_delim(toks, j, '{', '}') {
                     Some(close) => i = close + 1,
                     None => {
                         errors.push(format!("line {}: unterminated macro_rules body", tok.line));
@@ -348,8 +369,8 @@ pub fn parse_file(crate_name: &str, rel_path: &str, source: &str) -> ParsedFile 
             Some("use") => {
                 let mut segments = Vec::new();
                 let mut j = i + 1;
-                while j < n && !is_punct(&toks[j], ';') {
-                    if let Some(id) = ident_of(&toks[j]) {
+                while j < n && !toks[j].is_punct(';') {
+                    if let Some(id) = toks[j].ident() {
                         segments.push(id.to_string());
                     }
                     j += 1;
@@ -371,18 +392,18 @@ pub fn parse_file(crate_name: &str, rel_path: &str, source: &str) -> ParsedFile 
                     // `trait Name<...>: Bound {`
                     // the self type is the trait name itself
                 }
-                if j < n && is_punct(&toks[j], '<') {
-                    j = skip_generics(&toks, j);
+                if j < n && toks[j].is_punct('<') {
+                    j = skip_generics(toks, j);
                 }
                 let mut last_ident: Option<String> = None;
                 let mut after_for: Option<String> = None;
                 let mut saw_for = false;
-                while j < n && !is_punct(&toks[j], '{') && !is_punct(&toks[j], ';') {
-                    if is_punct(&toks[j], '<') {
-                        j = skip_generics(&toks, j);
+                while j < n && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
+                    if toks[j].is_punct('<') {
+                        j = skip_generics(toks, j);
                         continue;
                     }
-                    match ident_of(&toks[j]) {
+                    match toks[j].ident() {
                         Some("for") => saw_for = true,
                         Some("where") => break,
                         Some(id) => {
@@ -399,16 +420,16 @@ pub fn parse_file(crate_name: &str, rel_path: &str, source: &str) -> ParsedFile 
                     j += 1;
                 }
                 // Skip a `where` clause up to the opening brace.
-                while j < n && !is_punct(&toks[j], '{') && !is_punct(&toks[j], ';') {
-                    if is_punct(&toks[j], '<') {
-                        j = skip_generics(&toks, j);
+                while j < n && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
+                    if toks[j].is_punct('<') {
+                        j = skip_generics(toks, j);
                         continue;
                     }
                     j += 1;
                 }
                 let self_type = after_for.or(last_ident);
-                if j < n && is_punct(&toks[j], '{') {
-                    match match_delim(&toks, j, '{', '}') {
+                if j < n && toks[j].is_punct('{') {
+                    match match_delim(toks, j, '{', '}') {
                         Some(close) => {
                             if let Some(t) = self_type {
                                 type_frames.push((t, close));
@@ -431,40 +452,40 @@ pub fn parse_file(crate_name: &str, rel_path: &str, source: &str) -> ParsedFile 
                 // `fn(` / `fn (` with no name is a function-pointer
                 // *type* (e.g. `pub fresh: fn() -> String`), not an
                 // item — skip the keyword and keep scanning.
-                if toks.get(i + 1).is_some_and(|t| is_punct(t, '(')) {
+                if toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
                     i += 1;
                     continue;
                 }
-                let Some(name) = toks.get(i + 1).and_then(ident_of).map(str::to_string) else {
+                let Some(name) = toks.get(i + 1).and_then(Tok::ident).map(str::to_string) else {
                     errors.push(format!("line {line}: `fn` without a name"));
                     i += 1;
                     continue;
                 };
                 let mut j = i + 2;
-                if j < n && is_punct(&toks[j], '<') {
-                    j = skip_generics(&toks, j);
+                if j < n && toks[j].is_punct('<') {
+                    j = skip_generics(toks, j);
                 }
-                if !(j < n && is_punct(&toks[j], '(')) {
+                if !(j < n && toks[j].is_punct('(')) {
                     errors.push(format!("line {line}: fn `{name}` without a parameter list"));
                     i += 1;
                     continue;
                 }
-                let Some(params_close) = match_delim(&toks, j, '(', ')') else {
+                let Some(params_close) = match_delim(toks, j, '(', ')') else {
                     errors.push(format!("line {line}: unterminated parameters of `{name}`"));
                     i = n;
                     continue;
                 };
-                let params = collect_params(&toks, j + 1, params_close);
+                let params = collect_params(toks, j + 1, params_close);
                 // Scan the return type / where clause to the body brace
                 // or a trait-signature `;`.
                 let mut k = params_close + 1;
-                while k < n && !is_punct(&toks[k], '{') && !is_punct(&toks[k], ';') {
-                    if is_punct(&toks[k], '<') {
-                        k = skip_generics(&toks, k);
+                while k < n && !toks[k].is_punct('{') && !toks[k].is_punct(';') {
+                    if toks[k].is_punct('<') {
+                        k = skip_generics(toks, k);
                         continue;
                     }
-                    if is_punct(&toks[k], '(') {
-                        match match_delim(&toks, k, '(', ')') {
+                    if toks[k].is_punct('(') {
+                        match match_delim(toks, k, '(', ')') {
                             Some(close) => {
                                 k = close + 1;
                                 continue;
@@ -475,11 +496,11 @@ pub fn parse_file(crate_name: &str, rel_path: &str, source: &str) -> ParsedFile 
                     k += 1;
                 }
                 let self_type = type_frames.last().map(|(t, _)| t.clone());
-                if k < n && is_punct(&toks[k], '{') {
-                    match match_delim(&toks, k, '{', '}') {
+                if k < n && toks[k].is_punct('{') {
+                    match match_delim(toks, k, '{', '}') {
                         Some(close) => {
                             let body = (k + 1, close);
-                            let closures = collect_closures(&toks, body.0, body.1, &mut errors);
+                            let closures = collect_closures(toks, body.0, body.1, &mut errors);
                             fns.push(FnItem {
                                 name,
                                 self_type,
@@ -523,16 +544,7 @@ pub fn parse_file(crate_name: &str, rel_path: &str, source: &str) -> ParsedFile 
         i += 1;
     }
 
-    ParsedFile {
-        crate_name: crate_name.to_string(),
-        rel_path: rel_path.to_string(),
-        toks,
-        in_test,
-        fns,
-        uses,
-        lines,
-        errors,
-    }
+    (fns, uses, errors)
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! (`#[cfg(test)]` / `#[test]` items) as marked by
 //! [`crate::lexer::mark_test_regions`].
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{ident_at, punct_at, Tok, TokKind};
+use crate::parser::ParsedFile;
 
 /// A single rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,9 +72,17 @@ pub struct NameRegistry {
 }
 
 impl NameRegistry {
-    /// Build a registry from an iterator of names (sorted and deduped).
-    pub fn from_names<I: IntoIterator<Item = String>>(names: I) -> Self {
-        let mut names: Vec<String> = names.into_iter().collect();
+    /// Build the registry from the lexed `crates/obs/src/names.rs`:
+    /// every plain string literal outside test regions is a registered
+    /// name. Reading the literals, rather than linking against `obs`,
+    /// keeps the linter dependency-free and makes the registry file the
+    /// one source of truth for both the runtime `is_registered` check and
+    /// lint.
+    pub fn from_file(names_file: &ParsedFile) -> Self {
+        let mut names: Vec<String> = names_file
+            .live_literals()
+            .map(|(_, s)| s.to_string())
+            .collect();
         names.sort();
         names.dedup();
         Self { names }
@@ -109,32 +118,18 @@ fn is_p1_scope(rel_path: &str) -> bool {
         || rel_path == "crates/core/src/replication.rs"
 }
 
-/// Run all rules over one file's token stream.
-///
-/// `crate_name` is the workspace member name (`core`, `dist`, ... or
-/// `peercache` for the root package); `rel_path` is workspace-relative with
-/// `/` separators; `lines` holds the raw source lines for snippets.
-pub fn check_tokens(
-    crate_name: &str,
-    rel_path: &str,
-    toks: &[Tok],
-    in_test: &[bool],
-    lines: &[&str],
-    registry: Option<&NameRegistry>,
-) -> Vec<Violation> {
+/// Run the token rules over one lexed file, with rule O1 armed when
+/// `registry` is given.
+pub fn check_tokens(file: &ParsedFile, registry: Option<&NameRegistry>) -> Vec<Violation> {
+    let (crate_name, rel_path, toks) =
+        (file.crate_name.as_str(), file.rel_path.as_str(), &file.toks);
     let mut out = Vec::new();
-    let snippet = |line: u32| -> String {
-        lines
-            .get(line as usize - 1)
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default()
-    };
     let mut push = |rule: &'static str, line: u32, message: String| {
         out.push(Violation {
             rule,
             file: rel_path.to_string(),
             line,
-            snippet: snippet(line),
+            snippet: file.snippet(line),
             message,
             trace: Vec::new(),
         });
@@ -148,7 +143,7 @@ pub fn check_tokens(
     let s1 = crate_name != "lint" && !S1_ALLOWED_FILES.contains(&rel_path);
 
     for (i, tok) in toks.iter().enumerate() {
-        if in_test[i] {
+        if file.in_test[i] {
             continue;
         }
         match &tok.kind {
@@ -174,10 +169,11 @@ pub fn check_tokens(
                     );
                 }
                 if p1 {
-                    let next_is =
-                        |c: char| matches!(toks.get(i + 1), Some(t) if t.kind == TokKind::Punct(c));
-                    let prev_is_dot = i > 0 && toks[i - 1].kind == TokKind::Punct('.');
-                    if prev_is_dot && (id == "unwrap" || id == "expect") && next_is('(') {
+                    let prev_is_dot = i > 0 && toks[i - 1].is_punct('.');
+                    if prev_is_dot
+                        && (id == "unwrap" || id == "expect")
+                        && punct_at(toks, i + 1, '(')
+                    {
                         push(
                             "P1",
                             tok.line,
@@ -192,7 +188,7 @@ pub fn check_tokens(
                             id.as_str(),
                             "panic" | "todo" | "unimplemented" | "unreachable"
                         )
-                        && next_is('!')
+                        && punct_at(toks, i + 1, '!')
                     {
                         push(
                             "P1",
@@ -270,21 +266,16 @@ pub fn check_tokens(
 /// covered: it is the plumbing layer that receives names computed by
 /// registered-name helpers such as `message_span_name`.
 fn o1_name_slot(toks: &[Tok], i: usize) -> Option<usize> {
-    let ident = |j: usize| match toks.get(j).map(|t| &t.kind) {
-        Some(TokKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    };
-    let punct = |j: usize, c: char| matches!(toks.get(j), Some(t) if t.kind == TokKind::Punct(c));
-    match ident(i)? {
-        "obs" if punct(i + 1, ':') && punct(i + 2, ':') => match ident(i + 3)? {
-            "counter" | "gauge" | "histogram" if punct(i + 4, '(') => Some(i + 5),
-            "span" | "event" if punct(i + 4, '!') && punct(i + 5, '(') => Some(i + 6),
-            _ => None,
-        },
-        "TimeSeries" if punct(i + 1, ':') && punct(i + 2, ':') => match ident(i + 3)? {
-            "new" | "with_capacity" if punct(i + 4, '(') => Some(i + 5),
-            _ => None,
-        },
+    if !(punct_at(toks, i + 1, ':') && punct_at(toks, i + 2, ':')) {
+        return None;
+    }
+    let call = punct_at(toks, i + 4, '(');
+    match (ident_at(toks, i)?, ident_at(toks, i + 3)?) {
+        ("obs", "counter" | "gauge" | "histogram") if call => Some(i + 5),
+        ("obs", "span" | "event") if punct_at(toks, i + 4, '!') && punct_at(toks, i + 5, '(') => {
+            Some(i + 6)
+        }
+        ("TimeSeries", "new" | "with_capacity") if call => Some(i + 5),
         _ => None,
     }
 }
@@ -293,15 +284,10 @@ fn o1_name_slot(toks: &[Tok], i: usize) -> Option<usize> {
 /// `AllPairsPaths::compute(` or `AllPairsPaths::compute_with(` call?
 /// Doc references and type positions (`-> AllPairsPaths`) never match.
 fn s1_is_compute_call(toks: &[Tok], i: usize) -> bool {
-    let punct = |j: usize, c: char| matches!(toks.get(j), Some(t) if t.kind == TokKind::Punct(c));
-    let method = match toks.get(i + 3).map(|t| &t.kind) {
-        Some(TokKind::Ident(s)) => s.as_str(),
-        _ => return false,
-    };
-    punct(i + 1, ':')
-        && punct(i + 2, ':')
-        && matches!(method, "compute" | "compute_with")
-        && punct(i + 4, '(')
+    punct_at(toks, i + 1, ':')
+        && punct_at(toks, i + 2, ':')
+        && matches!(ident_at(toks, i + 3), Some("compute" | "compute_with"))
+        && punct_at(toks, i + 4, '(')
 }
 
 /// Heuristic for N1: does the `==`/`!=` at token index `op` compare

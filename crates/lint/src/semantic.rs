@@ -30,7 +30,7 @@
 //!   determinism suites test.
 
 use crate::dataflow::{taint_names, Witness, Workspace, TAINT_HASH, TAINT_THREAD, TAINT_TIME};
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{ident_at, punct_at, Tok, TokKind};
 use crate::rules::Violation;
 
 /// Crates whose sinks are exempt from T1: `bench` timestamps its own
@@ -45,11 +45,6 @@ const A1_CRATES: &[&str] = &["core", "dist", "graph"];
 /// Sink-primitive function names for T1: the digest fold and the JSONL
 /// writer.
 const SINK_PRIMITIVES: &[&str] = &["state_digest", "write_record"];
-
-/// The rules this module produces. Waivers for these rules are only
-/// stale-checked in deep mode — the fast token pass never runs them,
-/// so their waivers legitimately match nothing there.
-pub const SEMANTIC_RULES: &[&str] = &["T1", "C1", "A1"];
 
 /// Sanctioned taint boundaries `(self_type, name)`: the monotonic
 /// clock, the parallelism knob, and the obs phase stopwatch. Their
@@ -66,17 +61,6 @@ const SANCTIONED: &[(&str, &str)] = &[
     ("Stopwatch", "start"),
     ("Stopwatch", "lap_us"),
 ];
-
-fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
-    match toks.get(i).map(|t| &t.kind) {
-        Some(TokKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct_at(toks: &[Tok], i: usize, c: char) -> bool {
-    matches!(toks.get(i), Some(t) if t.kind == TokKind::Punct(c))
-}
 
 fn violation(
     ws: &Workspace,

@@ -211,10 +211,8 @@ pub fn current_pr_from_changes(changes: &str) -> u32 {
 pub struct WaiverReport {
     /// Violations not covered by any waiver — these fail the build.
     pub unwaived: Vec<Violation>,
-    /// Violations silenced by a waiver, with the matching waiver index.
-    pub waived_violations: Vec<(Violation, usize)>,
-    /// Number of violations silenced by a waiver.
-    pub waived: usize,
+    /// Violations silenced by a waiver.
+    pub waived: Vec<Violation>,
     /// Indices (into the waiver list) of waivers that matched nothing —
     /// stale entries also fail the build to keep the budget honest.
     pub unused: Vec<usize>,
@@ -223,29 +221,18 @@ pub struct WaiverReport {
 /// Split `violations` into waived and unwaived, tracking stale waivers.
 pub fn apply_waivers(violations: Vec<Violation>, waivers: &[Waiver]) -> WaiverReport {
     let mut used = vec![false; waivers.len()];
-    let mut unwaived = Vec::new();
-    let mut waived_violations = Vec::new();
-    for v in violations {
+    let (waived, unwaived) = violations.into_iter().partition(|v| {
         let hit = waivers
             .iter()
             .position(|w| w.rule == v.rule && w.file == v.file && v.snippet.contains(&w.contains));
-        match hit {
-            Some(idx) => {
-                used[idx] = true;
-                waived_violations.push((v, idx));
-            }
-            None => unwaived.push(v),
+        if let Some(idx) = hit {
+            used[idx] = true;
         }
-    }
-    let unused = used
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &u)| (!u).then_some(i))
-        .collect();
+        hit.is_some()
+    });
     WaiverReport {
         unwaived,
-        waived: waived_violations.len(),
-        waived_violations,
-        unused,
+        waived,
+        unused: (0..waivers.len()).filter(|&i| !used[i]).collect(),
     }
 }

@@ -6,7 +6,9 @@
 //! rule's implementation makes at least one of these tests fail.
 
 use peercache_lint::waivers::{current_pr_from_changes, stale_waivers};
-use peercache_lint::{apply_waivers, lint_source, parse_waivers, unreferenced_pub_fns, Violation};
+use peercache_lint::{
+    apply_waivers, lint_source, parse_waivers, unreferenced_pub_fns, ParsedFile, Violation,
+};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -177,7 +179,7 @@ re_audit_after = "PR 14"
     )
     .unwrap();
     let report = apply_waivers(violations, &waivers);
-    assert_eq!(report.waived, 1);
+    assert_eq!(report.waived.len(), 1);
     assert!(report.unused.is_empty());
 }
 
@@ -227,7 +229,7 @@ re_audit_after = "PR 14"
     )
     .unwrap();
     let report = apply_waivers(violations, &waivers);
-    assert_eq!(report.waived, 1);
+    assert_eq!(report.waived.len(), 1);
     assert_eq!(report.unwaived.len(), total - 1);
     assert!(report.unused.is_empty());
 }
@@ -252,16 +254,16 @@ re_audit_after = "PR 14"
     )
     .unwrap();
     let report = apply_waivers(violations, &waivers);
-    assert_eq!(report.waived, 0);
+    assert_eq!(report.waived.len(), 0);
     assert_eq!(report.unused, vec![0]);
 }
 
 /// Runs U1 over `(path, source)` pairs and returns one message per flagged
 /// function.
 fn u1(files: &[(&str, &str)]) -> Vec<String> {
-    let files: Vec<(String, String)> = files
+    let files: Vec<ParsedFile> = files
         .iter()
-        .map(|(p, s)| (p.to_string(), s.to_string()))
+        .map(|(p, s)| ParsedFile::lex("fixture", p, s))
         .collect();
     unreferenced_pub_fns(&files)
         .into_iter()

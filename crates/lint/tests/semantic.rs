@@ -9,7 +9,7 @@
 //! quiet). The coverage test at the bottom pins the item parser against
 //! the real workspace: every `.rs` file must parse with zero recorded
 //! errors, so the parser's approximations can never silently drift away
-//! from the code the deep lint pass runs on.
+//! from the code the semantic rules run on.
 
 use std::path::{Path, PathBuf};
 
@@ -194,8 +194,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 /// The item parser is total over this workspace: every `.rs` file —
 /// every crate's sources, tests and benches, the root package, its
 /// integration tests and examples, and the lint fixtures themselves —
-/// parses with zero recorded errors. This is the invariant the deep
-/// lint pass relies on (`--deep` hard-fails on any parse error).
+/// parses with zero recorded errors. This is the invariant the semantic
+/// rules rely on (every lint run hard-fails on a parse error in a linted
+/// file).
 #[test]
 fn every_workspace_rs_file_parses_with_zero_errors() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))

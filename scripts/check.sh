@@ -2,7 +2,8 @@
 # Full local gate: formatting, lints, build, tests.
 #
 #   scripts/check.sh          # everything
-#   scripts/check.sh --fast   # skip the release build
+#   scripts/check.sh --fast   # skip the release build and the stages that
+#                             # need it (perf gate, trace smoke, benchmark tests)
 #
 # Mirrors what reviewers run; keep it green before pushing.
 set -euo pipefail
@@ -17,18 +18,13 @@ run() {
 }
 
 run cargo fmt --all --check
-# Domain rules first (D1/D2/P1/N1/O1/S1/U1, see DESIGN.md §11): fails
-# on any unwaived violation or stale entry in lint-waivers.toml; U1
-# (unreferenced `pub fn`) admits no waiver.
+# Domain rules first: all ten rules in one run (token rules
+# D1/D2/P1/N1/O1/S1/U1, DESIGN.md §11; semantic rules T1/C1/A1 over the
+# item parser, call graph and dataflow, §16), then a per-rule table.
+# Fails on any unwaived violation, stale entry in lint-waivers.toml,
+# item-parse failure, or a run over the linter's 5 s wall-time budget;
+# U1 (unreferenced `pub fn`) admits no waiver.
 run cargo run -p peercache-lint --quiet
-if [[ $fast -eq 0 ]]; then
-    # Deep semantic pass (T1/C1/A1, see DESIGN.md §16): item parser +
-    # call graph + dataflow over the whole workspace, machine-readable
-    # report for `repro lint`, hard wall-time budget so the stage can
-    # never quietly grow past interactive use.
-    run cargo run -p peercache-lint --quiet -- --deep \
-        --json target/lint-report.json --budget-ms 5000
-fi
 # The benchmark package (its own workspace under benchmark/) calls the
 # library's public layer functions; compile it on every run, --fast
 # included, so a changed signature fails here rather than at the end.
@@ -58,8 +54,6 @@ if [[ $fast -eq 0 ]]; then
     # Trace-analyzer smoke on the committed chaos capture: span forest,
     # latency table, and critical path must all render without orphans.
     run cargo run -q --release --bin repro -- trace tests/fixtures/chaos_fixture.jsonl
-    # Static-analysis summary from the deep pass's JSON report.
-    run cargo run -q --release --bin repro -- lint target/lint-report.json
     # The benchmark package (its own workspace under benchmark/) replays
     # the library's public layer functions, so its contract tests must
     # build and pass against the library in this tree.

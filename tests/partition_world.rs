@@ -5,35 +5,14 @@
 //! reconciled records must be byte-identical to a fresh independent
 //! evaluation of the merged component.
 
+mod common;
 mod world_digest;
 
+use common::XorShift;
 use peercache::approx::ApproxConfig;
 use peercache::graph::components::components_of_subset;
 use peercache::instance::ConflInstance;
 use peercache::prelude::*;
-
-/// Tiny xorshift64 generator so the trace is deterministic without
-/// pulling a RNG crate into the integration tests.
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> Self {
-        XorShift(seed.max(1))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n.max(1) as u64) as usize
-    }
-}
 
 /// What happened while driving a partition-heavy trace.
 #[derive(Debug, PartialEq)]
