@@ -1,6 +1,6 @@
-//! The chaos-matrix cells behind the committed `BENCH_chaos.json` and
-//! the `repro chaos` table: one protocol round per `(topology, fault
-//! intensity)` cell with the liveness mechanisms armed (retry/backoff,
+//! The chaos-matrix cells behind the committed `BENCH_chaos.json`
+//! (which `repro chaos` renders): one protocol round per `(topology,
+//! fault intensity)` cell with the liveness mechanisms armed (retry/backoff,
 //! FREEZE leases, election timeouts). Intensity scales message loss,
 //! duplication, reordering, and the length of a partition window
 //! islanding one node.
@@ -108,22 +108,17 @@ pub fn run_cell(net: &Network, topology: &'static str, intensity: f64) -> Cell {
     }
 }
 
-/// The matrix's topologies: the 10x10 grid and the paper's
-/// random-geometric network.
-pub(crate) fn topologies() -> [(&'static str, Network); 2] {
-    [
+/// Re-measures `BENCH_chaos.json` in its committed format over the
+/// 10x10 grid and the paper's random-geometric network, rows ordered by
+/// intensity, then topology.
+pub fn baseline() -> String {
+    let nets = [
         ("grid10", paper_grid(10).expect("grid builds")),
         (
             "random60",
             paper_random(60, 7).expect("random geometric builds"),
         ),
-    ]
-}
-
-/// Re-measures `BENCH_chaos.json` in its committed format, rows
-/// ordered by intensity, then topology.
-pub fn baseline() -> String {
-    let nets = topologies();
+    ];
     let mut cells = Vec::new();
     for &intensity in &INTENSITIES {
         for (name, net) in &nets {
@@ -144,12 +139,13 @@ fn render_json(cells: &[Cell]) -> String {
     out.push_str("  \"rows\": [\n");
     for (i, c) in cells.iter().enumerate() {
         out.push_str(&format!(
-            "    {{ \"topology\": \"{}\", \"nodes\": {}, \"intensity\": {:.2}, \"ticks\": {}, \"retries\": {}, \"depositions\": {}, \"chaos_faults\": {}, \"lossy_drops\": {}, \"degraded\": {}, \"producer_fallbacks\": {} }}{}\n",
+            "    {{ \"topology\": \"{}\", \"nodes\": {}, \"intensity\": {:.2}, \"ticks\": {}, \"retries\": {}, \"timeouts\": {}, \"depositions\": {}, \"chaos_faults\": {}, \"lossy_drops\": {}, \"degraded\": {}, \"producer_fallbacks\": {} }}{}\n",
             c.topology,
             c.nodes,
             c.intensity,
             c.ticks,
             c.retries,
+            c.timeouts,
             c.depositions,
             c.faults,
             c.lossy_drops,

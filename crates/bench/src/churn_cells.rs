@@ -1,7 +1,8 @@
 //! The churn-trace measurement behind the committed `BENCH_churn.json`
-//! and the `repro churn` table: a seeded departure trace on a warmed
+//! (which `repro churn` renders): a seeded departure trace on a warmed
 //! 10x10 grid, each departure handled by [`CacheWorld`]'s incremental
-//! repair and priced against the full-replan oracle.
+//! repair and priced against the full-replan oracle. The document keeps
+//! one row per departure beside the totals.
 
 use peercache_core::approx::ApproxConfig;
 use peercache_core::workload::paper_grid;
@@ -105,18 +106,11 @@ pub fn baseline() -> String {
     render_json(&rows)
 }
 
-/// Total repair and replan wall time of a trace, in microseconds.
-pub(crate) fn totals_us(rows: &[TraceRow]) -> (u64, u64) {
-    (
-        rows.iter().map(|r| r.repair_us).sum(),
-        rows.iter().map(|r| r.replan_us).sum(),
-    )
-}
-
 /// Renders the trace rows in the exact committed `BENCH_churn.json`
 /// format.
 fn render_json(rows: &[TraceRow]) -> String {
-    let (repair_us, replan_us) = totals_us(rows);
+    let repair_us: u64 = rows.iter().map(|r| r.repair_us).sum();
+    let replan_us: u64 = rows.iter().map(|r| r.replan_us).sum();
     let speedup = replan_us as f64 / repair_us.max(1) as f64;
     let max_ratio = rows.iter().map(|r| r.cost_ratio).fold(0.0, f64::max);
     let mean_ratio = rows.iter().map(|r| r.cost_ratio).sum::<f64>() / rows.len().max(1) as f64;
@@ -136,8 +130,22 @@ fn render_json(rows: &[TraceRow]) -> String {
         "  \"repair_over_replan_speedup\": {speedup:.2},\n"
     ));
     out.push_str(&format!(
-        "  \"cost_ratio_mean\": {mean_ratio:.4},\n  \"cost_ratio_max\": {max_ratio:.4}\n}}\n"
+        "  \"cost_ratio_mean\": {mean_ratio:.4},\n  \"cost_ratio_max\": {max_ratio:.4},\n"
     ));
+    out.push_str("  \"rows\": [\n");
+    for (i, r) in rows.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{ \"node\": {}, \"orphaned_clients\": {}, \"new_copies\": {}, \"repair_ms\": {:.2}, \"replan_ms\": {:.2}, \"cost_ratio\": {:.4} }}{}\n",
+            r.node.index(),
+            r.orphaned_clients,
+            r.new_copies,
+            r.repair_us as f64 / 1e3,
+            r.replan_us as f64 / 1e3,
+            r.cost_ratio,
+            if i + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -156,5 +164,26 @@ mod tests {
         let ratios = |r: &[TraceRow]| r.iter().map(|x| (x.node, x.cost_ratio)).collect::<Vec<_>>();
         assert_eq!(ratios(&ra), ratios(&rb));
         a.validate().unwrap();
+    }
+
+    /// The document's rows are the trace's departures, and the summary
+    /// ratios are theirs.
+    #[test]
+    fn document_rows_carry_the_summary_ratios() {
+        let rows = run_trace(&mut warm_world(), 2, TRACE_SEED);
+        let doc = peercache_obs::Json::parse(&render_json(&rows)).expect("well-formed");
+        let field = |j: &peercache_obs::Json, key: &str| j.get(key).and_then(|v| v.as_f64());
+        let ratios: Vec<f64> = doc
+            .get("rows")
+            .and_then(|r| r.as_arr())
+            .expect("rows array")
+            .iter()
+            .map(|r| field(r, "cost_ratio").expect("cost_ratio"))
+            .collect();
+        assert_eq!(ratios.len(), 2);
+        let mean = ratios.iter().sum::<f64>() / 2.0;
+        let max = ratios.iter().copied().fold(0.0, f64::max);
+        assert!((mean - field(&doc, "cost_ratio_mean").unwrap()).abs() < 1e-4);
+        assert_eq!(Some(max), field(&doc, "cost_ratio_max"));
     }
 }

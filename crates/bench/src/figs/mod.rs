@@ -3,8 +3,6 @@
 //! Every `run()` returns the [`crate::harness::Table`]s that regenerate
 //! the figure's series; the `repro` binary emits them.
 
-pub mod chaos;
-pub mod churn;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;
@@ -14,9 +12,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod replication;
-pub mod scale;
-pub mod shard;
 
 use crate::harness::Table;
 
@@ -24,10 +19,9 @@ use crate::harness::Table;
 /// its tables.
 pub(crate) type Figure = (&'static str, fn() -> Vec<Table>);
 
-/// Every figure in paper order, then the `churn`, `chaos`, `scale`,
-/// `shard`, and `replication` extension tables. `repro all`,
-/// `repro <id>`, `--help`, and the unknown-id check all read this list.
-pub(crate) static FIGURES: [Figure; 14] = [
+/// Every figure in paper order. `repro` runs these ids, then the
+/// baseline stems of [`crate::perf::BASELINES`].
+pub(crate) static FIGURES: [Figure; 9] = [
     ("fig1", fig1::run),
     ("fig2", fig2::run),
     ("fig3", fig3::run),
@@ -37,17 +31,7 @@ pub(crate) static FIGURES: [Figure; 14] = [
     ("fig7", fig7::run),
     ("fig8", fig8::run),
     ("fig9", fig9::run),
-    ("churn", churn::run),
-    ("chaos", chaos::run),
-    ("scale", scale::run),
-    ("shard", shard::run),
-    ("replication", replication::run),
 ];
-
-/// The ids of [`FIGURES`], in order.
-pub(crate) fn ids() -> Vec<&'static str> {
-    FIGURES.iter().map(|f| f.0).collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -55,9 +39,13 @@ mod tests {
 
     #[test]
     fn figure_ids_are_unique() {
-        let ids = ids();
-        for (i, id) in ids.iter().enumerate() {
-            assert!(!ids[..i].contains(id), "{id} listed twice");
+        let stems: Vec<&str> = crate::perf::BASELINES
+            .iter()
+            .map(|b| crate::perf::stem(b.0))
+            .collect();
+        for (i, (id, _)) in FIGURES.iter().enumerate() {
+            assert!(FIGURES[..i].iter().all(|f| f.0 != *id), "{id} listed twice");
+            assert!(!stems.contains(id), "{id} is also a baseline stem");
         }
     }
 }

@@ -1,4 +1,5 @@
-//! Shared plumbing: planner roster, table rendering, CSV output.
+//! Shared plumbing: planner roster, table rendering, CSV output, and
+//! the one renderer of baseline documents.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -13,6 +14,7 @@ use peercache_core::planner::CachePlanner;
 use peercache_core::Network;
 use peercache_dist::DistributedPlanner;
 use peercache_obs as obs;
+use peercache_obs::Json;
 
 /// The four algorithms every figure compares (Brtf joins where feasible).
 pub fn all_planners() -> Vec<Box<dyn CachePlanner>> {
@@ -234,6 +236,59 @@ impl Table {
     }
 }
 
+/// Renders a baseline document (the JSON that `repro perf --check`
+/// diffs) as tables. Its scalar fields form one `field value` table
+/// named `stem`; each nested object becomes a one-row table, and each
+/// array (of objects, in every baseline) a table with one row per
+/// element, named `stem-key`. Cells print the parsed values: strings
+/// raw, numbers in shortest form.
+pub fn render_document(stem: &str, doc: &Json) -> Vec<Table> {
+    let caption = format!("fresh BENCH_{stem}.json");
+    let mut tables = vec![Table::new(stem, &caption, &["field", "value"])];
+    for (key, value) in doc.as_obj().unwrap_or_default() {
+        let rows = match value {
+            Json::Obj(_) => std::slice::from_ref(value),
+            Json::Arr(items) => items,
+            _ => {
+                tables[0].push_row(vec![key.clone(), cell(value)]);
+                continue;
+            }
+        };
+        let header: Vec<&str> = rows
+            .first()
+            .and_then(Json::as_obj)
+            .map(|m| m.iter().map(|(k, _)| k.as_str()).collect())
+            .unwrap_or_default();
+        let mut table = Table::new(
+            &format!("{stem}-{key}"),
+            &format!("{caption}: {key}"),
+            &header,
+        );
+        for row in rows {
+            table.push_row(
+                header
+                    .iter()
+                    .map(|k| row.get(k).map_or_else(String::new, cell))
+                    .collect(),
+            );
+        }
+        tables.push(table);
+    }
+    tables
+}
+
+/// One table cell: strings raw, numbers in shortest form, any other
+/// value in its debug form.
+fn cell(value: &Json) -> String {
+    match value {
+        Json::Str(s) => s.clone(),
+        Json::Int(n) => n.to_string(),
+        Json::Num(x) => x.to_string(),
+        Json::Bool(b) => b.to_string(),
+        other => format!("{other:?}"),
+    }
+}
+
 /// Output directory for CSV artifacts (`target/repro`), created on
 /// first use.
 pub fn out_dir() -> PathBuf {
@@ -286,6 +341,41 @@ mod tests {
         let path = t.write_csv();
         let content = std::fs::read_to_string(path).unwrap();
         assert_eq!(content, "a,b\n1,2\n");
+    }
+
+    /// Every committed baseline renders as its scalar table, then one
+    /// table per nested object or array, one row per array element.
+    #[test]
+    fn committed_baselines_render_one_table_per_section() {
+        let root = crate::perf::repo_root();
+        let mut rendered = 0;
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let stem = crate::perf::stem(&name);
+            let doc = Json::parse(&std::fs::read_to_string(root.join(&name)).unwrap()).unwrap();
+            let tables = render_document(stem, &doc);
+            assert_eq!(tables[0].id, stem);
+            let members = doc.as_obj().unwrap();
+            let sections: Vec<&(String, Json)> = members
+                .iter()
+                .filter(|(_, v)| matches!(v, Json::Obj(_) | Json::Arr(_)))
+                .collect();
+            assert_eq!(tables.len(), 1 + sections.len(), "{name}");
+            assert_eq!(tables[0].rows.len(), members.len() - sections.len());
+            for (table, (key, value)) in tables[1..].iter().zip(&sections) {
+                assert_eq!(table.id, format!("{stem}-{key}"));
+                assert_eq!(
+                    table.rows.len(),
+                    value.as_arr().map_or(1, <[Json]>::len),
+                    "{name}"
+                );
+            }
+            rendered += 1;
+        }
+        assert_eq!(rendered, crate::perf::BASELINES.len());
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! evaluation (§V).
 //!
 //! The workspace's `repro` binary (entry point in [`repro`]) drives one
-//! module per figure:
+//! module per figure, then renders the gated baselines of
+//! [`perf::BASELINES`] by stem:
 //!
 //! ```text
 //! cargo run --release --bin repro              # run summary
 //! cargo run --release --bin repro -- all
 //! cargo run --release --bin repro -- fig2 fig6
+//! cargo run --release --bin repro -- churn
 //! ```
 //!
 //! Each figure prints the paper's series as a table and writes CSV to

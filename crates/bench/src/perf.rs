@@ -5,13 +5,13 @@
 //! module's `baseline()`. The gate re-measures every entry and diffs
 //! fresh against committed field by field; the `baselines` bench
 //! target (`cargo bench -p peercache-bench --bench baselines [-- STEM...]`)
-//! rewrites the files from the same functions.
+//! rewrites the files from the same functions, and `repro <stem>`
+//! renders a fresh document as tables.
 //!
 //! * **wall-time fields** (`*_ms`, `*_wall*`, `*speedup*`) get a
 //!   generous ratio band — they vary with the machine; the gate only
 //!   catches order-of-magnitude regressions. The band is
-//!   [`DEFAULT_WALL_BAND`]× in either direction, overridable with
-//!   `PEERCACHE_PERF_TOL` (a factor > 1).
+//!   [`WALL_BAND`]× in either direction.
 //! * **every other number** is exact — convergence ticks, retry and
 //!   fault counts, cost ratios, and structural fields are all
 //!   deterministic, so *any* drift is a behavior change, not noise.
@@ -27,9 +27,9 @@ use crate::{
     chaos_cells, churn_cells, planning_cells, replication_cells, scale_cells, shard_cells,
 };
 
-/// Default multiplicative band for wall-time fields: fresh must lie in
+/// Multiplicative band for wall-time fields: fresh must lie in
 /// `[committed / band, committed * band]`.
-pub const DEFAULT_WALL_BAND: f64 = 8.0;
+pub const WALL_BAND: f64 = 8.0;
 
 /// Whether a JSON key holds a wall-clock-dependent measurement.
 pub fn is_wall_field(key: &str) -> bool {
@@ -153,16 +153,6 @@ fn diff(
     }
 }
 
-/// The wall-time band: `PEERCACHE_PERF_TOL` when set to a factor > 1,
-/// else [`DEFAULT_WALL_BAND`].
-pub fn wall_band() -> f64 {
-    std::env::var("PEERCACHE_PERF_TOL")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|&v| v.is_finite() && v > 1.0)
-        .unwrap_or(DEFAULT_WALL_BAND)
-}
-
 /// One gated baseline: its committed file at the repository root, paired
 /// with the cell function that re-measures it in the committed format.
 pub type Baseline = (&'static str, fn() -> String);
@@ -178,9 +168,10 @@ pub static BASELINES: [Baseline; 6] = [
     ("BENCH_replication.json", replication_cells::baseline),
 ];
 
-/// The writer's name for a baseline file: the file name without the
-/// `BENCH_` prefix and `.json` suffix (`BENCH_chaos.json` → `chaos`).
-fn stem(file: &str) -> &str {
+/// The name of a baseline file for the writer and `repro`: the file
+/// name without the `BENCH_` prefix and `.json` suffix
+/// (`BENCH_chaos.json` → `chaos`).
+pub(crate) fn stem(file: &str) -> &str {
     file.trim_start_matches("BENCH_").trim_end_matches(".json")
 }
 
@@ -213,10 +204,10 @@ pub fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Runs the gate against the committed files in `root`. Returns the
-/// discrepancies per baseline, or an error string when a file is
-/// missing or unparsable.
-pub fn run_gate(root: &Path, band: f64) -> Result<Vec<(String, Vec<Discrepancy>)>, String> {
+/// Runs the gate against the committed files in `root`, banding wall
+/// fields by [`WALL_BAND`]. Returns the discrepancies per baseline, or
+/// an error string when a file is missing or unparsable.
+pub fn run_gate(root: &Path) -> Result<Vec<(String, Vec<Discrepancy>)>, String> {
     let mut results = Vec::new();
     for (file, fresh) in &BASELINES {
         let path = root.join(file);
@@ -224,7 +215,7 @@ pub fn run_gate(root: &Path, band: f64) -> Result<Vec<(String, Vec<Discrepancy>)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let committed = Json::parse(&committed).map_err(|e| format!("{}: {e}", path.display()))?;
         let fresh = Json::parse(&fresh()).map_err(|e| format!("fresh {file} output: {e}"))?;
-        results.push((file.to_string(), compare(&committed, &fresh, band)));
+        results.push((file.to_string(), compare(&committed, &fresh, WALL_BAND)));
     }
     Ok(results)
 }

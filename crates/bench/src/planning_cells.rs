@@ -1,5 +1,5 @@
 //! The planning-hot-path measurement behind the committed
-//! `BENCH_planning.json`: the optimized Appx pipeline raced against the
+//! `BENCH_planning.json` (which `repro planning` renders): the optimized Appx pipeline raced against the
 //! reference pipeline on paper grids, median-of-N timing, plus a
 //! bitwise check that both price the plan identically.
 

@@ -1,5 +1,5 @@
 //! The replication-matrix cells behind the committed
-//! `BENCH_replication.json` and the `repro replication` table.
+//! `BENCH_replication.json` (which `repro replication` renders).
 //!
 //! Each cell runs one seeded chaos trace — the same shape as the
 //! `tests/replication_chaos.rs` acceptance suite, shrunk to a 6×6 grid —

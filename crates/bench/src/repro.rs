@@ -1,15 +1,38 @@
 //! Entry point for the workspace `repro` binary: argument parsing and
-//! dispatch to the figure modules and the run-summary mode.
+//! dispatch to the figure modules, the baselines, and the run-summary
+//! mode.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use peercache_core::workload::{paper_grid, paper_random};
 use peercache_obs as obs;
+use peercache_obs::Json;
 
 use crate::figs;
-use crate::harness::{planner_walltime_by_size, run_summary};
+use crate::harness::{planner_walltime_by_size, render_document, run_summary, Table};
 use crate::{perf, trace_cmd};
+
+/// Regenerates the tables of one `repro` id.
+type Run = Box<dyn Fn() -> Vec<Table>>;
+
+/// Every `repro` id in `repro all` order: the paper's figures, then one
+/// stem per [`perf::BASELINES`] entry, whose fresh document is rendered
+/// by [`render_document`].
+fn registry() -> Vec<(&'static str, Run)> {
+    let figures = figs::FIGURES
+        .iter()
+        .map(|&(id, run)| (id, Box::new(run) as Run));
+    let baselines = perf::BASELINES.iter().map(|&(file, measure)| {
+        let stem = perf::stem(file);
+        let run = move || {
+            let doc = Json::parse(&measure()).expect("a baseline renders valid JSON");
+            render_document(stem, &doc)
+        };
+        (stem, Box::new(run) as Run)
+    });
+    figures.chain(baselines).collect()
+}
 
 /// Runs the no-argument mode: a compact summary of every planner on
 /// every reference topology (wall time, cost breakdown, messages).
@@ -73,9 +96,9 @@ fn perf_mode(args: &[String]) -> ExitCode {
         eprintln!("unknown perf option: {bad} (only --check is accepted)");
         return ExitCode::from(2);
     }
-    let band = perf::wall_band();
+    let band = perf::WALL_BAND;
     let span = obs::span!("repro.perf", check = check, band = band);
-    let results = match perf::run_gate(&perf::repo_root(), band) {
+    let results = match perf::run_gate(&perf::repo_root()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("perf gate: {e}");
@@ -107,11 +130,14 @@ fn perf_mode(args: &[String]) -> ExitCode {
 }
 
 /// The `repro` binary: `repro` (run summary), `repro all`,
-/// `repro fig1 ... fig9`, `repro trace <file.jsonl>`, or
-/// `repro perf [--check]`. Returns the process exit code.
+/// `repro fig1 ... fig9`, `repro <stem>` for a baseline,
+/// `repro trace <file.jsonl>`, or `repro perf [--check]`. Returns the
+/// process exit code.
 pub fn main_with_args(args: &[String]) -> ExitCode {
+    let registry = registry();
+    let ids: Vec<&str> = registry.iter().map(|r| r.0).collect();
     if args.iter().any(|a| a == "-h" || a == "--help") {
-        eprintln!("usage: repro [all | {}]...", figs::ids().join(" | "));
+        eprintln!("usage: repro [all | {}]...", ids.join(" | "));
         eprintln!("       repro            (no args: run summary over every planner)");
         eprintln!("       repro trace <file.jsonl>   (span-forest analysis of a sink capture)");
         eprintln!("       repro perf [--check]       (diff fresh bench numbers vs BENCH_*.json)");
@@ -125,24 +151,21 @@ pub fn main_with_args(args: &[String]) -> ExitCode {
         Some("perf") => return perf_mode(args.get(1..).unwrap_or(&[])),
         _ => {}
     }
-    let mut figures = Vec::new();
+    let mut selected = Vec::new();
     if args.iter().any(|a| a == "all") {
-        figures.extend(&figs::FIGURES);
+        selected.extend(&registry);
     } else {
         for id in args {
-            match figs::FIGURES.iter().find(|f| f.0 == id) {
-                Some(f) => figures.push(f),
+            match registry.iter().find(|r| r.0 == id) {
+                Some(r) => selected.push(r),
                 None => {
-                    eprintln!(
-                        "unknown figure id: {id} (expected one of {})",
-                        figs::ids().join(", ")
-                    );
+                    eprintln!("unknown id: {id} (expected one of {})", ids.join(", "));
                     return ExitCode::from(2);
                 }
             }
         }
     }
-    for (id, run) in figures {
+    for (id, run) in selected {
         let start = Instant::now();
         let span = obs::span!("repro.figure", id = id.to_string());
         for table in run() {

@@ -1,5 +1,5 @@
-//! The scale measurement behind the committed `BENCH_scale.json` and
-//! the `repro scale` tables.
+//! The scale measurement behind the committed `BENCH_scale.json`
+//! (which `repro scale` renders).
 //!
 //! Where `planning_cells` races the dense pipeline against itself on
 //! paper-sized grids, this module measures the locality stack — the

@@ -1,5 +1,5 @@
 //! The shard thread-sweep measurement behind the committed
-//! `BENCH_shard.json` and the `repro shard` table.
+//! `BENCH_shard.json` (which `repro shard` renders).
 //!
 //! One [`ShardedWorld`] per thread setting consumes the *same* seeded
 //! churn trace — arrivals, departures, and link drops — and the sweep

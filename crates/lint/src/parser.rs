@@ -66,16 +66,6 @@ pub struct ClosureItem {
     pub params: Vec<String>,
 }
 
-/// One `use` declaration, flattened: all identifier segments in source
-/// order (group braces and `as` aliases contribute their identifiers).
-#[derive(Debug, Clone)]
-pub struct UseDecl {
-    /// Identifier segments of the declaration.
-    pub segments: Vec<String>,
-    /// 1-based line of the `use` keyword.
-    pub line: u32,
-}
-
 /// A fully tokenized and item-parsed source file.
 #[derive(Debug)]
 pub struct ParsedFile {
@@ -89,8 +79,6 @@ pub struct ParsedFile {
     pub in_test: Vec<bool>,
     /// Every function item found, in source order.
     pub fns: Vec<FnItem>,
-    /// Every `use` declaration.
-    pub uses: Vec<UseDecl>,
     /// Raw source lines, for snippets in reports.
     pub lines: Vec<String>,
     /// Structural confusion encountered while parsing (empty on the
@@ -112,7 +100,6 @@ impl ParsedFile {
             toks,
             in_test,
             fns: Vec::new(),
-            uses: Vec::new(),
             lines: source.lines().map(str::to_string).collect(),
             errors: Vec::new(),
         }
@@ -327,16 +314,14 @@ fn collect_closures(
 #[must_use]
 pub fn parse_file(crate_name: &str, rel_path: &str, source: &str) -> ParsedFile {
     let mut file = ParsedFile::lex(crate_name, rel_path, source);
-    (file.fns, file.uses, file.errors) = parse_items(&file.toks, &file.in_test);
+    (file.fns, file.errors) = parse_items(&file.toks, &file.in_test);
     file
 }
 
-/// The function items, `use` declarations and parse errors of one
-/// token stream.
-fn parse_items(toks: &[Tok], in_test: &[bool]) -> (Vec<FnItem>, Vec<UseDecl>, Vec<String>) {
+/// The function items and parse errors of one token stream.
+fn parse_items(toks: &[Tok], in_test: &[bool]) -> (Vec<FnItem>, Vec<String>) {
     let mut errors = Vec::new();
     let mut fns = Vec::new();
-    let mut uses = Vec::new();
 
     // Stack of `(self_type, close_token_index)` for impl/trait blocks.
     let mut type_frames: Vec<(String, usize)> = Vec::new();
@@ -367,18 +352,12 @@ fn parse_items(toks: &[Tok], in_test: &[bool]) -> (Vec<FnItem>, Vec<UseDecl>, Ve
                 continue;
             }
             Some("use") => {
-                let mut segments = Vec::new();
+                // `use ...;` names no item; skip to its `;`, so group
+                // braces never read as a body.
                 let mut j = i + 1;
                 while j < n && !toks[j].is_punct(';') {
-                    if let Some(id) = toks[j].ident() {
-                        segments.push(id.to_string());
-                    }
                     j += 1;
                 }
-                uses.push(UseDecl {
-                    segments,
-                    line: tok.line,
-                });
                 i = j + 1;
                 continue;
             }
@@ -544,7 +523,7 @@ fn parse_items(toks: &[Tok], in_test: &[bool]) -> (Vec<FnItem>, Vec<UseDecl>, Ve
         i += 1;
     }
 
-    (fns, uses, errors)
+    (fns, errors)
 }
 
 #[cfg(test)]
@@ -657,14 +636,13 @@ mod tests {
     }
 
     #[test]
-    fn use_declarations_are_flattened() {
+    fn use_declarations_are_skipped() {
         let f = parse_file(
             "core",
             "crates/core/src/x.rs",
             "use std::collections::{BTreeMap, BTreeSet};\nuse peercache_obs as obs;\n",
         );
-        assert_eq!(f.uses.len(), 2);
-        assert!(f.uses[0].segments.contains(&"BTreeMap".to_string()));
-        assert!(f.uses[1].segments.contains(&"obs".to_string()));
+        assert!(f.errors.is_empty(), "{:?}", f.errors);
+        assert!(f.fns.is_empty());
     }
 }

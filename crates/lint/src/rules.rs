@@ -297,7 +297,9 @@ fn s1_is_compute_call(toks: &[Tok], i: usize) -> bool {
 /// operand is a float literal, or when an identifier inside the operand
 /// expression (a short window bounded by expression punctuation) matches the
 /// cost vocabulary in [`COSTY`]. Integer-only comparisons such as
-/// `i == j` on node ids never match.
+/// `i == j` on node ids never match, nor does a compare whose left
+/// operand or whole right operand ends in `.to_bits()`: that side is a
+/// `u64`, so the other side is one too.
 fn comparison_is_floaty(toks: &[Tok], op: usize) -> bool {
     const WINDOW: usize = 6;
     let operand_tok = |t: &Tok| -> bool {
@@ -314,6 +316,18 @@ fn comparison_is_floaty(toks: &[Tok], op: usize) -> bool {
                 | TokKind::Punct(':')
         )
     };
+    let to_bits_before = |end: usize| {
+        end >= 3
+            && ident_at(toks, end - 3) == Some("to_bits")
+            && punct_at(toks, end - 2, '(')
+            && punct_at(toks, end - 1, ')')
+    };
+    let end = (op + 1..toks.len())
+        .find(|&j| !operand_tok(&toks[j]))
+        .unwrap_or(toks.len());
+    if to_bits_before(op) || to_bits_before(end) {
+        return false;
+    }
     let floaty = |t: &Tok| -> bool {
         match &t.kind {
             TokKind::Float(_) => true,

@@ -118,6 +118,24 @@ fn n1_fires_on_float_and_cost_equality() {
 }
 
 #[test]
+fn n1_reads_a_to_bits_operand_as_an_integer() {
+    let lint = |body: &str| {
+        let src = format!("pub fn f() -> bool {{\n    {body}\n}}\n");
+        lint_source("graph", "crates/graph/src/fixture.rs", &src)
+    };
+    for quiet in [
+        "bits != cost[u].to_bits()",
+        "a.to_bits() == cost_b.to_bits()",
+    ] {
+        let v = lint(quiet);
+        assert!(v.is_empty(), "{quiet}: {v:#?}");
+    }
+    for loud in ["cost_a != cost_b", "total_cost == 0.0"] {
+        assert_eq!(rules_fired(&lint(loud)), ["N1"], "{loud}");
+    }
+}
+
+#[test]
 fn n1_exempts_the_helper_module() {
     let v = lint_source(
         "core",

@@ -18,6 +18,17 @@ run() {
 }
 
 run cargo fmt --all --check
+# No tracked file may sit under an ignored path: build and test output
+# there would be rewritten by every run. Skipped outside a git checkout.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    echo "==> git ls-files -ci --exclude-standard"
+    tracked_ignored=$(git ls-files -ci --exclude-standard)
+    if [[ -n "$tracked_ignored" ]]; then
+        echo "tracked files under ignored paths (git rm --cached them):" >&2
+        echo "$tracked_ignored" >&2
+        exit 1
+    fi
+fi
 # Domain rules first: all ten rules in one run (token rules
 # D1/D2/P1/N1/O1/S1/U1, DESIGN.md §11; semantic rules T1/C1/A1 over the
 # item parser, call graph and dataflow, §16), then a per-rule table.
@@ -48,8 +59,8 @@ run cargo test --workspace --features strict-invariants -q
 if [[ $fast -eq 0 ]]; then
     # Perf-regression gate: re-measures every baseline in
     # perf::BASELINES at full size and diffs the structural counters
-    # (exact) and wall-clock numbers (tolerance band, see
-    # PEERCACHE_PERF_TOL) against the committed BENCH_*.json.
+    # (exact) and wall-clock numbers (within perf::WALL_BAND) against
+    # the committed BENCH_*.json.
     run cargo run --release --bin repro -- perf --check
     # Trace-analyzer smoke on the committed chaos capture: span forest,
     # latency table, and critical path must all render without orphans.
