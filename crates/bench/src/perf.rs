@@ -11,7 +11,9 @@
 //! * **wall-time fields** (`*_ms`, `*_wall*`, `*speedup*`) get a
 //!   generous ratio band — they vary with the machine; the gate only
 //!   catches order-of-magnitude regressions. The band is
-//!   [`WALL_BAND`]× in either direction.
+//!   [`WALL_BAND`]× in either direction. `budget_ms` is the one `*_ms`
+//!   key that is exact: it is a fixed acceptance budget, not a
+//!   measurement.
 //! * **every other number** is exact — convergence ticks, retry and
 //!   fault counts, cost ratios, and structural fields are all
 //!   deterministic, so *any* drift is a behavior change, not noise.
@@ -32,8 +34,10 @@ use crate::{
 pub const WALL_BAND: f64 = 8.0;
 
 /// Whether a JSON key holds a wall-clock-dependent measurement.
+/// `budget_ms` does not: it is the fixed budget a measured `plan_ms`
+/// must stay under, so a changed budget is a changed gate.
 pub fn is_wall_field(key: &str) -> bool {
-    key.ends_with("_ms") || key.contains("wall") || key.contains("speedup")
+    key != "budget_ms" && (key.ends_with("_ms") || key.contains("wall") || key.contains("speedup"))
 }
 
 /// One field-level discrepancy found by [`compare`].
@@ -314,5 +318,18 @@ mod tests {
         assert!(is_wall_field("repair_over_replan_speedup"));
         assert!(!is_wall_field("retries"));
         assert!(!is_wall_field("cost_ratio_mean"));
+        assert!(!is_wall_field("budget_ms"));
+    }
+
+    /// A budget is an acceptance threshold, not a timing: halving it
+    /// must trip the gate even though the ratio lies inside the band.
+    #[test]
+    fn a_changed_budget_is_a_discrepancy() {
+        let base = r#"{"results":[{"plan_ms":305.2,"budget_ms":10000.0}]}"#;
+        let fresh = r#"{"results":[{"plan_ms":305.2,"budget_ms":5000.0}]}"#;
+        let diffs = compare(&parsed(base), &parsed(fresh), WALL_BAND);
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert_eq!(diffs[0].path, "results[0].budget_ms");
+        assert!(diffs[0].detail.contains("exact"), "{}", diffs[0].detail);
     }
 }

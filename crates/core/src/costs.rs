@@ -131,6 +131,11 @@ pub fn node_contention_terms(net: &Network) -> Vec<f64> {
 /// producer lie on most rows' routes (on a 300-node random network or a
 /// 20×20 grid, on every row's), so the saving is within rows: about
 /// half of each row is re-solved.
+///
+/// One `update` absorbs every change since the last one, so a holder
+/// may let the snapshot lag and refresh it only where it reads it:
+/// changes that nothing reads in between then cost one refresh
+/// together. [`crate::world::CacheWorld`] holds its snapshot that way.
 #[derive(Debug, Clone)]
 pub struct ContentionMatrix {
     terms: Vec<f64>,

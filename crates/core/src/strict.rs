@@ -15,7 +15,8 @@
 //!   match the reference opening sequence exactly.
 //! * [`check_matrix_consistency`] — compares a carried
 //!   [`ContentionMatrix`] bitwise against a from-scratch recompute for the
-//!   network's current state.
+//!   network's current state; [`check_refreshed_matrix`] first brings a
+//!   clone of a snapshot that refreshes on read up to date.
 //! * [`check_tree_connectivity`] — verifies every placement's
 //!   dissemination (Steiner) tree actually connects its caches to the
 //!   producer.
@@ -29,6 +30,7 @@
 
 use peercache_graph::paths::{Parallelism, PathSelection};
 use peercache_graph::NodeId;
+use peercache_obs as obs;
 
 use crate::approx::ApproxConfig;
 use crate::costs::ContentionMatrix;
@@ -242,8 +244,8 @@ pub fn check_dual_solution<V: crate::instance::ConflCosts>(
 /// Compares a carried contention snapshot bitwise against a from-scratch
 /// recompute for `net`'s current caching state.
 ///
-/// The incremental `update`/`update_topology` paths promise bit-identical
-/// results to `compute`; any drift (a stale per-node term, a missed path
+/// The incremental `update` promises bit-identical results to
+/// `compute`; any drift (a stale per-node term, a missed path
 /// invalidation) breaks the byte-identical replan guarantee, so the
 /// comparison is on raw bit patterns, not epsilons. Routes are compared
 /// too: `update` rewrites stored parents in place, and a parent tie-break
@@ -294,6 +296,33 @@ pub fn check_matrix_consistency(
             );
         }
     }
+}
+
+/// Brings a clone of a carried snapshot up to date with `net`, as its
+/// owner's next read would, and checks it with
+/// [`check_matrix_consistency`]. `pending` lists the nodes whose term
+/// the owner recorded as changed since the snapshot's last refresh; it
+/// is [`ContentionMatrix::update`]'s debug cross-check. The check runs
+/// under [`obs::with_quiet`], so its solves add no span to the owner's
+/// trace.
+///
+/// # Panics
+///
+/// Panics if the refresh fails or the refreshed snapshot diverges from a
+/// fresh recompute.
+pub fn check_refreshed_matrix(
+    carried: &ContentionMatrix,
+    pending: &[NodeId],
+    net: &Network,
+    parallelism: Parallelism,
+) {
+    obs::with_quiet(|| {
+        let mut refreshed = carried.clone();
+        refreshed
+            .update(net, pending, parallelism)
+            .unwrap_or_else(|e| panic!("strict-invariants: snapshot refresh failed: {e}"));
+        check_matrix_consistency(&refreshed, net, parallelism);
+    });
 }
 
 /// Verifies that `placement`'s dissemination tree connects every caching

@@ -20,7 +20,10 @@
 //! * everything else is left alone — the contention snapshot itself is
 //!   refreshed by [`ContentionMatrix::update`], which diffs the network
 //!   against its own snapshot and re-solves only the rows the change can
-//!   affect, so the all-pairs recompute is scoped too.
+//!   affect, so the all-pairs recompute is scoped too. The refresh runs
+//!   when the snapshot is next read, not after every event, so changes
+//!   that nothing reads in between (a link flap, a retirement and the
+//!   arrival after it) cost one refresh together.
 //!
 //! Full replanning survives as the oracle: [`CacheWorld::repair_vs_replan`]
 //! re-places every live chunk from scratch on a copy of the network and
@@ -147,8 +150,11 @@ pub struct RepairReport {
     pub new_copies: Vec<(ChunkId, NodeId)>,
     /// Clients whose recorded provider was the departed node.
     pub orphaned_clients: usize,
-    /// All-pairs shortest-path sources the incremental matrix update
-    /// actually recomputed (out of `node_count`).
+    /// Shortest-path rows (out of `node_count`) that the departure's
+    /// refresh of the contention snapshot re-solved. The refresh also
+    /// absorbs every change no read has seen since the last one (a
+    /// commit, a retirement, a link edit), so the count covers that
+    /// pending work too.
     pub apsp_rows: usize,
     /// Wall-clock time of the whole departure handling, microseconds.
     pub wall_us: u64,
@@ -241,9 +247,16 @@ pub struct CacheWorld {
     placements: BTreeMap<ChunkId, ChunkPlacement>,
     history: Vec<ChunkPlacement>,
     next_chunk: usize,
-    /// Carried contention snapshot; `None` until first needed, and kept
-    /// in sync with `net` by every event handler afterwards.
+    /// Carried contention snapshot; `None` until first needed. It may
+    /// lag `net`: every read goes through [`CacheWorld::take_matrix`] or
+    /// the departure's refresh, which bring it up to date first, so a
+    /// reader always sees a fresh compute's values.
     matrix: Option<ContentionMatrix>,
+    /// Nodes whose contention term may have moved since the snapshot's
+    /// last refresh, appended where a handler mutates the network; the
+    /// debug cross-check of the next [`ContentionMatrix::update`], and
+    /// cleared by it.
+    pending: Vec<NodeId>,
     events_applied: usize,
     repair_wall_us: u64,
     /// Partition transitions observed so far, drained by
@@ -267,6 +280,7 @@ impl CacheWorld {
             history: Vec::new(),
             next_chunk: 0,
             matrix: None,
+            pending: Vec::new(),
             events_applied: 0,
             repair_wall_us: 0,
             partition_log: Vec::new(),
@@ -572,10 +586,10 @@ impl CacheWorld {
     }
 
     /// Runtime oracle run after every event under `strict-invariants`:
-    /// the carried contention snapshot must match a from-scratch
-    /// recompute bitwise, every live dissemination tree must connect its
-    /// caches to the producer, and the world's own consistency audit
-    /// must hold.
+    /// the carried contention snapshot, brought up to date as the next
+    /// read would, must match a from-scratch recompute bitwise, every
+    /// live dissemination tree must connect its caches to the producer,
+    /// and the world's own consistency audit must hold.
     ///
     /// # Panics
     ///
@@ -584,7 +598,12 @@ impl CacheWorld {
     fn strict_check(&self) {
         crate::strict::check_component_tracking(&self.net);
         if let Some(matrix) = &self.matrix {
-            crate::strict::check_matrix_consistency(matrix, &self.net, self.config.parallelism);
+            crate::strict::check_refreshed_matrix(
+                matrix,
+                &self.pending,
+                &self.net,
+                self.config.parallelism,
+            );
         }
         for chunk in &self.live {
             if let Some(p) = self.placements.get(chunk) {
@@ -615,12 +634,8 @@ impl CacheWorld {
         for &node in &holders {
             self.net.uncache(node, chunk);
         }
-        let mut dirty = holders.clone();
-        dirty.push(self.net.producer());
-        if !holders.is_empty() && self.refresh_matrix(&dirty).is_err() {
-            // Cannot happen on a well-formed network; recompute lazily
-            // rather than serving a stale snapshot.
-            self.matrix = None;
+        if !holders.is_empty() {
+            self.touched(holders.iter().copied().chain([self.net.producer()]));
         }
         obs::event!(
             "online.retire",
@@ -783,11 +798,9 @@ impl CacheWorld {
             &facilities,
             &self.config.replication,
         )?;
-        let mut matrix = inst.into_matrix();
-        let mut dirty = placement.caches.clone();
-        dirty.push(self.net.producer());
-        matrix.update(&self.net, &dirty, self.config.parallelism)?;
-        self.matrix = Some(matrix);
+        self.matrix = Some(inst.into_matrix());
+        let producer = self.net.producer();
+        self.touched(placement.caches.iter().copied().chain([producer]));
         if span.is_recording() {
             span.add_field("rounds", obs::Value::from(stats.rounds));
             span.add_field("copies", obs::Value::from(placement.caches.len()));
@@ -806,10 +819,9 @@ impl CacheWorld {
         capacity: usize,
     ) -> Result<(NodeId, Vec<ChunkId>), CoreError> {
         let node = self.net.join_node(neighbors, capacity)?;
-        // Node count changed: the snapshot rebuilds wholesale.
-        let mut dirty = neighbors.to_vec();
-        dirty.push(node);
-        self.refresh_matrix(&dirty)?;
+        // Node count changed: the snapshot rebuilds wholesale at its
+        // next read.
+        self.touched(neighbors.iter().copied().chain([node]));
         let live = self.live.clone();
         self.rederive(&live, &[])?;
         obs::event!(
@@ -825,9 +837,11 @@ impl CacheWorld {
         let start = MonotonicClock::System.now_us();
         let mut span = obs::span!("world.repair", node = node.index());
         let dep = self.net.deactivate_node(node)?;
-        let mut dirty = dep.former_neighbors.clone();
-        dirty.extend([node, self.net.producer()]);
-        let apsp_rows = self.refresh_matrix(&dirty)?;
+        let producer = self.net.producer();
+        self.touched(dep.former_neighbors.iter().copied().chain([node, producer]));
+        // The repair reads the snapshot at once, so refresh it here and
+        // count the rows: this departure's and any pending change's.
+        let apsp_rows = self.refresh_matrix()?;
 
         // Classify the fallout before mutating anything, so records
         // are re-derived after every repair has settled the snapshot.
@@ -893,7 +907,7 @@ impl CacheWorld {
     fn link_up(&mut self, u: NodeId, v: NodeId) -> Result<bool, CoreError> {
         let added = self.net.add_link(u, v)?;
         if added {
-            self.refresh_matrix(&[u, v])?;
+            self.touched([u, v]);
             obs::event!("world.link_up", u = u.index(), v = v.index());
         }
         Ok(added)
@@ -903,7 +917,7 @@ impl CacheWorld {
         let removed = self.net.remove_link(u, v)?;
         let mut refreshed = Vec::new();
         if removed {
-            self.refresh_matrix(&[u, v])?;
+            self.touched([u, v]);
             refreshed = self
                 .live
                 .iter()
@@ -1004,16 +1018,12 @@ impl CacheWorld {
                 },
             },
         );
-        let mut matrix = inst.into_matrix();
+        self.matrix = Some(inst.into_matrix());
         if !newly.is_empty() {
-            // Same targeted refresh as the arrival path: only the new
-            // copies (and the producer) changed their contention terms,
-            // and a load increase never forces a full-row sweep.
-            let mut dirty = newly.clone();
-            dirty.push(self.net.producer());
-            matrix.update(&self.net, &dirty, self.config.parallelism)?;
+            // As on the arrival path, only the new copies (and the
+            // producer) changed their contention terms.
+            self.touched(newly.iter().copied().chain([self.net.producer()]));
         }
-        self.matrix = Some(matrix);
         Ok(newly)
     }
 
@@ -1090,8 +1100,10 @@ impl CacheWorld {
         Ok(inst.with_clients(audience))
     }
 
-    /// Hands out the carried snapshot (computing it on first use).
+    /// Hands out the carried snapshot, brought up to date (computed on
+    /// first use).
     fn take_matrix(&mut self) -> Result<ContentionMatrix, CoreError> {
+        self.refresh_matrix()?;
         match self.matrix.take() {
             Some(m) => Ok(m),
             None => ContentionMatrix::compute_with(
@@ -1102,13 +1114,21 @@ impl CacheWorld {
         }
     }
 
-    /// Absorbs every change since the snapshot into it; `dirty` lists
-    /// the nodes whose contention term may have moved, for
-    /// [`ContentionMatrix::update`]'s debug cross-check. Returns the
-    /// number of shortest-path rows re-solved.
-    fn refresh_matrix(&mut self, dirty: &[NodeId]) -> Result<usize, CoreError> {
+    /// Records nodes whose contention term may have moved. Without a
+    /// snapshot there is nothing to refresh: the first read computes it.
+    fn touched(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        if self.matrix.is_some() {
+            self.pending.extend(nodes);
+        }
+    }
+
+    /// Absorbs every change since the snapshot into it, with the pending
+    /// nodes as [`ContentionMatrix::update`]'s debug cross-check. Returns
+    /// the number of shortest-path rows re-solved.
+    fn refresh_matrix(&mut self) -> Result<usize, CoreError> {
+        let dirty = std::mem::take(&mut self.pending);
         match self.matrix.as_mut() {
-            Some(m) => m.update(&self.net, dirty, self.config.parallelism),
+            Some(m) => m.update(&self.net, &dirty, self.config.parallelism),
             // No snapshot yet: nothing to invalidate, built lazily.
             None => Ok(0),
         }

@@ -249,9 +249,9 @@ impl AllPairsPaths {
 
     /// Computes the routed path of every pair, single-threaded.
     ///
-    /// Runs one breadth-first search and one layer-order pass per
-    /// source; `O(N (N + E))` total. Equivalent to
-    /// [`AllPairsPaths::compute_with`] under [`Parallelism::Sequential`].
+    /// Runs one breadth-first sweep per source; `O(N (N + E))` total.
+    /// Equivalent to [`AllPairsPaths::compute_with`] under
+    /// [`Parallelism::Sequential`].
     ///
     /// # Errors
     ///
@@ -765,12 +765,20 @@ fn words_per_row(n: usize) -> usize {
     n.div_ceil(64).max(1)
 }
 
-/// One row's routed paths, written into the caller's row slices: a BFS
-/// for the hop labels, then a layer-order pass picking each node's best
-/// predecessor ([`best_predecessor`]).
+/// One row's routed paths, written into the caller's row slices in one
+/// breadth-first sweep that relaxes each edge as it pops a node.
 ///
-/// The step `interior(v) = interior(u) + node_cost[u]` (0 when `u` is
-/// the source) orders candidate paths exactly as the full
+/// A node's predecessors sit one BFS layer closer to `src` and are all
+/// popped before it, so a popped node's interior cost is final. Its
+/// candidate `interior(u) + node_cost[u]` (0 when `u` is the source)
+/// then goes to every neighbor: an undiscovered one joins the next
+/// layer with it, and one already in that layer takes it when it is
+/// smaller under the `(interior cost, parent id)` rule of
+/// [`best_predecessor`]. A minimum over a strict total order does not
+/// depend on the order the candidates arrive in, so each entry is the
+/// one [`best_predecessor`] would pick.
+///
+/// The step orders candidate paths exactly as the full
 /// endpoint-inclusive cost does — every candidate between a fixed pair
 /// shares its endpoints — while keeping stored rows independent of
 /// endpoint terms.
@@ -802,19 +810,27 @@ fn single_source(
     while head < queue.len() {
         let u = queue[head] as usize;
         head += 1;
+        let layer = hops[u] + 1;
+        let cand = interior[u] + if u == src { 0.0 } else { node_cost[u] };
         for &v in csr.neighbors(u) {
             let vi = v as usize;
             if hops[vi] == UNREACHABLE_HOPS {
-                hops[vi] = hops[u] + 1;
+                hops[vi] = layer;
+                interior[vi] = cand;
+                parent[vi] = u as u32;
                 queue.push(v);
+            } else if hops[vi] == layer {
+                let better = match cand.total_cmp(&interior[vi]) {
+                    std::cmp::Ordering::Less => true,
+                    std::cmp::Ordering::Equal => (u as u32) < parent[vi],
+                    std::cmp::Ordering::Greater => false,
+                };
+                if better {
+                    interior[vi] = cand;
+                    parent[vi] = u as u32;
+                }
             }
         }
-    }
-    // BFS order visits layers in order, so each node's predecessors
-    // (hop exactly one less) are already final.
-    for &qv in &queue[1..] {
-        let v = qv as usize;
-        (interior[v], parent[v]) = best_predecessor(csr, node_cost, src, hops, interior, v);
     }
     fill_interior_mask(src, parent, mask);
     queue.len() - 1
@@ -823,7 +839,8 @@ fn single_source(
 /// The best predecessor of the reachable non-source node `v` among its
 /// neighbors one BFS layer closer to `src`: the lexicographic minimum
 /// over `(interior cost, parent id)`. Returns `v`'s interior cost and
-/// parent; every predecessor's entry must already be final.
+/// parent; every predecessor's entry must already be final. The subtree
+/// refresh ([`refresh_row`]) re-solves its stale nodes with it.
 fn best_predecessor(
     csr: &Csr,
     node_cost: &[f64],
@@ -1029,6 +1046,7 @@ where
 mod tests {
     use super::*;
     use crate::builders;
+    use proptest::prelude::*;
 
     fn unit_costs(g: &Graph) -> Vec<f64> {
         vec![1.0; g.node_count()]
@@ -1469,6 +1487,247 @@ mod tests {
             .update(&g, &[1.0; 8], Parallelism::Sequential)
             .unwrap_err();
         assert!(matches!(err, GraphError::NodeOutOfBounds { .. }));
+    }
+
+    /// The per-source kernel as it stood before the one-sweep rewrite,
+    /// kept verbatim as the reference the one-sweep kernel must match
+    /// bit for bit.
+    mod two_pass {
+        use super::super::*;
+
+        /// One row's routed paths, written into the caller's row slices: a BFS
+        /// for the hop labels, then a layer-order pass picking each node's best
+        /// predecessor ([`best_predecessor`]).
+        ///
+        /// The step `interior(v) = interior(u) + node_cost[u]` (0 when `u` is
+        /// the source) orders candidate paths exactly as the full
+        /// endpoint-inclusive cost does — every candidate between a fixed pair
+        /// shares its endpoints — while keeping stored rows independent of
+        /// endpoint terms.
+        ///
+        /// Returns the number of non-source nodes solved (the reachable ones).
+        pub(crate) fn single_source(
+            csr: &Csr,
+            node_cost: &[f64],
+            src: usize,
+            row: &mut RowMut<'_>,
+            scratch: &mut Scratch,
+        ) -> usize {
+            let RowMut {
+                interior,
+                hops,
+                parent,
+                mask,
+            } = row;
+            interior.fill(f64::INFINITY);
+            hops.fill(UNREACHABLE_HOPS);
+            parent.fill(NO_PARENT);
+
+            interior[src] = 0.0;
+            hops[src] = 0;
+            let queue = &mut scratch.queue;
+            queue.clear();
+            queue.push(src as u32);
+            let mut head = 0;
+            while head < queue.len() {
+                let u = queue[head] as usize;
+                head += 1;
+                for &v in csr.neighbors(u) {
+                    let vi = v as usize;
+                    if hops[vi] == UNREACHABLE_HOPS {
+                        hops[vi] = hops[u] + 1;
+                        queue.push(v);
+                    }
+                }
+            }
+            // BFS order visits layers in order, so each node's predecessors
+            // (hop exactly one less) are already final.
+            for &qv in &queue[1..] {
+                let v = qv as usize;
+                (interior[v], parent[v]) = best_predecessor(csr, node_cost, src, hops, interior, v);
+            }
+            fill_interior_mask(src, parent, mask);
+            queue.len() - 1
+        }
+    }
+
+    /// Every row of `g` under `costs` solved by the two-pass reference
+    /// kernel, with the sum of its returned counts.
+    fn two_pass_rows(g: &Graph, costs: &[f64]) -> (AllPairsPaths, usize) {
+        let n = g.node_count();
+        let words = words_per_row(n);
+        let mut ap = AllPairsPaths {
+            n,
+            node_cost: costs[..n].to_vec(),
+            interior: vec![-1.0; n * n],
+            hops: vec![7; n * n],
+            parent: vec![7; n * n],
+            interior_mask: vec![u64::MAX; n * words],
+            csr: Csr::from_graph(g),
+        };
+        let mut scratch = Scratch::new(n);
+        let mut solved = 0;
+        let rows = ap
+            .interior
+            .chunks_mut(n)
+            .zip(ap.hops.chunks_mut(n))
+            .zip(ap.parent.chunks_mut(n))
+            .zip(ap.interior_mask.chunks_mut(words));
+        for (src, (((interior, hops), parent), mask)) in rows.enumerate() {
+            let mut row = RowMut {
+                interior,
+                hops,
+                parent,
+                mask,
+            };
+            solved += two_pass::single_source(&ap.csr, costs, src, &mut row, &mut scratch);
+        }
+        (ap, solved)
+    }
+
+    /// Interior bits, hops, parents and interior bitsets, row for row.
+    fn same_rows(a: &AllPairsPaths, b: &AllPairsPaths) -> Result<(), TestCaseError> {
+        let bits = |ap: &AllPairsPaths| ap.interior.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(a), bits(b));
+        prop_assert_eq!(&a.hops, &b.hops);
+        prop_assert_eq!(&a.parent, &b.parent);
+        prop_assert_eq!(&a.interior_mask, &b.interior_mask);
+        Ok(())
+    }
+
+    /// Grids (dense equal-hop ties), random geometric graphs, and
+    /// disconnected graphs: two disjoint grids beside an isolated node.
+    fn kernel_graph() -> impl Strategy<Value = Graph> {
+        use rand::SeedableRng;
+        prop_oneof![
+            (2usize..8, 2usize..8).prop_map(|(rows, cols)| builders::grid(rows, cols)),
+            (
+                8usize..48,
+                0u64..1000,
+                prop_oneof![Just(0.2f64), Just(0.35)]
+            )
+                .prop_map(|(n, seed, range)| {
+                    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+                    builders::random_geometric(n, range, &mut rng)
+                }),
+            (2usize..5, 2usize..5).prop_map(|(rows, cols)| {
+                let half = builders::grid(rows, cols);
+                let n = half.node_count();
+                let mut g = Graph::new(2 * n + 1);
+                for (u, v) in half.edges() {
+                    g.add_edge(u, v).unwrap();
+                    g.add_edge(NodeId::new(u.index() + n), NodeId::new(v.index() + n))
+                        .unwrap();
+                }
+                g
+            }),
+        ]
+    }
+
+    /// Node terms of one of four kinds: unit, small integers, zeros
+    /// among ones, or dyadic fractions (exact sums, so exact ties).
+    fn kernel_terms(kind: u8, picks: &[u8], n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|k| {
+                let p = f64::from(picks[k % picks.len()]);
+                match kind {
+                    0 => 1.0,
+                    1 => 1.0 + p % 4.0,
+                    2 => p % 2.0,
+                    _ => (p % 16.0) / 8.0,
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn one_sweep_kernel_matches_the_two_pass_reference(
+            g in kernel_graph(),
+            kind in 0u8..4,
+            picks in prop::collection::vec(0u8..64, 1..48),
+            edit in 0usize..1000,
+            keep in any::<u64>(),
+        ) {
+            let n = g.node_count();
+            let costs = kernel_terms(kind, &picks, n);
+            let (reference, reference_solved) = two_pass_rows(&g, &costs);
+
+            // Row by row, the returned count included.
+            let csr = Csr::from_graph(&g);
+            let mut scratch = Scratch::new(n);
+            let (mut interior, mut hops) = (vec![0.0; n], vec![0; n]);
+            let (mut parent, mut mask) = (vec![0; n], vec![0; words_per_row(n)]);
+            let mut solved = 0;
+            for src in 0..n {
+                let mut row = RowMut {
+                    interior: &mut interior,
+                    hops: &mut hops,
+                    parent: &mut parent,
+                    mask: &mut mask,
+                };
+                solved += single_source(&csr, &costs, src, &mut row, &mut scratch);
+                let (lo, hi) = (src * n, (src + 1) * n);
+                let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&interior), bits(&reference.interior[lo..hi]));
+                prop_assert_eq!(&hops[..], &reference.hops[lo..hi]);
+                prop_assert_eq!(&parent[..], &reference.parent[lo..hi]);
+                let words = words_per_row(n);
+                prop_assert_eq!(&mask[..], &reference.interior_mask[src * words..(src + 1) * words]);
+            }
+            prop_assert_eq!(solved, reference_solved);
+
+            // Through the row fan-out, sequential and threaded.
+            for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+                let ap = AllPairsPaths::compute_with(&g, &costs, par).unwrap();
+                same_rows(&ap, &reference)?;
+                let mut again = ap.clone();
+                let rerun = again.run_rows(&costs, 0..n, RowJob::Recompute, par);
+                prop_assert_eq!(rerun, reference_solved);
+            }
+
+            // Through `update`: a link edit, then a cost rise.
+            let mut ap = AllPairsPaths::compute(&g, &costs).unwrap();
+            let mut edited = g.clone();
+            let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+            let (u, v) = (NodeId::new(edit % n), NodeId::new(edit / 7 % n));
+            if edit % 2 == 0 && !edges.is_empty() {
+                let (a, b) = edges[edit % edges.len()];
+                edited.remove_edge(a, b).unwrap();
+            } else if u != v {
+                edited.add_edge(u, v).unwrap();
+            }
+            ap.update(&edited, &costs, Parallelism::Sequential).unwrap();
+            same_rows(&ap, &two_pass_rows(&edited, &costs).0)?;
+            let mut raised = costs.clone();
+            for k in [edit % n, edit / 3 % n, keep as usize % n] {
+                raised[k] += 0.5 + (k % 3) as f64;
+            }
+            ap.update(&edited, &raised, Parallelism::Threads(2)).unwrap();
+            same_rows(&ap, &two_pass_rows(&edited, &raised).0)?;
+
+            // Through `induced_rows`, on a subset of the nodes.
+            let nodes: Vec<NodeId> = g
+                .nodes()
+                .filter(|v| keep.rotate_left(v.index() as u32) & 3 != 0)
+                .collect();
+            let sources: Vec<NodeId> = nodes.iter().copied().step_by(2).collect();
+            let (sub, _) = g.induced_subgraph(&nodes).unwrap();
+            let sub_costs: Vec<f64> = nodes.iter().map(|v| costs[v.index()]).collect();
+            let (sub_reference, _) = two_pass_rows(&sub, &sub_costs);
+            let (cost, hops) = induced_rows(&g, &nodes, &sources, &costs).unwrap();
+            let b = nodes.len();
+            for (i, s) in sources.iter().enumerate() {
+                let row = NodeId::new(nodes.binary_search(s).unwrap());
+                for j in 0..b {
+                    let col = NodeId::new(j);
+                    prop_assert_eq!(cost[i * b + j].to_bits(), sub_reference.cost(row, col).to_bits());
+                    prop_assert_eq!(hops[i * b + j], sub_reference.hops(row, col).unwrap_or(u32::MAX));
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,8 @@ struct TraceStats {
     joins: usize,
     /// Every attempted event's outcome, folded by [`world_digest`].
     outcomes: u64,
+    /// The same outcomes folded without `apsp_rows`: records only.
+    records: u64,
 }
 
 /// Keep at least this many active nodes so departures cannot hollow
@@ -38,6 +40,7 @@ fn drive(world: &mut CacheWorld, seed: u64, attempts: usize) -> TraceStats {
         departures: 0,
         joins: 0,
         outcomes: world_digest::SEED,
+        records: world_digest::SEED,
     };
     for _ in 0..attempts {
         let roll = rng.below(100);
@@ -86,6 +89,7 @@ fn drive(world: &mut CacheWorld, seed: u64, attempts: usize) -> TraceStats {
         let is_join = matches!(event, WorldEvent::NodeJoined { .. });
         let outcome = world.apply(event);
         stats.outcomes = world_digest::fold_outcome(stats.outcomes, &outcome);
+        stats.records = world_digest::fold_outcome_records(stats.records, &outcome);
         match outcome {
             Ok(_) => {
                 stats.applied += 1;
@@ -150,6 +154,10 @@ fn random_geometric_churn_trace_stays_valid_and_near_replan() {
 /// every outcome, the history and every live record, bit for bit.
 const REPLAY_DIGEST: u64 = 0xae84_1701_a489_d462;
 
+/// The same trace folded without any departure's `apsp_rows`: what the
+/// world records, whenever its contention snapshot refreshes.
+const RECORDS_DIGEST: u64 = 0xf9cb_a51a_1970_f7bb;
+
 #[test]
 fn churn_traces_replay_identically() {
     let (a, sa) = run_trace(paper_grid(5).unwrap(), 0xDECADE);
@@ -165,5 +173,10 @@ fn churn_traces_replay_identically() {
     assert_eq!(
         digest, REPLAY_DIGEST,
         "trace digest {digest:#018x} moved from the pinned records"
+    );
+    let records = world_digest::fold_world(sa.records, &a);
+    assert_eq!(
+        records, RECORDS_DIGEST,
+        "records digest {records:#018x} moved from the pinned records"
     );
 }

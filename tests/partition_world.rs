@@ -25,6 +25,9 @@ struct TraceStats {
     /// Every attempted event's outcome and every partition transition,
     /// folded by [`world_digest`].
     outcomes: u64,
+    /// The same outcomes and transitions folded without `apsp_rows`:
+    /// records only.
+    records: u64,
 }
 
 /// Keep at least this many active nodes so departures cannot hollow
@@ -46,6 +49,7 @@ fn drive(world: &mut CacheWorld, seed: u64, attempts: usize) -> TraceStats {
         healed: 0,
         max_components: 1,
         outcomes: world_digest::SEED,
+        records: world_digest::SEED,
     };
     for _ in 0..attempts {
         let roll = rng.below(100);
@@ -92,6 +96,7 @@ fn drive(world: &mut CacheWorld, seed: u64, attempts: usize) -> TraceStats {
         };
         let outcome = world.apply(event);
         stats.outcomes = world_digest::fold_outcome(stats.outcomes, &outcome);
+        stats.records = world_digest::fold_outcome_records(stats.records, &outcome);
         match outcome {
             Ok(_) => stats.applied += 1,
             Err(_) => stats.rejected += 1,
@@ -109,6 +114,7 @@ fn drive(world: &mut CacheWorld, seed: u64, attempts: usize) -> TraceStats {
         stats.max_components = stats.max_components.max(expected.len());
         for event in world.take_partition_events() {
             stats.outcomes = world_digest::fold_partition_event(stats.outcomes, &event);
+            stats.records = world_digest::fold_partition_event(stats.records, &event);
             match event {
                 PartitionEvent::Formed { components, .. } => {
                     stats.formed += 1;
@@ -164,8 +170,14 @@ fn random_geometric_partition_trace_tracks_components_exactly() {
 
 /// [`world_digest`] of the `partition_traces_replay_identically`
 /// trace: every outcome and partition transition, the history, every
-/// live record and the deferred demand, bit for bit.
-const REPLAY_DIGEST: u64 = 0x9778_759d_67a5_a432;
+/// live record and the deferred demand, bit for bit. Each departure's
+/// `apsp_rows` counts the rows its refresh re-solved, changes that no
+/// read saw before it included.
+const REPLAY_DIGEST: u64 = 0xb959_85fb_2243_9452;
+
+/// The same trace folded without any departure's `apsp_rows`: what the
+/// world records, whenever its contention snapshot refreshes.
+const RECORDS_DIGEST: u64 = 0x8087_1f9f_ca3c_272a;
 
 #[test]
 fn partition_traces_replay_identically() {
@@ -182,6 +194,11 @@ fn partition_traces_replay_identically() {
     assert_eq!(
         digest, REPLAY_DIGEST,
         "trace digest {digest:#018x} moved from the pinned records"
+    );
+    let records = world_digest::fold_world(sa.records, &a) ^ a.deferred_demand() as u64;
+    assert_eq!(
+        records, RECORDS_DIGEST,
+        "records digest {records:#018x} moved from the pinned records"
     );
 }
 

@@ -3,7 +3,10 @@
 //! at the end, the arrival history and every live record are folded
 //! bit for bit, so a pinned constant catches any change to what the
 //! world records — not only a difference between two runs of the same
-//! code. Wall-clock fields are left out.
+//! code. Wall-clock fields are left out. A records-only fold also
+//! leaves out each departure's `apsp_rows`, a work count that moves
+//! with when the contention snapshot refreshes, not with what the
+//! world records.
 
 use peercache::graph::regions::splitmix64;
 use peercache::placement::ChunkPlacement;
@@ -42,6 +45,16 @@ fn fold_record(mut h: u64, cp: &ChunkPlacement) -> u64 {
 /// Folds the outcome of one attempted event; a rejection folds a
 /// marker, not its message.
 pub fn fold_outcome(h: u64, outcome: &Result<EventOutcome, CoreError>) -> u64 {
+    fold(h, outcome, true)
+}
+
+/// [`fold_outcome`] without a departure's `apsp_rows`: the records
+/// alone.
+pub fn fold_outcome_records(h: u64, outcome: &Result<EventOutcome, CoreError>) -> u64 {
+    fold(h, outcome, false)
+}
+
+fn fold(h: u64, outcome: &Result<EventOutcome, CoreError>, with_rows: bool) -> u64 {
     let chunks = |cs: &[ChunkId]| cs.iter().map(|c| c.index()).collect::<Vec<_>>();
     match outcome {
         Err(_) => mix(h, 0xE0),
@@ -64,7 +77,11 @@ pub fn fold_outcome(h: u64, outcome: &Result<EventOutcome, CoreError>) -> u64 {
                     .iter()
                     .flat_map(|&(c, n)| [c.index(), n.index()]),
             );
-            mix_ids(h, [r.orphaned_clients, r.apsp_rows])
+            if with_rows {
+                mix_ids(h, [r.orphaned_clients, r.apsp_rows])
+            } else {
+                mix_ids(h, [r.orphaned_clients])
+            }
         }
         Ok(EventOutcome::LinkAdded { added }) => mix(mix(h, 5), u64::from(*added)),
         Ok(EventOutcome::LinkRemoved { removed, refreshed }) => {
